@@ -146,7 +146,7 @@ def criterion_5_four_mirror() -> str:
             f"{stats['lu_click_fraction_within_20']:.4f}; runtime {runtime:.2f} s")
 
 
-def _weak_limit_error(pre: hb.Ket, obs: hb.Operator, post_proj: hb.Operator,
+def _weak_limit_error(pre: hb.Ket, obs: hb.OperatorForm, post_proj: hb.Operator,
                       g: float, want: float) -> float:
     # grid chosen so g = 0.05 and 0.025 shift by whole bins; translation
     # interpolation then drops out and the pure O(g^2) response remains

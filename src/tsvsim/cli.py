@@ -190,6 +190,8 @@ def _run_scenario(config: RunConfig) -> ScenarioResult:
             return sc.run_three_path_photon(option=config.option, g=config.g)
         return sc.SCENARIOS[config.scenario].runner()
     spec = dsl.load_file(config.scenario)
+    for diag in spec.warnings:
+        print(f"warning: {config.scenario}:{diag}", file=sys.stderr)
     return dsl.evaluate(spec, scenario_id=Path(config.scenario).stem)
 
 

@@ -63,19 +63,24 @@ def _build_ket(sp: hb.Space, entries, normalized: bool | None = None) -> Ket:
     return Ket(sp, amps, normalized=normalized)
 
 
-def _gate_operator(sp: hb.Space, g: GateDecl):
-    """Unitary for one gate, or None for projector_select (handled separately)."""
-    if g.kind == "beamsplitter":
-        factor = sp.factor(g.targets[0])
-        i1, i2, o1, o2 = g.params
-        mat = hb.mode_coupler(factor, (i1, i2), (o1, o2))
-        return ("factors", mat, g.targets)
+def _label_projector(sp: hb.Space, constraints) -> hb.Diagonal:
+    """Projector onto the (factor, label) constraints; None is the identity."""
+    if constraints is None:
+        return Operator.identity(sp)
+    return Operator.projector(sp, dict(constraints))
+
+
+def _apply_gate(sp: hb.Space, g: GateDecl, state: Ket) -> Ket:
+    """State after one unitary gate: swap_map as an index permutation,
+    beamsplitter and custom_unitary as small matrices on their targets."""
     if g.kind == "swap_map":
         src, dst = g.params
-        return ("full", hb.label_swap(sp, g.targets, src, dst), None)
-    if g.kind == "custom_unitary":
-        return ("factors", np.array(g.params, dtype=complex), g.targets)
-    return None
+        return hb.apply(hb.label_swap(sp, g.targets, src, dst), state)
+    if g.kind == "beamsplitter":
+        i1, i2, o1, o2 = g.params
+        coupler = hb.mode_coupler(sp.factor(g.targets[0]), (i1, i2), (o1, o2))
+        return hb.apply_to_factors(state, coupler, g.targets)
+    return hb.apply_to_factors(state, np.array(g.params, dtype=complex), g.targets)
 
 
 def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
@@ -97,24 +102,17 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
         if current_epoch is not None and g.epoch != current_epoch:
             states[current_epoch] = state
         current_epoch = g.epoch
-        if g.kind == "projector_select":
-            labels, name = g.params
-            proj = Operator.projector(sp, {g.targets[0]: list(labels)})
-            try:
+        try:
+            if g.kind == "projector_select":
+                labels, name = g.params
+                proj = Operator.projector(sp, {g.targets[0]: list(labels)})
                 p, state = tsvf.post_select(state, proj)
-            except TsvsimError as e:
-                raise _with_position(e, g.line)
-            key = name or f"{g.epoch}_{g.targets[0]}_{'_'.join(labels)}"
-            probabilities[key] = p
-        else:
-            kind, mat, targets = _gate_operator(sp, g)
-            try:
-                if kind == "full":
-                    state = hb.apply(mat, state)
-                else:
-                    state = hb.apply_to_factors(state, mat, targets)
-            except TsvsimError as e:
-                raise _with_position(e, g.line)
+                key = name or f"{g.epoch}_{g.targets[0]}_{'_'.join(labels)}"
+                probabilities[key] = p
+            else:
+                state = _apply_gate(sp, g, state)
+        except TsvsimError as e:
+            raise _with_position(e, g.line)
     if current_epoch is not None:
         states[current_epoch] = state
 
@@ -128,7 +126,9 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
         try:
             tsv = tsvf.TwoStateVector(state, post_ket)
             for obs in spec.observables:
-                op = _observable_operator(sp, obs.terms, obs.name)
+                terms = [coeff * _label_projector(sp, constraints)
+                         for coeff, constraints in obs.terms]
+                op = sum(terms[1:], terms[0])
                 weak_values[obs.name] = tsvf.weak_value(tsv, op).value
         except TsvsimError as e:
             line = spec.postselect.line if spec.postselect is not None else 1
@@ -141,14 +141,3 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
         weak_values=weak_values,
     )
 
-
-def _observable_operator(sp: hb.Space, terms, tag: str) -> Operator:
-    mat = np.zeros((sp.dim, sp.dim), dtype=complex)
-    eye = np.eye(sp.dim)
-    for coeff, constraints in terms:
-        if constraints is None:
-            mat += coeff * eye
-        else:
-            mask = Operator.basis_mask(sp, dict(constraints))
-            mat[np.diag_indices(sp.dim)] += coeff * mask
-    return Operator(sp, mat, tag=tag)

@@ -119,9 +119,6 @@ class ScenarioSpec:
     observables: tuple[ObservableDecl, ...] = ()
     warnings: tuple[Diagnostic, ...] = field(compare=False, default=())
 
-    def factor_table(self) -> dict[str, tuple[str, ...]]:
-        return {f.name: f.labels for f in self.factors}
-
 
 # ---------------------------------------------------------------------------
 # scalar expression evaluator

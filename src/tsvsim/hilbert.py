@@ -4,7 +4,10 @@ projectors, and Schmidt decomposition.
 States live on a product of named factors (particle paths, detector flags,
 pointer bins, ...). Every factor carries a label table, so basis states are
 addressed by label tuples such as ``("1''", "2'", "READY1")`` instead of raw
-indices. Amplitude storage is dense; the spaces used here stay small.
+indices. Kets are dense amplitude vectors. A label projector is a 0/1 mask
+(Diagonal), a detector flip or collision an index permutation (Permutation), a
+splitter a small matrix on its target factors (apply_to_factors); only general
+matrices are dense d x d arrays (Operator).
 
 All values are immutable after construction and safe to share between threads.
 """
@@ -108,11 +111,6 @@ class Space:
             out.append(f.labels[r])
         return tuple(reversed(out))
 
-    def basis_iter(self):
-        """Yield (flat index, label tuple) over the full product basis."""
-        for i in range(self.dim):
-            yield i, self.labels_of(i)
-
 
 def space(*factors: tuple[str, Sequence[str]]) -> Space:
     """Shorthand: space(("photon", ["L_u", "L_d"]), ("det", ["READY", "CLICK"]))."""
@@ -206,13 +204,29 @@ def inner(bra: Ket, ket: Ket) -> complex:
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
-class Operator:
-    """Dense complex square matrix acting on a Space.
-
-    The optional tag names the operator in results (weak-value tables etc.).
+class OperatorForm:
+    """Shared by Operator, Diagonal and Permutation: the `space` acted on, a
+    `tag` naming the operator in results, a dense `matrix` built on request,
+    and `act(t)`, which applies the operator along axis 0 of an amplitude array.
     """
 
-    __slots__ = ("space", "matrix", "tag")
+    __slots__ = ("space", "tag")
+
+    def _check_space(self, other: "OperatorForm") -> None:
+        if self.space != other.space:
+            raise DimensionMismatch("operators on different spaces")
+
+    def __repr__(self) -> str:
+        t = f", tag={self.tag!r}" if self.tag else ""
+        return f"{type(self).__name__}({self.space!r}{t})"
+
+
+class Operator(OperatorForm):
+    """Dense complex square matrix acting on a Space, for matrices without
+    structure to exploit (ket projectors, user matrices, observables). The
+    identity and label projectors built here are Diagonal forms."""
+
+    __slots__ = ("matrix",)
 
     def __init__(self, space: Space, matrix: np.ndarray, tag: str = ""):
         mat = np.asarray(matrix, dtype=complex)
@@ -228,20 +242,19 @@ class Operator:
 
     # construction helpers ------------------------------------------------
 
-    @classmethod
-    def identity(cls, sp: Space, tag: str = "I") -> "Operator":
-        return cls(sp, np.eye(sp.dim), tag=tag)
+    @staticmethod
+    def identity(sp: Space, tag: str = "I") -> "Diagonal":
+        return Diagonal(sp, np.ones(sp.dim), tag=tag)
 
-    @classmethod
-    def projector(cls, sp: Space, constraints: Mapping[str, str | Sequence[str]],
-                  tag: str = "") -> "Operator":
+    @staticmethod
+    def projector(sp: Space, constraints: Mapping[str, str | Sequence[str]],
+                  tag: str = "") -> "Diagonal":
         """Diagonal projector onto basis states whose labels satisfy the constraints.
 
         constraints maps factor name -> label (or collection of allowed labels);
-        unconstrained factors are untouched.
+        unconstrained factors are untouched. The result holds the 0/1 mask.
         """
-        mask = cls.basis_mask(sp, constraints)
-        return cls(sp, np.diag(mask.astype(complex)), tag=tag)
+        return Diagonal(sp, Operator.basis_mask(sp, constraints).astype(float), tag=tag)
 
     @staticmethod
     def basis_mask(sp: Space, constraints: Mapping[str, str | Sequence[str]]) -> np.ndarray:
@@ -265,25 +278,10 @@ class Operator:
         v = k.amplitudes
         return cls(k.space, np.outer(v, v.conj()), tag=tag)
 
-    @classmethod
-    def permutation(cls, sp: Space, swaps: Iterable[tuple[int, int]],
-                    tag: str = "") -> "Operator":
-        """Unitary permutation given as a list of disjoint index transpositions."""
-        perm = np.arange(sp.dim)
-        seen: set[int] = set()
-        for i, j in swaps:
-            if i in seen or j in seen:
-                raise ValueError("transpositions must be disjoint")
-            seen.update((i, j))
-            perm[i], perm[j] = perm[j], perm[i]
-        mat = np.zeros((sp.dim, sp.dim), dtype=complex)
-        mat[perm, np.arange(sp.dim)] = 1.0
-        return cls(sp, mat, tag=tag)
-
     # queries --------------------------------------------------------------
 
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T, tag=self.tag)
+    def act(self, t: np.ndarray) -> np.ndarray:
+        return self.matrix @ t
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
@@ -299,37 +297,89 @@ class Operator:
 
     # algebra ---------------------------------------------------------------
 
-    def _check_space(self, other: "Operator") -> None:
-        if self.space != other.space:
-            raise DimensionMismatch("operators on different spaces")
-
     def __add__(self, other: "Operator") -> "Operator":
         self._check_space(other)
         return Operator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.matrix - other.matrix)
 
     def __mul__(self, scalar: complex) -> "Operator":
         return Operator(self.space, self.matrix * scalar, tag=self.tag)
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "Operator") -> "Operator":
+
+class Diagonal(OperatorForm):
+    """Operator diagonal in the product basis, stored as its diagonal: the 0/1
+    mask of a label projector, or a sum of scaled projectors (.scn observables)."""
+
+    __slots__ = ("diagonal",)
+
+    def __init__(self, space: Space, diagonal: np.ndarray, tag: str = ""):
+        diag = np.array(diagonal)
+        if diag.shape != (space.dim,):
+            raise DimensionMismatch(
+                f"diagonal shape {diag.shape} does not match space dim {space.dim}"
+            )
+        diag.flags.writeable = False
+        self.space = space
+        self.diagonal = diag
+        self.tag = tag
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.diag(self.diagonal.astype(complex))
+
+    def act(self, t: np.ndarray) -> np.ndarray:
+        # + 0.0 turns -0.0 into +0.0, as the sums of a dense product do, so
+        # results match the dense matrix bit for bit
+        return self.diagonal.reshape((-1,) + (1,) * (t.ndim - 1)) * t + 0.0
+
+    def is_projector(self, tol: float = ATOL_PROJECTOR) -> bool:
+        """Hermitian and idempotent: every entry real and 0 or 1, to tol."""
+        d = self.diagonal
+        return bool(np.max(np.abs(d - d.conj())) <= tol
+                    and np.max(np.abs(d * d - d)) <= tol)
+
+    def __add__(self, other: "Diagonal") -> "Diagonal":
         self._check_space(other)
-        return Operator(self.space, self.matrix @ other.matrix)
+        return Diagonal(self.space, self.diagonal + other.diagonal)
 
-    def __repr__(self) -> str:
-        t = f", tag={self.tag!r}" if self.tag else ""
-        return f"Operator({self.space!r}{t})"
+    def __mul__(self, scalar: complex) -> "Diagonal":
+        return Diagonal(self.space, self.diagonal * scalar, tag=self.tag)
+
+    __rmul__ = __mul__
 
 
-def apply(op: Operator, k: Ket) -> Ket:
-    """Matrix-vector product op|k>. Spaces must match exactly."""
+class Permutation(OperatorForm):
+    """Basis map stored as an index array, (P t)[i] = t[index[i]]; the array is
+    checked to be a bijection, so the map is exactly unitary."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, space: Space, index: np.ndarray, tag: str = ""):
+        idx = np.array(index, dtype=np.intp)
+        if idx.shape != (space.dim,) or not np.array_equal(np.sort(idx),
+                                                           np.arange(space.dim)):
+            raise ValueError(f"index array is not a permutation of {space.dim} states")
+        idx.flags.writeable = False
+        self.space = space
+        self.index = idx
+        self.tag = tag
+
+    @property
+    def matrix(self) -> np.ndarray:
+        mat = np.zeros((self.space.dim, self.space.dim), dtype=complex)
+        mat[np.arange(self.space.dim), self.index] = 1.0
+        return mat
+
+    def act(self, t: np.ndarray) -> np.ndarray:
+        return t[self.index] + 0.0  # +0.0 as in Diagonal.act
+
+
+def apply(op: OperatorForm, k: Ket) -> Ket:
+    """op|k>. Spaces must match exactly."""
     if op.space != k.space:
         raise DimensionMismatch("operator and ket live on different spaces")
-    return Ket(k.space, op.matrix @ k.amplitudes)
+    return Ket(k.space, op.act(k.amplitudes))
 
 
 def apply_to_factors(k: Ket, matrix: np.ndarray, factor_names: Sequence[str]) -> Ket:
@@ -358,52 +408,6 @@ def apply_to_factors(k: Ket, matrix: np.ndarray, factor_names: Sequence[str]) ->
     inv = np.argsort(axes + rest)
     t = np.transpose(t, inv)
     return Ket(sp, t.reshape(sp.dim))
-
-
-def embed(op: Operator, sp: Space, tag: str = "") -> Operator:
-    """Embed an operator on a subset of factors into sp, identity on the rest.
-
-    Matching is by factor identity: every factor of op.space must appear in sp
-    with the same label table.
-    """
-    local = {f.name for f in op.space.factors}
-    for f in op.space.factors:
-        if sp.factor(f.name) != f:
-            raise DimensionMismatch(f"factor {f.name!r} differs between spaces")
-    order = [f.name for f in sp.factors if f.name in local]
-    small = _reorder_operator(op, order)
-    op_axes = [sp.factor_index(name) for name in order]
-    full = _apply_matrix_to_axes(np.eye(sp.dim, dtype=complex), small, op_axes, sp.dims)
-    return Operator(sp, full, tag=tag or op.tag)
-
-
-def _reorder_operator(op: Operator, order: Sequence[str]) -> np.ndarray:
-    names = [f.name for f in op.space.factors]
-    if list(order) == names:
-        return op.matrix
-    perm = [names.index(nm) for nm in order]
-    dims = op.space.dims
-    k = len(dims)
-    t = op.matrix.reshape(dims + dims)
-    t = np.transpose(t, perm + [k + p for p in perm])
-    d = op.space.dim
-    return t.reshape(d, d)
-
-
-def _apply_matrix_to_axes(columns: np.ndarray, mat: np.ndarray,
-                          axes: Sequence[int], dims: Sequence[int]) -> np.ndarray:
-    """Apply mat to the given tensor axes of each column of a (dim, dim) matrix."""
-    dim = columns.shape[0]
-    sub = prod(dims[a] for a in axes)
-    rest = [i for i in range(len(dims)) if i not in axes]
-    t = columns.reshape(list(dims) + [dim])
-    t = np.transpose(t, list(axes) + rest + [len(dims)])
-    t = t.reshape(sub, -1)
-    t = mat @ t
-    t = t.reshape([dims[a] for a in axes] + [dims[i] for i in rest] + [dim])
-    inv = np.argsort(list(axes) + rest)
-    t = np.transpose(t, list(inv) + [len(dims)])
-    return t.reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -501,36 +505,41 @@ def mode_coupler(factor: Factor, in_pair: tuple[str, str], out_pair: tuple[str, 
     return u
 
 
+def _exchange(sp: Space, src: Mapping[int, int], dst: Mapping[int, int],
+              where: np.ndarray | bool = True) -> np.ndarray:
+    """Index array of the map exchanging the basis states whose axes carry the
+    src label indices with those carrying the dst ones, every other axis
+    carried through. `where`, shaped like the carried-through axes, limits the
+    exchange to the positions it selects."""
+    index = np.arange(sp.dim).reshape(sp.dims)
+    at_src = tuple(src.get(a, slice(None)) for a in range(len(sp.dims)))
+    at_dst = tuple(dst.get(a, slice(None)) for a in range(len(sp.dims)))
+    a, b = index[at_src].copy(), index[at_dst].copy()
+    index[at_src] = np.where(where, b, a)
+    index[at_dst] = np.where(where, a, b)
+    return index.reshape(sp.dim)
+
+
 def flag_flip(sp: Space, condition: Mapping[str, str | Sequence[str]],
-              flag_factor: str, ready: str, click: str, tag: str = "") -> Operator:
-    """Permutation unitary toggling a flag factor on basis states matching condition.
+              flag_factor: str, ready: str, click: str, tag: str = "") -> Permutation:
+    """Permutation toggling a flag factor on basis states matching condition.
 
     Models detectors and annihilation events as norm-preserving basis maps:
     |paths, READY> <-> |paths, CLICK> exactly on the triggering path states.
     """
-    mask = Operator.basis_mask(sp, condition)
+    mask = Operator.basis_mask(sp, condition).reshape(sp.dims)
     ax = sp.factor_index(flag_factor)
     f = sp.factor(flag_factor)
     r_idx, c_idx = f.index(ready), f.index(click)
-    m = mask.reshape(sp.dims)
-    swaps = []
-    it = np.argwhere(m)
-    for multi in it:
-        if multi[ax] != r_idx:
-            continue
-        other = multi.copy()
-        other[ax] = c_idx
-        if not m[tuple(other)]:
-            # condition must not depend on the flag itself
-            raise ValueError("flag_flip condition must be independent of the flag factor")
-        i = int(np.ravel_multi_index(tuple(multi), sp.dims))
-        j = int(np.ravel_multi_index(tuple(other), sp.dims))
-        swaps.append((i, j))
-    return Operator.permutation(sp, swaps, tag=tag)
+    at_ready = np.take(mask, r_idx, axis=ax)
+    if np.any(at_ready & ~np.take(mask, c_idx, axis=ax)):
+        # condition must not depend on the flag itself
+        raise ValueError("flag_flip condition must be independent of the flag factor")
+    return Permutation(sp, _exchange(sp, {ax: r_idx}, {ax: c_idx}, at_ready), tag=tag)
 
 
 def label_swap(sp: Space, factor_names: Sequence[str],
-               src: Sequence[str], dst: Sequence[str], tag: str = "") -> Operator:
+               src: Sequence[str], dst: Sequence[str], tag: str = "") -> Permutation:
     """Transposition of two joint label assignments on the given factors.
 
     Entries in src/dst may be "*" to mean "any label, carried through"; the
@@ -542,31 +551,12 @@ def label_swap(sp: Space, factor_names: Sequence[str],
     axes = [sp.factor_index(n) for n in factor_names]
     fixed_src: dict[int, int] = {}
     fixed_dst: dict[int, int] = {}
-    wild_axes = []
     for ax, nm, s, d in zip(axes, factor_names, src, dst):
         f = sp.factor(nm)
         if s == "*" or d == "*":
             if s != d:
                 raise ValueError("wildcard positions must match between src and dst")
-            wild_axes.append(ax)
         else:
             fixed_src[ax] = f.index(s)
             fixed_dst[ax] = f.index(d)
-    if all(fixed_src[a] == fixed_dst[a] for a in fixed_src):
-        return Operator.identity(sp, tag=tag)
-    free_axes = [i for i in range(len(sp.dims)) if i not in fixed_src]
-    swaps = []
-    for combo in np.ndindex(*(sp.dims[a] for a in free_axes)):
-        multi_s = [0] * len(sp.dims)
-        multi_d = [0] * len(sp.dims)
-        for a, v in zip(free_axes, combo):
-            multi_s[a] = v
-            multi_d[a] = v
-        for a in fixed_src:
-            multi_s[a] = fixed_src[a]
-            multi_d[a] = fixed_dst[a]
-        i = int(np.ravel_multi_index(multi_s, sp.dims))
-        j = int(np.ravel_multi_index(multi_d, sp.dims))
-        if i != j:
-            swaps.append((i, j))
-    return Operator.permutation(sp, swaps, tag=tag)
+    return Permutation(sp, _exchange(sp, fixed_src, fixed_dst), tag=tag)

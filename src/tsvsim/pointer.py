@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, ShiftOutOfGrid, ZeroProbabilityBranch
-from .hilbert import Factor, Ket, Operator, Space
+from .hilbert import Factor, Ket, OperatorForm, Space
 
 HERMITICITY_TOL = 1e-10
 EIGENVALUE_CLUSTER_TOL = 1e-8
@@ -133,16 +133,18 @@ class Trajectory:
 # internals
 
 
-def eigenbranches(observable: Operator,
+def eigenbranches(observable: OperatorForm,
                   tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, list[np.ndarray]]:
     """Cluster the spectral decomposition of a Hermitian observable.
 
     Returns (eigenvalues, projector matrices), one entry per distinct
-    eigenvalue (degenerate levels merged).
+    eigenvalue (degenerate levels merged). Works on the observable's dense
+    matrix, so it is meant for the small system spaces pointers couple to.
     """
-    if np.max(np.abs(observable.matrix - observable.matrix.conj().T)) > tol:
+    mat = observable.matrix
+    if np.max(np.abs(mat - mat.conj().T)) > tol:
         raise ValueError("observable is not Hermitian to 1e-10")
-    evals, evecs = np.linalg.eigh(observable.matrix)
+    evals, evecs = np.linalg.eigh(mat)
     groups: list[list[int]] = [[0]]
     for i in range(1, len(evals)):
         if evals[i] - evals[groups[-1][-1]] <= EIGENVALUE_CLUSTER_TOL:
@@ -209,7 +211,7 @@ def _unique_pointer_name(sp: Space) -> str:
 # public operations
 
 
-def couple(system: Ket, observable: Operator, ptr: PointerWavefunction,
+def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction,
            g: "CouplingStrength | float") -> Ket:
     """Impulsive von Neumann coupling; returns the joint system (x) pointer ket.
 
@@ -239,7 +241,7 @@ def couple(system: Ket, observable: Operator, ptr: PointerWavefunction,
     return Ket(joined, joint.reshape(-1))
 
 
-def _split_pointer_axes(joint: Ket, post_projector: Operator) -> tuple[int, list[int]]:
+def _split_pointer_axes(joint: Ket, post_projector: OperatorForm) -> tuple[int, list[int]]:
     k = len(post_projector.space.factors)
     if joint.space.factors[:k] != post_projector.space.factors:
         raise DimensionMismatch(
@@ -251,7 +253,7 @@ def _split_pointer_axes(joint: Ket, post_projector: Operator) -> tuple[int, list
     return k, ptr_axes
 
 
-def pointer_mean(joint: Ket, post_projector: Operator,
+def pointer_mean(joint: Ket, post_projector: OperatorForm,
                  pointer: str | None = None) -> float:
     """Mean position of the pointer distribution conditioned on post-selection.
 
@@ -268,7 +270,7 @@ def pointer_mean(joint: Ket, post_projector: Operator,
             raise DimensionMismatch(f"{pointer!r} is not a pointer factor here")
     sys_dim = post_projector.space.dim
     t = joint.amplitudes.reshape(sys_dim, -1)
-    t = post_projector.matrix @ t
+    t = post_projector.act(t)
     prob = (np.abs(t) ** 2).reshape([sys_dim] + [joint.space.dims[a] for a in ptr_axes])
     total = float(prob.sum())
     if total < 1e-12:
@@ -279,7 +281,7 @@ def pointer_mean(joint: Ket, post_projector: Operator,
     return float(np.dot(xs, marg) / total)
 
 
-def strong_measure(system: Ket, observable: Operator,
+def strong_measure(system: Ket, observable: OperatorForm,
                    rng_seed: int) -> tuple[float, Ket]:
     """Projective measurement: Born-sample an eigenvalue and collapse.
 
@@ -297,7 +299,7 @@ def strong_measure(system: Ket, observable: Operator,
     return float(lams[idx]), Ket(system.space, collapsed)
 
 
-def weak_sequence(system: Ket, observable: Operator, g: "CouplingStrength | float",
+def weak_sequence(system: Ket, observable: OperatorForm, g: "CouplingStrength | float",
                   steps: int, rng_seed: int,
                   ptr: PointerWavefunction | None = None) -> Trajectory:
     """Repeated weak measurement of one observable on a single system.

@@ -32,7 +32,7 @@ import numpy as np
 from . import hilbert as hb
 from . import pointer as pt
 from . import tsvf
-from .hilbert import Bipartition, Ket, Operator
+from .hilbert import Bipartition, Diagonal, Ket, Operator, OperatorForm
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -468,7 +468,7 @@ def hardy_selections() -> tuple[Ket, Ket]:
     return pre, post
 
 
-def _hardy_pair_projectors(sp: hb.Space) -> dict[str, Operator]:
+def _hardy_pair_projectors(sp: hb.Space) -> dict[str, Diagonal]:
     # key convention: electron (minus) label first
     return {
         "OO": Operator.projector(sp, {"electron": "O-", "positron": "O+"}, tag="OO"),
@@ -693,7 +693,7 @@ SCENARIOS: dict[str, ScenarioInfo] = {
 }
 
 
-def sweep_context(scenario_id: str) -> tuple[Ket, Operator, Operator] | None:
+def sweep_context(scenario_id: str) -> tuple[Ket, OperatorForm, Operator] | None:
     """(pre-selected ket, swept observable, post-selection projector) for the
     scenarios with a canonical odd weak value; None for the others."""
     if scenario_id == "three_boxes":

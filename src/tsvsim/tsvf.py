@@ -20,7 +20,7 @@ import numpy as np
 from . import hilbert
 from .errors import (DimensionMismatch, IncompleteSet, OrthogonalSelection,
                      ZeroProbabilityBranch)
-from .hilbert import Ket, Operator
+from .hilbert import Diagonal, Ket, OperatorForm
 
 EPS_OVERLAP = 1e-10    # near-orthogonal selections amplify rounding noise quadratically
 EPS_BRANCH = 1e-14
@@ -67,7 +67,7 @@ class TwoStateVector:
         return abs(self.overlap()) ** 2
 
 
-def weak_value(tsv: TwoStateVector, a: Operator,
+def weak_value(tsv: TwoStateVector, a: OperatorForm,
                eps_overlap: float = EPS_OVERLAP) -> WeakValue:
     """<post|A|pre> / <post|pre>.
 
@@ -81,21 +81,21 @@ def weak_value(tsv: TwoStateVector, a: Operator,
         raise OrthogonalSelection(
             f"|<post|pre>| = {abs(denom):.3e} <= {eps_overlap:.1e}; weak value undefined"
         )
-    num = complex(np.vdot(tsv.post.amplitudes, a.matrix @ tsv.pre.amplitudes))
+    num = complex(np.vdot(tsv.post.amplitudes, a.act(tsv.pre.amplitudes)))
     return WeakValue(num / denom, a.tag)
 
 
-def born_probability(state: Ket, outcome_projector: Operator) -> float:
+def born_probability(state: Ket, outcome_projector: OperatorForm) -> float:
     """||P|psi>||^2 without collapsing. P is validated as a projector."""
     if outcome_projector.space != state.space:
         raise DimensionMismatch("projector space differs from state space")
     if not outcome_projector.is_projector():
         raise ValueError("outcome operator is not a projector (P^2 = P = P+ to 1e-12)")
-    v = outcome_projector.matrix @ state.amplitudes
+    v = outcome_projector.act(state.amplitudes)
     return float(np.vdot(v, v).real)
 
 
-def post_select(state: Ket, outcome_projector: Operator) -> tuple[float, Ket]:
+def post_select(state: Ket, outcome_projector: OperatorForm) -> tuple[float, Ket]:
     """Born rule plus renormalization: (||P psi||^2, P psi / ||P psi||).
 
     Raises ZeroProbabilityBranch when the probability falls below 1e-14; the
@@ -105,27 +105,27 @@ def post_select(state: Ket, outcome_projector: Operator) -> tuple[float, Ket]:
         raise DimensionMismatch("projector space differs from state space")
     if not outcome_projector.is_projector():
         raise ValueError("outcome operator is not a projector (P^2 = P = P+ to 1e-12)")
-    v = outcome_projector.matrix @ state.amplitudes
+    v = outcome_projector.act(state.amplitudes)
     p = float(np.vdot(v, v).real)
     if p < EPS_BRANCH:
         raise ZeroProbabilityBranch(f"branch probability {p:.3e} < {EPS_BRANCH:.1e}")
     return p, Ket(state.space, v / np.sqrt(p))
 
 
-def projector_weak_value_sum(tsv: TwoStateVector, projectors: list[Operator],
+def projector_weak_value_sum(tsv: TwoStateVector, projectors: list[Diagonal],
                              tol: float = 1e-10) -> complex:
-    """Sum of weak values over a complete projector family.
+    """Sum of weak values over a complete family of label projectors.
 
-    The family must resolve the identity (IncompleteSet otherwise); by
-    linearity the sum then equals 1.
+    The family's diagonals must add up to one on every basis state, i.e.
+    resolve the identity (IncompleteSet otherwise); by linearity the sum then
+    equals 1.
     """
     if not projectors:
         raise IncompleteSet("empty projector list")
-    total = projectors[0].matrix.copy()
     for p in projectors[1:]:
         if p.space != projectors[0].space:
             raise DimensionMismatch("projectors on different spaces")
-        total = total + p.matrix
-    if np.max(np.abs(total - np.eye(projectors[0].space.dim))) > tol:
+    total = sum(p.diagonal for p in projectors)
+    if np.max(np.abs(total - 1.0)) > tol:
         raise IncompleteSet("projectors do not sum to the identity")
     return sum(weak_value(tsv, p).value for p in projectors)

@@ -146,6 +146,23 @@ class TestScenarioFiles:
         p3 = next(r for r in records if r["name"] == "P3")
         assert p3["re"] == pytest.approx(-1.0, abs=1e-10)
 
+    def test_renormalization_warning(self, capsys, tmp_path):
+        body = "OBSERVABLES\n  PX = proj(a=x)\n"
+        raw = tmp_path / "raw" / "exp.scn"
+        unit = tmp_path / "unit" / "exp.scn"
+        raw.parent.mkdir()
+        unit.parent.mkdir()
+        raw.write_text("FACTORS\n  a: x y\nINITIAL\n  x : 1\n  y : 1\n" + body)
+        unit.write_text("FACTORS\n  a: x y\nINITIAL\n  x : 1/sqrt(2)\n  y : 1/sqrt(2)\n"
+                        + body)
+        code, out, err = run_cli(capsys, "run", str(raw))
+        assert code == 0
+        assert err == (f"warning: {raw}:line 4, col 1: INITIAL amplitudes had norm "
+                       "1.41421356237; normalized to 1\n")
+        code_unit, out_unit, err_unit = run_cli(capsys, "run", str(unit))
+        assert (code_unit, err_unit) == (0, "")
+        assert out.encode() == out_unit.encode()
+
     def test_out_file_written(self, capsys, tmp_path):
         target = tmp_path / "result.csv"
         code, out, _ = run_cli(capsys, "run", "three_boxes", "--format", "csv",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsvsim import dsl, scenarios as sc
+from tsvsim import dsl, hilbert as hb, scenarios as sc
 from tsvsim.errors import OrthogonalSelection, ZeroProbabilityBranch
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -178,6 +178,40 @@ class TestEvaluate:
         state = res.states_by_epoch["t1"]
         assert state.amplitude(("x", "C")) == pytest.approx(1 / math.sqrt(2))
         assert state.amplitude(("y", "C")) == pytest.approx(1 / math.sqrt(2))
+
+    def test_large_space_builds_no_dense_operator(self, monkeypatch):
+        # d = 2**10: projections, swaps and observables must stay structured
+        names = [f"q{k}" for k in range(10)]
+        rest = " ".join(f"a{k}" for k in range(3, 10))
+        text = ("FACTORS\n"
+                + "".join(f"  {nm}: a{k} b{k}\n" for k, nm in enumerate(names))
+                + "INITIAL\n"
+                + "  a0 a1 a2 " + rest + " : 1/sqrt(2)\n"
+                + "  b0 a1 a2 " + rest + " : 1/sqrt(2)\n"
+                + "GATES\n"
+                + "  t1 beamsplitter q0 : a0 b0 -> a0 b0\n"
+                + "  t1 swap_map q0 q1 : b0 a1 -> b0 b1\n"
+                + "  t1 custom_unitary q2 : [ 0, 1 ; 1, 0 ]\n"
+                + "  t2 projector_select q1 : b1 as flipped\n"
+                + "POSTSELECT\n"
+                + "  b0 b1 b2 " + rest + " : 1\n"
+                + "OBSERVABLES\n"
+                + "  P = proj(q0=b0)\n"
+                + "  ODD = 2*proj(q1=b1) - id\n")
+        dense_dims = []
+        init = hb.Operator.__init__
+
+        def counting_init(op, space, matrix, tag=""):
+            dense_dims.append(space.dim)
+            init(op, space, matrix, tag)
+
+        monkeypatch.setattr(hb.Operator, "__init__", counting_init)
+        res = dsl.evaluate(dsl.parse(text))
+        assert res.states_by_epoch["t2"].space.dim == 1024
+        assert res.probabilities["flipped"] == pytest.approx(0.5, abs=1e-12)
+        assert res.weak_values["P"] == pytest.approx(1.0, abs=1e-12)
+        assert res.weak_values["ODD"] == pytest.approx(1.0, abs=1e-12)
+        assert [d for d in dense_dims if d > 64] == []
 
     def test_select_records_default_name(self):
         text = ("FACTORS\n  a: x y\nINITIAL\n  x : 1/sqrt(2)\n  y : 1/sqrt(2)\n"

@@ -171,10 +171,10 @@ class TestApplyToFactors:
         v = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
         k = hb.Ket(sp, v / np.linalg.norm(v))
         mat = hb.beamsplitter()
-        small = hb.Operator(hb.space(("c", ["c0", "c1"])), mat)
-        via_embed = hb.apply(hb.embed(small, sp), k)
+        # c is the last factor, so the full-space operator is 1_(a,b) (x) mat
+        via_full = hb.apply(hb.Operator(sp, np.kron(np.eye(6), mat)), k)
         via_factors = hb.apply_to_factors(k, mat, ["c"])
-        np.testing.assert_allclose(via_embed.amplitudes, via_factors.amplitudes,
+        np.testing.assert_allclose(via_full.amplitudes, via_factors.amplitudes,
                                    atol=1e-14)
 
     def test_middle_factor_with_reordering(self):
@@ -274,7 +274,7 @@ class TestGateBuilders:
     def test_flag_flip_is_permutation(self):
         sp = hb.space(("p", ["x", "y"]), ("d", ["READY", "CLICK"]))
         op = hb.flag_flip(sp, {"p": "x"}, "d", "READY", "CLICK")
-        assert op.is_unitary(1e-14)
+        assert hb.Operator(sp, op.matrix).is_unitary(1e-14)
         k = hb.basis_state(sp, "x", "READY")
         out = hb.apply(op, k)
         assert out.amplitude(("x", "CLICK")) == 1.0
@@ -284,7 +284,7 @@ class TestGateBuilders:
     def test_label_swap_wildcard(self):
         sp = hb.space(("a", ["a0", "a1"]), ("b", ["b0", "b1"]))
         op = hb.label_swap(sp, ["a", "b"], ["*", "b0"], ["*", "b1"])
-        assert op.is_unitary(1e-14)
+        assert hb.Operator(sp, op.matrix).is_unitary(1e-14)
         out = hb.apply(op, hb.basis_state(sp, "a1", "b0"))
         assert out.amplitude(("a1", "b1")) == 1.0
 
@@ -292,6 +292,110 @@ class TestGateBuilders:
         sp = hb.space(("a", ["a0", "a1"]), ("b", ["b0", "b1"]))
         with pytest.raises(ValueError):
             hb.label_swap(sp, ["a", "b"], ["*", "b0"], ["a0", "b1"])
+
+
+def _matrix_from_swaps(dim, swaps):
+    perm = np.arange(dim)
+    for i, j in swaps:
+        perm[i], perm[j] = perm[j], perm[i]
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[perm, np.arange(dim)] = 1.0
+    return mat
+
+
+def reference_label_swap(sp, factor_names, src, dst):
+    """Dense label_swap built with the per-basis-state loop."""
+    fixed_src, fixed_dst = {}, {}
+    for nm, s, d in zip(factor_names, src, dst):
+        if s != "*":
+            ax = sp.factor_index(nm)
+            fixed_src[ax] = sp.factor(nm).index(s)
+            fixed_dst[ax] = sp.factor(nm).index(d)
+    free_axes = [i for i in range(len(sp.dims)) if i not in fixed_src]
+    swaps = []
+    for combo in np.ndindex(*(sp.dims[a] for a in free_axes)):
+        multi_s = [0] * len(sp.dims)
+        multi_d = [0] * len(sp.dims)
+        for a, v in zip(free_axes, combo):
+            multi_s[a] = multi_d[a] = v
+        for a in fixed_src:
+            multi_s[a] = fixed_src[a]
+            multi_d[a] = fixed_dst[a]
+        i = int(np.ravel_multi_index(multi_s, sp.dims))
+        j = int(np.ravel_multi_index(multi_d, sp.dims))
+        if i != j:
+            swaps.append((i, j))
+    return _matrix_from_swaps(sp.dim, swaps)
+
+
+def reference_flag_flip(sp, condition, flag_factor, ready, click):
+    """Dense flag_flip built with the per-basis-state loop."""
+    m = hb.Operator.basis_mask(sp, condition).reshape(sp.dims)
+    ax = sp.factor_index(flag_factor)
+    f = sp.factor(flag_factor)
+    r_idx, c_idx = f.index(ready), f.index(click)
+    swaps = []
+    for multi in np.argwhere(m):
+        if multi[ax] != r_idx:
+            continue
+        other = multi.copy()
+        other[ax] = c_idx
+        if not m[tuple(other)]:
+            raise ValueError("condition depends on the flag factor")
+        swaps.append((int(np.ravel_multi_index(tuple(multi), sp.dims)),
+                      int(np.ravel_multi_index(tuple(other), sp.dims))))
+    return _matrix_from_swaps(sp.dim, swaps)
+
+
+def random_space(rng, min_flag_dim=1):
+    n = int(rng.integers(1, 5))
+    dims = rng.integers(1, 4, size=n)
+    dims[0] = max(dims[0], min_flag_dim)
+    return hb.space(*((f"f{k}", [f"f{k}_{j}" for j in range(d)])
+                      for k, d in enumerate(dims)))
+
+
+class TestBasisMapsAgainstDenseReference:
+    def test_label_swap_with_and_without_wildcards(self):
+        rng = np.random.default_rng(2015)
+        for _ in range(300):
+            sp = random_space(rng)
+            k = int(rng.integers(1, len(sp.factors) + 1))
+            targets = [sp.factors[i] for i in rng.permutation(len(sp.factors))[:k]]
+            src, dst = [], []
+            for f in targets:
+                if rng.random() < 0.3:
+                    src.append("*")
+                    dst.append("*")
+                else:
+                    src.append(f.labels[rng.integers(f.dim)])
+                    dst.append(f.labels[rng.integers(f.dim)])
+            names = [f.name for f in targets]
+            op = hb.label_swap(sp, names, src, dst)
+            assert np.array_equal(np.sort(op.index), np.arange(sp.dim))
+            np.testing.assert_array_equal(
+                op.matrix, reference_label_swap(sp, names, src, dst))
+
+    def test_flag_flip(self):
+        rng = np.random.default_rng(1504)
+        for _ in range(300):
+            sp = random_space(rng, min_flag_dim=2)
+            flag = sp.factors[0]
+            ready, click = (flag.labels[i] for i in rng.choice(flag.dim, 2, replace=False))
+            condition = {}
+            for f in sp.factors[1:]:
+                if rng.random() < 0.6:
+                    keep = rng.random(f.dim) < 0.5
+                    condition[f.name] = [lab for lab, kk in zip(f.labels, keep) if kk]
+            op = hb.flag_flip(sp, condition, flag.name, ready, click)
+            assert np.array_equal(np.sort(op.index), np.arange(sp.dim))
+            np.testing.assert_array_equal(
+                op.matrix, reference_flag_flip(sp, condition, flag.name, ready, click))
+            # a condition that reads the flag itself is rejected by both
+            with pytest.raises(ValueError):
+                reference_flag_flip(sp, {flag.name: ready}, flag.name, ready, click)
+            with pytest.raises(ValueError):
+                hb.flag_flip(sp, {flag.name: ready}, flag.name, ready, click)
 
 
 class TestKetValidation:

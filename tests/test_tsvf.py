@@ -121,9 +121,10 @@ class TestPostSelect:
 
     def test_non_projector_rejected(self):
         sp = hb.space(("a", ["x", "y"]))
-        bad = hb.Operator(sp, np.array([[0.5, 0], [0, 0.5]]))
-        with pytest.raises(ValueError):
-            tsvf.post_select(hb.basis_state(sp, "x"), bad)
+        for bad in (hb.Operator(sp, np.array([[0.5, 0], [0, 0.5]])),
+                    2 * hb.Operator.projector(sp, {"a": "x"})):
+            with pytest.raises(ValueError):
+                tsvf.post_select(hb.basis_state(sp, "x"), bad)
 
     def test_complete_outcome_set_sums_to_one(self):
         rng = np.random.default_rng(33)
