@@ -52,24 +52,6 @@ def _with_position(exc: TsvsimError, line: int, column: int = 1) -> TsvsimError:
     return exc
 
 
-def _build_space(spec: ScenarioSpec) -> hb.Space:
-    return hb.Space(hb.Factor(f.name, f.labels) for f in spec.factors)
-
-
-def _build_ket(sp: hb.Space, entries, normalized: bool | None = None) -> Ket:
-    amps = np.zeros(sp.dim, dtype=complex)
-    for e in entries:
-        amps[sp.index_of(e.labels)] = e.amplitude
-    return Ket(sp, amps, normalized=normalized)
-
-
-def _label_projector(sp: hb.Space, constraints) -> hb.Diagonal:
-    """Projector onto the (factor, label) constraints; None is the identity."""
-    if constraints is None:
-        return Operator.identity(sp)
-    return Operator.projector(sp, dict(constraints))
-
-
 def _apply_gate(sp: hb.Space, g: GateDecl, state: Ket) -> Ket:
     """State after one unitary gate: swap_map as an index permutation,
     beamsplitter and custom_unitary as small matrices on their targets."""
@@ -92,8 +74,8 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
     names. Weak values are evaluated with the two-state rule
     <post|A|evolved> / <post|evolved>.
     """
-    sp = _build_space(spec)
-    state = _build_ket(sp, spec.initial).unit()
+    sp = hb.space(*((f.name, f.labels) for f in spec.factors))
+    state = hb.from_amplitudes(sp, {e.labels: e.amplitude for e in spec.initial}).unit()
     states: dict[str, Ket] = {"t0": state}
     probabilities: dict[str, float] = {}
 
@@ -118,7 +100,8 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
 
     post_ket = state
     if spec.postselect is not None:
-        post_ket = _build_ket(sp, spec.postselect.entries).unit()
+        post_ket = hb.from_amplitudes(
+            sp, {e.labels: e.amplitude for e in spec.postselect.entries}).unit()
         probabilities[spec.postselect.name] = abs(hb.inner(post_ket, state)) ** 2
 
     weak_values: dict[str, complex] = {}
@@ -126,7 +109,7 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
         try:
             tsv = tsvf.TwoStateVector(state, post_ket)
             for obs in spec.observables:
-                terms = [coeff * _label_projector(sp, constraints)
+                terms = [coeff * Operator.projector(sp, dict(constraints or ()))
                          for coeff, constraints in obs.terms]
                 op = sum(terms[1:], terms[0])
                 weak_values[obs.name] = tsvf.weak_value(tsv, op).value

@@ -6,12 +6,14 @@ The format is line oriented with five sections:
     INITIAL       label-per-factor ... : amplitude
     GATES         epoch kind targets : parameters
     POSTSELECT    like INITIAL; header may carry "as NAME"
-    OBSERVABLES   NAME = expr over proj(factor=label, ...), id, sums, scalars
+    OBSERVABLES   NAME = sum of [coeff *] proj(factor=label, ...) or id
 
-Amplitudes accept sugar such as 1/sqrt(3), i, -0.5, 2/3, and an explicit
-re,im pair; a parenthesized (re,im) works anywhere a scalar does. `#` starts
-a comment. Parsing is total: malformed input produces diagnostics with line
-and column positions, never a crash. The parser normalizes INITIAL and
+One recursive-descent parser, _Expr, reads every expression: amplitudes,
+custom_unitary matrix literals and observables; its docstring holds the
+grammar. Amplitudes accept sugar such as 1/sqrt(3), i, -0.5, 2/3, and an
+explicit re,im pair; a parenthesized (re,im) works anywhere a scalar does.
+`#` starts a comment. Parsing is total: malformed input produces diagnostics
+with line and column positions, never a crash. The parser normalizes INITIAL and
 POSTSELECT amplitude lists and records a warning when the written norm is off
 by more than 1e-9.
 
@@ -121,11 +123,13 @@ class ScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# scalar expression evaluator
+# expression parser
 
 
 _NUM_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_FACTOR_RE = re.compile(r"[^=,)]*")
+_LABEL_RE = re.compile(r"[^,)]*")
 
 
 class _ExprError(Exception):
@@ -135,15 +139,26 @@ class _ExprError(Exception):
         super().__init__(message)
 
 
-class _Scalar:
-    """Recursive-descent evaluator for amplitude expressions.
+class _Expr:
+    """Recursive-descent parser for every .scn expression: amplitudes,
+    custom_unitary matrix literals and observables.
 
-    Grammar (top level may be a re,im pair):
-        pair   := expr [',' expr]
-        expr   := term (('+'|'-') term)*
-        term   := factor (('*'|'/') factor)*
-        factor := ('+'|'-')* atom
-        atom   := NUMBER | 'i' | 'sqrt' '(' pair ')' | '(' pair ')'
+    Grammar (each rule is a parse_* method; _eval runs one over a whole text):
+        pair       := expr [',' expr]
+        expr       := term (('+'|'-') term)*
+        term       := factor (('*'|'/') factor)*
+        factor     := ('+'|'-')* atom
+        atom       := NUMBER | 'i' | 'sqrt' '(' pair ')' | '(' pair ')'
+        matrix     := '[' row (';' row)* ']'        row   := expr (',' expr)*
+        observable := oterm (('+'|'-') oterm)*      oterm := ('+'|'-')* [coeff '*'] primary
+        coeff      := quot [',' quot]               quot  := atom ('/' atom)*
+        primary    := 'id' | 'proj' '(' factor '=' label (',' factor '=' label)* ')'
+
+    A coeff has no top-level '*', '+' or '-': `(2*3)*proj(...)` needs its
+    parentheses. In a primary, factor and label are the text between the
+    delimiters, stripped; validation checks them against FACTORS. Blanks are
+    spaces and tabs, except that any Unicode whitespace may surround a matrix
+    entry or the brackets, and separate 'proj' from '('.
     """
 
     def __init__(self, text: str, offset: int):
@@ -153,6 +168,10 @@ class _Scalar:
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def _skip_space(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
     def _col(self) -> int:
@@ -169,17 +188,24 @@ class _Scalar:
         ch = self.peek()
         return ch != "" and ch in chars
 
+    def _word(self) -> str:
+        self._skip_ws()
+        m = _WORD_RE.match(self.text, self.pos)
+        return m.group(0) if m else ""
+
     def eat(self, ch: str) -> None:
         if self.peek() != ch:
             self._fail(f"expected {ch!r}")
         self.pos += 1
 
-    def parse_pair(self) -> complex:
-        value = self.parse_expr()
+    def parse_pair(self, expr=None) -> complex:
+        """pair, or coeff when expr is parse_quot."""
+        expr = expr or self.parse_expr
+        value = expr()
         if self.peek() == ",":
             self.pos += 1
             col = self._col()
-            imag = self.parse_expr()
+            imag = expr()
             if abs(value.imag) > 0 or abs(imag.imag) > 0:
                 raise _ExprError(col, "re,im parts of a pair must be real")
             value = complex(value.real, imag.real)
@@ -194,13 +220,13 @@ class _Scalar:
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def parse_term(self) -> complex:
-        value = self.parse_factor()
-        while self._at("*/"):
+    def parse_term(self, ops: str = "*/", signed: bool = True) -> complex:
+        value = self.parse_factor(signed)
+        while self._at(ops):
             op = self.text[self.pos]
             col = self._col()
             self.pos += 1
-            rhs = self.parse_factor()
+            rhs = self.parse_factor(signed)
             if op == "/":
                 if rhs == 0:
                     raise _ExprError(col, "division by zero")
@@ -209,19 +235,19 @@ class _Scalar:
                 value *= rhs
         return value
 
-    def parse_factor(self) -> complex:
+    def parse_quot(self) -> complex:
+        return self.parse_term("/", signed=False)
+
+    def parse_factor(self, signed: bool = True) -> complex:
         sign = 1.0
-        while self._at("+-"):
+        while signed and self._at("+-"):
             if self.text[self.pos] == "-":
                 sign = -sign
             self.pos += 1
         return sign * self.parse_atom()
 
     def parse_atom(self) -> complex:
-        ch = self.peek()
-        if ch == "":
-            self._fail("expected a number, 'i', 'sqrt(...)' or '(...)'")
-        if ch == "(":
+        if self.peek() == "(":
             self.pos += 1
             value = self.parse_pair()
             self.eat(")")
@@ -230,17 +256,82 @@ class _Scalar:
         if m:
             self.pos = m.end()
             return complex(float(m.group(0)))
-        m = _WORD_RE.match(self.text, self.pos)
-        if m and m.group(0) == "i":
-            self.pos = m.end()
+        word = self._word()
+        if word == "i":
+            self.pos += len(word)
             return 1j
-        if m and m.group(0) == "sqrt":
-            self.pos = m.end()
+        if word == "sqrt":
+            self.pos += len(word)
             self.eat("(")
             inner = self.parse_pair()
             self.eat(")")
             return cmath.sqrt(inner)
         self._fail("expected a number, 'i', 'sqrt(...)' or '(...)'")
+
+    def parse_matrix(self) -> tuple:
+        self._skip_space()
+        if self.peek() != "[":
+            self._fail("expected a matrix literal [a, b; c, d]")
+        self.pos += 1
+        rows, row = [], []
+        while True:
+            self._skip_space()
+            row.append(self.parse_expr())
+            self._skip_space()
+            if not self._at(",;]"):
+                self._fail("expected ',', ';' or ']'")
+            sep = self.text[self.pos]
+            self.pos += 1
+            if sep != ",":
+                rows.append(tuple(row))
+                row = []
+            if sep == "]":
+                return tuple(rows)
+
+    def parse_observable(self) -> tuple:
+        terms = []
+        while True:
+            sign = 1.0
+            while self._at("+-"):
+                if self.text[self.pos] == "-":
+                    sign = -sign
+                self.pos += 1
+            coeff = complex(1.0)
+            if self._word() in ("", "i", "sqrt") and self.peek():  # no name next: a coeff
+                coeff = self.parse_pair(self.parse_quot)
+                self.eat("*")
+            terms.append((sign * coeff, self.parse_primary()))
+            if not self._at("+-"):
+                return tuple(terms)
+
+    def parse_primary(self) -> tuple[tuple[str, str], ...] | None:
+        word = self._word()
+        if word not in ("id", "proj"):
+            self._fail("expected proj(...) or id")
+        self.pos += len(word)
+        if word == "id":
+            return None
+        self._skip_space()
+        self.eat("(")
+        constraints = []
+        while True:
+            factor = self._name(_FACTOR_RE)
+            self.eat("=")
+            constraints.append((factor, self._name(_LABEL_RE)))
+            if self.peek() != ",":
+                break
+            self.pos += 1
+        self.eat(")")
+        return tuple(constraints)
+
+    def _name(self, pattern: re.Pattern) -> str:
+        """The text pattern matches up to a delimiter, stripped and non-empty."""
+        m = pattern.match(self.text, self.pos)
+        name = m.group(0).strip()
+        if not name:
+            self._fail("empty factor or label in proj(...)")
+        self.pos = m.end()
+        return name
 
     def finish(self) -> None:
         self._skip_ws()
@@ -248,12 +339,15 @@ class _Scalar:
             self._fail("unexpected trailing input")
 
 
-def _eval_scalar(text: str, line: int, offset: int,
-                 diags: list[Diagnostic]) -> complex | None:
+def _eval(rule, text: str, line: int, offset: int, diags: list[Diagnostic]):
+    """Run one _Expr rule (an unbound parse_* method) over the whole of text.
+
+    Returns its value, or None after appending a positioned diagnostic.
+    """
     try:
-        sc = _Scalar(text, offset)
-        value = sc.parse_pair()
-        sc.finish()
+        ex = _Expr(text, offset)
+        value = rule(ex)
+        ex.finish()
         return value
     except _ExprError as e:
         diags.append(Diagnostic(line, e.column, e.message))
@@ -288,137 +382,10 @@ def _check_tokens(tokens: list[str], what: str, line: int,
                   diags: list[Diagnostic]) -> bool:
     ok = True
     for tok in tokens:
-        if tok == "*" and what == "swap_map label":
-            continue
         if not _token_ok(tok):
             diags.append(Diagnostic(line, 1, f"invalid {what} token {tok!r}"))
             ok = False
     return ok
-
-
-# ---------------------------------------------------------------------------
-# observable expressions
-
-
-_PROJ_RE = re.compile(r"proj\s*\(")
-
-
-def _parse_observable_expr(text: str, line: int, offset: int,
-                           diags: list[Diagnostic]):
-    """Parse `[scalar *] proj(...)/id { (+|-) [scalar *] proj(...)/id }`."""
-    terms: list[tuple[complex, tuple[tuple[str, str], ...] | None]] = []
-    pos = 0
-    n = len(text)
-    sign = 1.0
-    while True:
-        while pos < n and text[pos] in " \t":
-            pos += 1
-        # a term may open with its own signs: "-proj(...)"
-        while pos < n and text[pos] in "+-":
-            if text[pos] == "-":
-                sign = -sign
-            pos += 1
-            while pos < n and text[pos] in " \t":
-                pos += 1
-        if pos >= n:
-            diags.append(Diagnostic(line, offset + pos + 1, "expected a term"))
-            return None
-        # optional scalar coefficient followed by '*'
-        coeff = complex(1.0)
-        star = _find_toplevel_star(text, pos)
-        primary_at = pos
-        if star is not None:
-            coeff_val = _eval_scalar(text[pos:star], line, offset + pos, diags)
-            if coeff_val is None:
-                return None
-            coeff = coeff_val
-            primary_at = star + 1
-            while primary_at < n and text[primary_at] in " \t":
-                primary_at += 1
-        constraints, pos = _parse_primary(text, primary_at, line, offset, diags)
-        if pos is None:
-            return None
-        terms.append((sign * coeff, constraints))
-        while pos < n and text[pos] in " \t":
-            pos += 1
-        if pos >= n:
-            return tuple(terms)
-        if text[pos] == "+":
-            sign = 1.0
-        elif text[pos] == "-":
-            sign = -1.0
-        else:
-            diags.append(Diagnostic(line, offset + pos + 1,
-                                    "expected '+', '-' or end of expression"))
-            return None
-        pos += 1
-
-
-def _find_toplevel_star(text: str, start: int) -> int | None:
-    """Position of the first '*' before the term's proj/id, outside parens."""
-    depth = 0
-    i = start
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isdigit() or ch == ".":
-            m = _NUM_RE.match(text, i)
-            if m:
-                i = m.end()
-                continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        elif depth == 0:
-            if ch == "*":
-                return i
-            if ch in "+-" and i > start:
-                return None
-            if text.startswith("proj", i) or _is_word_at(text, i, "id"):
-                return None
-        i += 1
-    return None
-
-
-def _is_word_at(text: str, i: int, word: str) -> bool:
-    if not text.startswith(word, i):
-        return False
-    end = i + len(word)
-    return end >= len(text) or not (text[end].isalnum() or text[end] == "_")
-
-
-def _parse_primary(text: str, pos: int, line: int, offset: int,
-                   diags: list[Diagnostic]):
-    n = len(text)
-    if _is_word_at(text, pos, "id"):
-        return None, pos + 2
-    if not text.startswith("proj", pos):
-        diags.append(Diagnostic(line, offset + pos + 1, "expected proj(...) or id"))
-        return None, None
-    m = _PROJ_RE.match(text, pos)
-    if not m:
-        diags.append(Diagnostic(line, offset + pos + 1, "expected '(' after proj"))
-        return None, None
-    close = text.find(")", m.end())
-    if close < 0:
-        diags.append(Diagnostic(line, offset + pos + 1, "unterminated proj(...)"))
-        return None, None
-    inner = text[m.end():close]
-    constraints = []
-    for chunk in inner.split(","):
-        if "=" not in chunk:
-            diags.append(Diagnostic(line, offset + m.end() + 1,
-                                    "proj constraints must look like factor=label"))
-            return None, None
-        fac, lab = chunk.split("=", 1)
-        fac, lab = fac.strip(), lab.strip()
-        if not fac or not lab:
-            diags.append(Diagnostic(line, offset + m.end() + 1,
-                                    "empty factor or label in proj(...)"))
-            return None, None
-        constraints.append((fac, lab))
-    return tuple(constraints), close + 1
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +506,7 @@ def _parse_amplitude_line(content: str, lineno: int, target: list[AmplitudeEntry
         return
     if not _check_tokens(labels, "label", lineno, diags):
         return
-    amp = _eval_scalar(tail, lineno, colon + 1, diags)
+    amp = _eval(_Expr.parse_pair, tail, lineno, colon + 1, diags)
     if amp is None:
         return
     target.append(AmplitudeEntry(tuple(labels), amp, line=lineno))
@@ -595,8 +562,8 @@ def _parse_gate_line(content: str, lineno: int, gates: list[GateDecl],
                 lineno, colon + 2,
                 f"need {len(targets)} labels on each side of '->', one per target factor"))
             return
-        if not (_check_tokens(src, "swap_map label", lineno, diags)
-                and _check_tokens(dst, "swap_map label", lineno, diags)):
+        labels = [tok for tok in src + dst if tok != "*"]
+        if not _check_tokens(labels, "swap_map label", lineno, diags):
             return
         for s, d in zip(src, dst):
             if (s == "*") != (d == "*"):
@@ -641,44 +608,12 @@ def _parse_gate_line(content: str, lineno: int, gates: list[GateDecl],
 
 def _parse_matrix(text: str, lineno: int, offset: int,
                   diags: list[Diagnostic]) -> tuple | None:
-    s = text.strip()
-    pad = offset + (len(text) - len(text.lstrip()))
-    if not (s.startswith("[") and s.endswith("]")):
-        diags.append(Diagnostic(lineno, pad + 1,
-                                "expected a matrix literal [a, b; c, d]"))
+    rows = _eval(_Expr.parse_matrix, text, lineno, offset, diags)
+    if rows is not None and any(len(r) != len(rows) for r in rows):
+        bracket = offset + len(text) - len(text.lstrip()) + 1
+        diags.append(Diagnostic(lineno, bracket, "matrix must be square"))
         return None
-    body = s[1:-1]
-    rows = []
-    for row_text in body.split(";"):
-        entries = []
-        for ent in _split_matrix_entries(row_text):
-            value = _eval_scalar(ent, lineno, pad + 1, diags)
-            if value is None:
-                return None
-            entries.append(value)
-        rows.append(tuple(entries))
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or len(rows) != width:
-        diags.append(Diagnostic(lineno, pad + 1, "matrix must be square"))
-        return None
-    return tuple(rows)
-
-
-def _split_matrix_entries(row_text: str) -> list[str]:
-    """Split a matrix row on commas outside parentheses."""
-    out, depth, cur = [], 0, []
-    for ch in row_text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return [s.strip() for s in out]
+    return rows
 
 
 def _parse_observable_line(content: str, lineno: int, observables: list[ObservableDecl],
@@ -686,12 +621,12 @@ def _parse_observable_line(content: str, lineno: int, observables: list[Observab
     if "=" not in content:
         diags.append(Diagnostic(lineno, 1, "expected 'NAME = expression'"))
         return
-    name, expr = content.split("=", 1)
-    name = name.strip()
-    if not _token_ok(name) or "=" in name:
+    head, expr = content.split("=", 1)
+    name = head.strip()
+    if not _token_ok(name):
         diags.append(Diagnostic(lineno, 1, f"invalid observable name {name!r}"))
         return
-    terms = _parse_observable_expr(expr, lineno, content.find("=") + 1, diags)
+    terms = _eval(_Expr.parse_observable, expr, lineno, len(head) + 1, diags)
     if terms is None:
         return
     observables.append(ObservableDecl(name, terms, line=lineno))

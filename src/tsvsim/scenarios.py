@@ -661,15 +661,13 @@ class ScenarioInfo:
     scenario_id: str
     runner: Callable[..., ScenarioResult]
     description: str
-    monte_carlo: bool = False
 
 
 SCENARIOS: dict[str, ScenarioInfo] = {
     "four_mirror": ScenarioInfo(
         "four_mirror", run_four_mirror,
         "photon in a four-mirror interferometer: one silent detector banishes "
-        "it from a corner, a second silence makes that corner reachable",
-        monte_carlo=True),
+        "it from a corner, a second silence makes that corner reachable"),
     "oblivion": ScenarioInfo(
         "oblivion", run_oblivion,
         "electron-positron pair with annihilation watchdogs: entanglement "

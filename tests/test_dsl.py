@@ -1,5 +1,6 @@
 """Scenario-file format: parsing, diagnostics, round-trips, evaluation."""
 
+import cmath
 import math
 from pathlib import Path
 
@@ -109,6 +110,20 @@ class TestParserDiagnostics:
             dsl.parse(text)
         assert any("not unitary" in d.message for d in err.value.diagnostics)
 
+    def test_matrix_entry_error_points_at_the_entry(self):
+        text = ("FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n"
+                "  t1 custom_unitary a : [ 1, 0 ; 0, q ]\n")
+        with pytest.raises(dsl.ScenarioSyntaxError) as err:
+            dsl.parse(text)
+        assert [(d.line, d.column) for d in err.value.diagnostics] == [(6, 37)]
+
+    def test_non_square_matrix(self):
+        text = ("FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n"
+                "  t1 custom_unitary a : [ 1, 0 ; 0 ]\n")
+        with pytest.raises(dsl.ScenarioSyntaxError) as err:
+            dsl.parse(text)
+        assert any("matrix must be square" in d.message for d in err.value.diagnostics)
+
     def test_matrix_dimension_mismatch(self):
         text = ("FACTORS\n  a: x y z\nINITIAL\n  x : 1\nGATES\n"
                 "  t1 custom_unitary a : [ 1, 0 ; 0, 1 ]\n")
@@ -126,6 +141,38 @@ class TestParserDiagnostics:
         with pytest.raises(dsl.ScenarioSyntaxError) as err:
             dsl.parse("FACTORS\n  a x\n  b:\nINITIAL\n  q : 1/\n")
         assert len(err.value.diagnostics) >= 3
+
+
+class TestObservableGrammar:
+    X = (("a", "x"),)
+
+    @staticmethod
+    def parse_observable(expr):
+        text = f"FACTORS\n  a: x y\nINITIAL\n  x : 1\nOBSERVABLES\n  O = {expr}\n"
+        return dsl.parse(text).observables[0].terms
+
+    @pytest.mark.parametrize("expr,terms", [
+        ("2*proj(a=x)", ((2, X),)),
+        ("-proj(a=x)", ((-1, X),)),
+        ("- -proj(a=x)", ((1, X),)),
+        ("1/sqrt(2)*proj(a=x)", ((1 / math.sqrt(2), X),)),
+        ("(2*3)*proj(a=x)", ((6, X),)),
+        ("1,2*proj(a=x)", ((1 + 2j, X),)),
+        ("(1,-2)*id", ((1 - 2j, None),)),
+        ("proj (a=x)", ((1, X),)),
+        ("1e-3*proj(a=x)", ((1e-3, X),)),
+        ("2*proj(a=x) - id", ((2, X), (-1, None))),
+    ])
+    def test_accepted(self, expr, terms):
+        assert self.parse_observable(expr) == terms
+
+    @pytest.mark.parametrize("expr", [
+        "2*3*proj(a=x)", "1,-2*proj(a=x)", "proj(a=x)*2", "2 proj(a=x)",
+        "2**proj(a=x)", "projx(a=x)", "idx",
+    ])
+    def test_rejected(self, expr):
+        with pytest.raises(dsl.ScenarioSyntaxError):
+            self.parse_observable(expr)
 
 
 class TestEvaluateErrors:
@@ -275,6 +322,16 @@ _token = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_'",
     lambda s: s not in _RESERVED_TOKENS)
 _amplitude = st.complex_numbers(min_magnitude=1e-3, max_magnitude=10,
                                 allow_nan=False, allow_infinity=False)
+_angle = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def _unitary_2x2(draw):
+    """e^{ia} [[cos t, -e^{il} sin t], [e^{ip} sin t, e^{i(p+l)} cos t]]."""
+    a, t, p, lam = (draw(_angle) for _ in range(4))
+    c, s, g = math.cos(t), math.sin(t), cmath.exp(1j * a)
+    return ((g * c, -g * cmath.exp(1j * lam) * s),
+            (g * cmath.exp(1j * p) * s, g * cmath.exp(1j * (p + lam)) * c))
 
 
 @st.composite
@@ -306,6 +363,20 @@ def scenario_specs(draw):
         gates.append(dsl.GateDecl("t2", "projector_select", (fac.name,),
                                   (tuple(fac.labels[:2]),
                                    draw(st.sampled_from([None, "keep"])))))
+    qubits = [f for f in factors if len(f.labels) == 2]
+    if qubits and draw(st.booleans()):
+        gates.append(dsl.GateDecl("t3", "custom_unitary",
+                                  (draw(st.sampled_from(qubits)).name,),
+                                  draw(_unitary_2x2())))
+    if draw(st.booleans()):
+        targets = draw(st.permutations(factors))[:draw(st.integers(1, n_factors))]
+        src, dst = [], []
+        for f in targets:
+            carried = draw(st.booleans())
+            src.append("*" if carried else draw(st.sampled_from(f.labels)))
+            dst.append("*" if carried else draw(st.sampled_from(f.labels)))
+        gates.append(dsl.GateDecl("t4", "swap_map", tuple(f.name for f in targets),
+                                  (tuple(src), tuple(dst))))
     postselect = None
     if draw(st.booleans()):
         postselect = dsl.PostselectDecl(
@@ -316,8 +387,12 @@ def scenario_specs(draw):
     if draw(st.booleans()):
         constraint = ((fac.name, draw(st.sampled_from(fac.labels))),)
         coeff = complex(draw(st.integers(-3, 3)) or 1)
-        observables = (dsl.ObservableDecl("obs1", ((coeff, constraint),
-                                                   (1 + 0j, None))),)
+        terms = [(coeff, constraint), (1 + 0j, None)]
+        if n_factors >= 2:
+            pair = draw(st.permutations(factors))[:2]
+            terms.append((draw(_amplitude), tuple(
+                (f.name, draw(st.sampled_from(f.labels))) for f in pair)))
+        observables = (dsl.ObservableDecl("obs1", tuple(terms)),)
     return dsl.ScenarioSpec(factors=tuple(factors), initial=initial,
                             gates=tuple(gates), postselect=postselect,
                             observables=observables)
@@ -335,5 +410,6 @@ def test_generated_specs_round_trip(spec):
 def test_parser_never_crashes(text):
     try:
         dsl.parse(text)
-    except dsl.ScenarioFileError:
-        pass
+    except dsl.ScenarioFileError as e:
+        assert e.diagnostics
+        assert all(d.line >= 1 and d.column >= 1 for d in e.diagnostics)
