@@ -8,14 +8,22 @@ The format is line oriented with five sections:
     POSTSELECT    like INITIAL; header may carry "as NAME"
     OBSERVABLES   NAME = sum of [coeff *] proj(factor=label, ...) or id
 
+Sections may come in any order. parse() reads the file in one pass with a
+_Reader: it reads FACTORS lines as its header scan meets them and keeps every
+other line, in file order, to read against the complete factor table. Each
+name is checked where it is read, and every diagnostic about a word points at
+that word's column. Syntax diagnostics raise ScenarioSyntaxError; only when
+there are none do semantic ones (unknown names, duplicates, epoch order,
+matrix size and unitarity) raise ScenarioValidationError.
+
 One recursive-descent parser, _Expr, reads every expression: amplitudes,
 custom_unitary matrix literals and observables; its docstring holds the
 grammar. Amplitudes accept sugar such as 1/sqrt(3), i, -0.5, 2/3, and an
 explicit re,im pair; a parenthesized (re,im) works anywhere a scalar does.
-`#` starts a comment. Parsing is total: malformed input produces diagnostics
-with line and column positions, never a crash. The parser normalizes INITIAL and
-POSTSELECT amplitude lists and records a warning when the written norm is off
-by more than 1e-9.
+`#` starts a comment, and a blank is any whitespace character. Parsing is
+total: malformed input produces diagnostics with line and column positions,
+never a crash. The parser normalizes INITIAL and POSTSELECT amplitude lists
+and records a warning when the written norm is off by more than 1e-9.
 
 render() is the canonical serializer: LF line endings, fixed section order,
 repr-exact re,im amplitudes. parse(render(spec)) reproduces spec exactly.
@@ -26,6 +34,8 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass, field
+from math import prod
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,7 +45,7 @@ UNITARY_TOL = 1e-8
 SECTIONS = ("FACTORS", "INITIAL", "GATES", "POSTSELECT", "OBSERVABLES")
 GATE_KINDS = ("beamsplitter", "swap_map", "projector_select", "custom_unitary")
 _RESERVED_TOKENS = {"->", "as", "*", "proj", "id", *SECTIONS, *GATE_KINDS}
-_FORBIDDEN_CHARS = set(" \t#:,()[]=;*")
+_DELIMITER = re.compile(r"[ \t#:,()\[\]=;*]")  # never part of a name
 
 
 @dataclass(frozen=True)
@@ -156,22 +166,20 @@ class _Expr:
 
     A coeff has no top-level '*', '+' or '-': `(2*3)*proj(...)` needs its
     parentheses. In a primary, factor and label are the text between the
-    delimiters, stripped; validation checks them against FACTORS. Blanks are
-    spaces and tabs, except that any Unicode whitespace may surround a matrix
-    entry or the brackets, and separate 'proj' from '('.
+    delimiters, stripped; parse_primary records each with its column in
+    `projs`, which parse_observable returns beside the terms so that the
+    caller can check them against FACTORS. A blank is any whitespace
+    character (str.isspace), as between words.
     """
 
     def __init__(self, text: str, offset: int):
         self.text = text
         self.offset = offset  # column of text[0] in the original line
         self.pos = 0
+        self.projs: list[list[tuple[str, int, str, int]]] = []  # parse_primary's names
 
     def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def _skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.text[self.pos:self.pos + 1].isspace():
             self.pos += 1
 
     def _col(self) -> int:
@@ -269,15 +277,12 @@ class _Expr:
         self._fail("expected a number, 'i', 'sqrt(...)' or '(...)'")
 
     def parse_matrix(self) -> tuple:
-        self._skip_space()
         if self.peek() != "[":
             self._fail("expected a matrix literal [a, b; c, d]")
         self.pos += 1
         rows, row = [], []
         while True:
-            self._skip_space()
             row.append(self.parse_expr())
-            self._skip_space()
             if not self._at(",;]"):
                 self._fail("expected ',', ';' or ']'")
             sep = self.text[self.pos]
@@ -302,7 +307,7 @@ class _Expr:
                 self.eat("*")
             terms.append((sign * coeff, self.parse_primary()))
             if not self._at("+-"):
-                return tuple(terms)
+                return tuple(terms), self.projs
 
     def parse_primary(self) -> tuple[tuple[str, str], ...] | None:
         word = self._word()
@@ -311,27 +316,32 @@ class _Expr:
         self.pos += len(word)
         if word == "id":
             return None
-        self._skip_space()
         self.eat("(")
-        constraints = []
+        constraints, names = [], []
         while True:
-            factor = self._name(_FACTOR_RE)
+            factor, factor_col = self._name(_FACTOR_RE)
             self.eat("=")
-            constraints.append((factor, self._name(_LABEL_RE)))
+            label, label_col = self._name(_LABEL_RE)
+            constraints.append((factor, label))
+            names.append((factor, factor_col, label, label_col))
             if self.peek() != ",":
                 break
             self.pos += 1
         self.eat(")")
+        self.projs.append(names)
         return tuple(constraints)
 
-    def _name(self, pattern: re.Pattern) -> str:
-        """The text pattern matches up to a delimiter, stripped and non-empty."""
+    def _name(self, pattern: re.Pattern) -> tuple[str, int]:
+        """The text pattern matches up to a delimiter, stripped and non-empty,
+        with its column."""
         m = pattern.match(self.text, self.pos)
-        name = m.group(0).strip()
+        raw = m.group(0)
+        name = raw.strip()
         if not name:
             self._fail("empty factor or label in proj(...)")
+        column = self._col() + len(raw) - len(raw.lstrip())
         self.pos = m.end()
-        return name
+        return name, column
 
     def finish(self) -> None:
         self._skip_ws()
@@ -358,38 +368,23 @@ def _eval(rule, text: str, line: int, offset: int, diags: list[Diagnostic]):
 
 
 # ---------------------------------------------------------------------------
-# line scanning helpers
+# the one-pass reader
 
 
-def _strip_comment(raw: str) -> str:
-    cut = raw.find("#")
-    return raw if cut < 0 else raw[:cut]
+def _column(text: str, offset: int, index: int) -> int:
+    """Column of the index-th word of text, where text[0] sits at offset."""
+    rest = text.split(None, index)[index] if index else text.lstrip()
+    return offset + len(text) - len(rest) + 1
 
 
-def _split_on_colon(text: str) -> tuple[str, str, int] | None:
-    """(head, tail, colon column 0-based) for the first top-level colon."""
-    cut = text.find(":")
-    if cut < 0:
-        return None
-    return text[:cut], text[cut + 1:], cut
-
-
-def _token_ok(tok: str) -> bool:
-    return bool(tok) and not (set(tok) & _FORBIDDEN_CHARS) and tok not in _RESERVED_TOKENS
-
-
-def _check_tokens(tokens: list[str], what: str, line: int,
-                  diags: list[Diagnostic]) -> bool:
-    ok = True
-    for tok in tokens:
-        if not _token_ok(tok):
-            diags.append(Diagnostic(line, 1, f"invalid {what} token {tok!r}"))
-            ok = False
-    return ok
-
-
-# ---------------------------------------------------------------------------
-# main parser
+def _repeat(words) -> int | None:
+    """Index of the first word that repeats an earlier one, or None."""
+    seen = set()
+    for k, word in enumerate(words):
+        if word in seen:
+            return k
+        seen.add(word)
+    return None
 
 
 def parse(text: str) -> ScenarioSpec:
@@ -398,413 +393,344 @@ def parse(text: str) -> ScenarioSpec:
     Raises ScenarioSyntaxError or ScenarioValidationError carrying positioned
     diagnostics; never crashes on malformed input.
     """
-    syntax: list[Diagnostic] = []
-    warnings: list[Diagnostic] = []
-    sections_seen: dict[str, int] = {}
-    section: str | None = None
+    r = _Reader()
+    r.read(text)
+    if r.syntax:
+        raise ScenarioSyntaxError(r.syntax)
+    return r.spec()
 
-    factors: list[FactorDecl] = []
-    initial: list[AmplitudeEntry] = []
-    gates: list[GateDecl] = []
-    postselect_entries: list[AmplitudeEntry] = []
-    postselect_name: str | None = None
-    postselect_line = 0
-    observables: list[ObservableDecl] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = _strip_comment(raw).rstrip()
-        if not content.strip():
-            continue
-        head = content.split()
-        if head and head[0] in SECTIONS:
-            name = head[0]
-            if name in sections_seen:
-                syntax.append(Diagnostic(
-                    lineno, 1, f"section {name} already given on line {sections_seen[name]}"))
-                section = None
+class _Reader:
+    """One parse: the factor table, what has been read, and the diagnostics.
+
+    read() reads every FACTORS line first, so every other line checks its
+    names against the complete table where it is read. Each method reads one
+    kind of line, or of gate, at self.line. Syntax diagnostics go to `syntax`;
+    unknown names, duplicates, epoch order, matrix size and unitarity go to
+    `semantic`. Each points at the column of the offending word.
+    """
+
+    line = 0
+    postselect_name = "postselect"
+
+    def __init__(self):
+        self.syntax: list[Diagnostic] = []
+        self.semantic: list[Diagnostic] = []
+        self.sections: dict[str, int] = {}  # header -> its line
+        self.factors: list[FactorDecl] = []
+        self.label_sets: list[frozenset[str]] = []  # of each factor, in order
+        self.table: dict[str, frozenset[str]] = {}  # factors declared once, labels distinct
+        self.entries: dict[str, dict] = {}  # section -> labels -> entry
+        self.gates: list[GateDecl] = []
+        self.epochs: set[str] = set()  # of the gates read so far
+        self.observables: dict[str, ObservableDecl] = {}
+
+    def read(self, text: str) -> None:
+        """Read FACTORS lines as the header scan meets them, then every other
+        line in file order; syntax diagnostics end up in line order."""
+        section, deferred = None, []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            content = raw.partition("#")[0]
+            words = content.split()
+            if not words:
                 continue
-            sections_seen[name] = lineno
-            section = name
-            rest = head[1:]
-            if name == "POSTSELECT":
-                postselect_line = lineno
-                if rest[:1] == ["as"] and len(rest) == 2:
-                    postselect_name = rest[1]
+            self.line = lineno
+            if words[0] in SECTIONS:
+                section, rest = words[0], words[1:]
+                if section in self.sections:
+                    self.error(_column(content, 0, 0), f"section {section} already given "
+                               f"on line {self.sections[section]}")
+                    section = None
+                    continue
+                self.sections[section] = lineno
+                if section == "POSTSELECT" and rest[:1] == ["as"] and len(rest) == 2:
+                    self.postselect_name = rest[1]
                 elif rest:
-                    syntax.append(Diagnostic(lineno, 1,
-                                             "POSTSELECT takes at most 'as NAME'"))
-            elif rest:
-                syntax.append(Diagnostic(lineno, 1,
-                                         f"unexpected text after section {name}"))
-            continue
-        if section is None:
-            syntax.append(Diagnostic(lineno, 1,
-                                     "content before any section header"))
-            continue
-        if section == "FACTORS":
-            _parse_factor_line(content, lineno, factors, syntax)
-        elif section in ("INITIAL", "POSTSELECT"):
-            target = initial if section == "INITIAL" else postselect_entries
-            _parse_amplitude_line(content, lineno, target, syntax)
-        elif section == "GATES":
-            _parse_gate_line(content, lineno, gates, syntax)
-        elif section == "OBSERVABLES":
-            _parse_observable_line(content, lineno, observables, syntax)
+                    self.error(_column(content, 0, 1), "POSTSELECT takes at most 'as NAME'"
+                               if section == "POSTSELECT"
+                               else f"unexpected text after section {section}")
+            elif section is None:
+                self.syntax.append(Diagnostic(lineno, len(content) - len(content.lstrip()) + 1,
+                                              "content before any section header"))
+            elif section == "FACTORS":
+                self.factor(content)
+            else:
+                deferred.append((section, lineno, content))
+        for section, lineno, content in deferred:
+            self.line = lineno
+            if section == "GATES":
+                self.gate(content)
+            elif section == "OBSERVABLES":
+                self.observable(content)
+            else:
+                self.amplitude(content, section)
+        if deferred and self.syntax:
+            self.syntax.sort(key=attrgetter("line", "column"))
 
-    if syntax:
-        raise ScenarioSyntaxError(syntax)
+    def error(self, column: int, message: str) -> None:
+        self.syntax.append(Diagnostic(self.line, column, message))
 
-    postselect = None
-    if "POSTSELECT" in sections_seen:
-        postselect = PostselectDecl(
-            name=postselect_name or "postselect",
-            entries=tuple(postselect_entries),
-            line=postselect_line,
-        )
-    spec = ScenarioSpec(
-        factors=tuple(factors),
-        initial=tuple(initial),
-        gates=tuple(gates),
-        postselect=postselect,
-        observables=tuple(observables),
-    )
-    return _validate(spec, warnings)
+    def invalid(self, column: int, message: str) -> None:
+        self.semantic.append(Diagnostic(self.line, column, message))
 
+    def names_ok(self, text: str, offset: int, words: list[str], what: str,
+                 first: int = 0) -> bool:
+        """Whether no word is reserved or holds a delimiter; else one error per
+        bad word. words are words of text (text[0] at offset), in order, from
+        its first-th word on; a word skipped over is never a bad one."""
+        if _RESERVED_TOKENS.isdisjoint(words) and not _DELIMITER.search("".join(words)):
+            return True
+        every, k = text.split(), first
+        for word in words:
+            if word in _RESERVED_TOKENS or _DELIMITER.search(word):
+                k = every.index(word, k) + 1
+                self.error(_column(text, offset, k - 1), f"invalid {what} token {word!r}")
+        return False
 
-def _parse_factor_line(content: str, lineno: int, factors: list[FactorDecl],
-                       diags: list[Diagnostic]) -> None:
-    split = _split_on_colon(content)
-    if split is None:
-        diags.append(Diagnostic(lineno, 1, "expected 'name: label label ...'"))
-        return
-    head, tail, _ = split
-    names = head.split()
-    labels = tail.split()
-    if len(names) != 1:
-        diags.append(Diagnostic(lineno, 1, "exactly one factor name before ':'"))
-        return
-    if not labels:
-        diags.append(Diagnostic(lineno, len(head) + 2, "factor needs at least one label"))
-        return
-    if not _check_tokens(names, "factor name", lineno, diags):
-        return
-    if not _check_tokens(labels, "label", lineno, diags):
-        return
-    factors.append(FactorDecl(names[0], tuple(labels), line=lineno))
+    def factor(self, content: str) -> None:
+        head, colon, tail = content.partition(":")
+        if not colon:
+            return self.error(_column(content, 0, 0), "expected 'name: label label ...'")
+        names, labels = head.split(), tail.split()
+        offset = len(head) + 1
+        if len(names) != 1:
+            return self.error(_column(head, 0, 1) if names else offset,
+                              "exactly one factor name before ':'")
+        if not labels:
+            return self.error(offset + 1, "factor needs at least one label")
+        if not (self.names_ok(head, 0, names, "factor name")
+                and self.names_ok(tail, offset, labels, "label")):
+            return
+        name, twice, label_set = names[0], _repeat(labels), frozenset(labels)
+        if name in self.table:
+            self.invalid(_column(head, 0, 0), f"duplicate factor {name!r}")
+        elif twice is not None:
+            self.invalid(_column(tail, offset, twice), f"duplicate labels in factor {name!r}")
+        else:
+            self.table[name] = label_set
+        self.factors.append(FactorDecl(name, tuple(labels), line=self.line))
+        self.label_sets.append(label_set)
 
+    def amplitude(self, content: str, section: str) -> None:
+        head, colon, tail = content.partition(":")
+        if not colon:
+            return self.error(_column(content, 0, 0), "expected 'labels... : amplitude'")
+        labels = head.split()
+        if not labels:
+            return self.error(len(head) + 1, "expected basis labels before ':'")
+        if not self.names_ok(head, 0, labels, "label"):
+            return
+        amp = _eval(_Expr.parse_pair, tail, self.line, len(head) + 1, self.syntax)
+        if amp is None:
+            return
+        labels, need = tuple(labels), len(self.factors)
+        if len(labels) != need:
+            self.invalid(_column(head, 0, need) if len(labels) > need else len(head) + 1,
+                         f"{section} line gives {len(labels)} labels, need one per factor ({need})")
+        else:
+            for k, (f, known, lab) in enumerate(zip(self.factors, self.label_sets, labels)):
+                if lab not in known:
+                    self.invalid(_column(head, 0, k),
+                                 f"unknown label {lab!r} for factor {f.name!r}")
+        entries = self.entries.setdefault(section, {})
+        if labels in entries:
+            self.invalid(_column(head, 0, 0), f"duplicate {section} entry for {' '.join(labels)}")
+        entries[labels] = AmplitudeEntry(labels, amp, line=self.line)
 
-def _parse_amplitude_line(content: str, lineno: int, target: list[AmplitudeEntry],
-                          diags: list[Diagnostic]) -> None:
-    split = _split_on_colon(content)
-    if split is None:
-        diags.append(Diagnostic(lineno, 1, "expected 'labels... : amplitude'"))
-        return
-    head, tail, colon = split
-    labels = head.split()
-    if not labels:
-        diags.append(Diagnostic(lineno, 1, "expected basis labels before ':'"))
-        return
-    if not _check_tokens(labels, "label", lineno, diags):
-        return
-    amp = _eval(_Expr.parse_pair, tail, lineno, colon + 1, diags)
-    if amp is None:
-        return
-    target.append(AmplitudeEntry(tuple(labels), amp, line=lineno))
+    def gate(self, content: str) -> None:
+        head, colon, tail = content.partition(":")
+        if not colon:
+            return self.error(_column(content, 0, 0), "expected 'epoch kind targets : params'")
+        parts = head.split()
+        if len(parts) < 3:
+            return self.error(len(head) + 1, "expected 'epoch kind target-factor(s)' before ':'")
+        epoch, kind, targets = parts[0], parts[1], parts[2:]
+        read = _GATE_READERS.get(kind)
+        if read is None:
+            return self.error(_column(head, 0, 1), f"unknown gate kind {kind!r}; "
+                              f"expected one of {', '.join(GATE_KINDS)}")
+        if not (self.names_ok(head, 0, [epoch], "epoch")
+                and self.names_ok(head, 0, targets, "factor name", first=2)):
+            return
+        twice, unknown = _repeat(targets), [k for k, t in enumerate(targets) if t not in self.table]
+        if twice is not None:
+            self.invalid(_column(head, 0, 2 + twice), "gate targets must be distinct factors")
+        elif unknown:
+            self.invalid(_column(head, 0, 2 + unknown[0]),
+                         f"unknown factor {targets[unknown[0]]!r}")
+        known = None if twice is not None or unknown else [self.table[t] for t in targets]
+        params = read(self, head, tail, len(head) + 1, targets, known)
+        if params is None:
+            return
+        if epoch == "t0":
+            self.invalid(_column(head, 0, 0), "epoch 't0' is reserved for the initial state")
+        if epoch in self.epochs and epoch != self.gates[-1].epoch:
+            self.invalid(_column(head, 0, 0),
+                         f"epoch {epoch!r} revisited; epochs must be contiguous")
+        self.epochs.add(epoch)
+        self.gates.append(GateDecl(epoch, kind, tuple(targets), params, line=self.line))
 
+    # One method per gate kind: (head, tail, column offset of tail, targets,
+    # their labels or None) -> params, or None after a syntax error.
 
-def _parse_gate_line(content: str, lineno: int, gates: list[GateDecl],
-                     diags: list[Diagnostic]) -> None:
-    split = _split_on_colon(content)
-    if split is None:
-        diags.append(Diagnostic(lineno, 1, "expected 'epoch kind targets : params'"))
-        return
-    head, tail, colon = split
-    parts = head.split()
-    if len(parts) < 3:
-        diags.append(Diagnostic(lineno, 1,
-                                "expected 'epoch kind target-factor(s)' before ':'"))
-        return
-    epoch, kind, targets = parts[0], parts[1], parts[2:]
-    if kind not in GATE_KINDS:
-        diags.append(Diagnostic(
-            lineno, 1, f"unknown gate kind {kind!r}; expected one of {', '.join(GATE_KINDS)}"))
-        return
-    if not _check_tokens([epoch], "epoch", lineno, diags):
-        return
-    if not _check_tokens(targets, "factor name", lineno, diags):
-        return
-
-    if kind == "beamsplitter":
+    def beamsplitter(self, head, tail, offset, targets, known):
         toks = tail.split()
         if len(targets) != 1:
-            diags.append(Diagnostic(lineno, 1, "beamsplitter takes exactly one target factor"))
-            return
+            return self.error(_column(head, 0, 3), "beamsplitter takes exactly one target factor")
         if len(toks) != 5 or toks[2] != "->":
-            diags.append(Diagnostic(lineno, colon + 2,
-                                    "expected 'in1 in2 -> out1 out2'"))
-            return
-        labels = [toks[0], toks[1], toks[3], toks[4]]
-        if not _check_tokens(labels, "label", lineno, diags):
-            return
-        gates.append(GateDecl(epoch, kind, tuple(targets), tuple(labels), line=lineno))
-    elif kind == "swap_map":
+            return self.error(offset + 1, "expected 'in1 in2 -> out1 out2'")
+        if not (self.names_ok(tail, offset, toks[:2], "label")
+                and self.names_ok(tail, offset, toks[3:], "label", first=3)):
+            return None
+        if known:
+            bad = [k for k in (0, 1, 3, 4) if toks[k] not in known[0]]
+            ins, outs = {toks[0], toks[1]}, {toks[3], toks[4]}
+            if bad:
+                self.invalid(_column(tail, offset, bad[0]),
+                             f"unknown label {toks[bad[0]]!r} for factor {targets[0]!r}")
+            elif len(ins) != 2 or len(outs) != 2:
+                self.invalid(_column(tail, offset, 1 if len(ins) != 2 else 4),
+                             "beamsplitter mode pairs must be distinct")
+            elif ins != outs and ins & outs:
+                self.invalid(_column(tail, offset, 3), "mode pairs must be identical or disjoint")
+        return (toks[0], toks[1], toks[3], toks[4])
+
+    def swap_map(self, head, tail, offset, targets, known):
         toks = tail.split()
         if "->" not in toks:
-            diags.append(Diagnostic(lineno, colon + 2, "expected 'src... -> dst...'"))
-            return
+            return self.error(offset + 1, "expected 'src... -> dst...'")
         arrow = toks.index("->")
         src, dst = toks[:arrow], toks[arrow + 1:]
         if "->" in dst:
-            diags.append(Diagnostic(lineno, colon + 2, "only one '->' allowed"))
-            return
-        if len(src) != len(targets) or len(dst) != len(targets):
-            diags.append(Diagnostic(
-                lineno, colon + 2,
-                f"need {len(targets)} labels on each side of '->', one per target factor"))
-            return
-        labels = [tok for tok in src + dst if tok != "*"]
-        if not _check_tokens(labels, "swap_map label", lineno, diags):
-            return
-        for s, d in zip(src, dst):
+            return self.error(_column(tail, offset, arrow + 1 + dst.index("->")),
+                              "only one '->' allowed")
+        n = len(targets)
+        if len(src) != n or len(dst) != n:
+            return self.error(offset + 1,
+                              f"need {n} labels on each side of '->', one per target factor")
+        if not self.names_ok(tail, offset, [t for t in src + dst if t != "*"], "swap_map label"):
+            return None
+        for k, (s, d) in enumerate(zip(src, dst)):
             if (s == "*") != (d == "*"):
-                diags.append(Diagnostic(lineno, colon + 2,
-                                        "wildcard '*' positions must match on both sides"))
-                return
-        gates.append(GateDecl(epoch, kind, tuple(targets),
-                              (tuple(src), tuple(dst)), line=lineno))
-    elif kind == "projector_select":
-        toks = tail.split()
+                return self.error(_column(tail, offset, k),
+                                  "wildcard '*' positions must match on both sides")
+        if known:
+            for first, side in ((0, src), (n + 1, dst)):
+                for k, (t, labels, lab) in enumerate(zip(targets, known, side)):
+                    if lab != "*" and lab not in labels:
+                        self.invalid(_column(tail, offset, first + k),
+                                     f"unknown label {lab!r} for factor {t!r}")
+        return (tuple(src), tuple(dst))
+
+    def projector_select(self, head, tail, offset, targets, known):
+        toks, name = tail.split(), None
         if len(targets) != 1:
-            diags.append(Diagnostic(lineno, 1,
-                                    "projector_select takes exactly one target factor"))
-            return
-        name = None
+            return self.error(_column(head, 0, 3),
+                              "projector_select takes exactly one target factor")
         if "as" in toks:
             at = toks.index("as")
             if at != len(toks) - 2:
-                diags.append(Diagnostic(lineno, colon + 2, "'as NAME' must come last"))
-                return
-            name = toks[-1]
-            toks = toks[:at]
-            if not _check_tokens([name], "name", lineno, diags):
-                return
+                return self.error(_column(tail, offset, at), "'as NAME' must come last")
+            name, toks = toks[-1], toks[:at]
+            if not self.names_ok(tail, offset, [name], "name", first=at + 1):
+                return None
         if not toks:
-            diags.append(Diagnostic(lineno, colon + 2,
-                                    "projector_select needs at least one label"))
+            return self.error(offset + 1, "projector_select needs at least one label")
+        if not self.names_ok(tail, offset, toks, "label"):
+            return None
+        twice = _repeat(toks)
+        if twice is not None:
+            return self.error(_column(tail, offset, twice), "duplicate labels in selection")
+        if known:
+            for k, lab in enumerate(toks):
+                if lab not in known[0]:
+                    self.invalid(_column(tail, offset, k),
+                                 f"unknown label {lab!r} for factor {targets[0]!r}")
+        return (tuple(toks), name)
+
+    def custom_unitary(self, head, tail, offset, targets, known):
+        rows = _eval(_Expr.parse_matrix, tail, self.line, offset, self.syntax)
+        if rows is None:
+            return None
+        bracket = _column(tail, offset, 0)
+        if any(len(r) != len(rows) for r in rows):
+            return self.error(bracket, "matrix must be square")
+        if known:
+            dim = prod(len(labels) for labels in known)
+            if len(rows) != dim:
+                self.invalid(bracket,
+                             f"matrix is {len(rows)}x{len(rows)} but targets span dim {dim}")
+            elif not _matrix_is_unitary(rows):
+                self.invalid(bracket, f"matrix is not unitary to {UNITARY_TOL:g}")
+        return rows
+
+    def observable(self, content: str) -> None:
+        head, eq, expr = content.partition("=")
+        if not eq:
+            return self.error(_column(content, 0, 0), "expected 'NAME = expression'")
+        name = head.strip()
+        column = len(head) - len(head.lstrip()) + 1
+        if not name or name in _RESERVED_TOKENS or _DELIMITER.search(name):
+            return self.error(column, f"invalid observable name {name!r}")
+        parsed = _eval(_Expr.parse_observable, expr, self.line, len(head) + 1, self.syntax)
+        if parsed is None:
             return
-        if not _check_tokens(toks, "label", lineno, diags):
-            return
-        if len(set(toks)) != len(toks):
-            diags.append(Diagnostic(lineno, colon + 2, "duplicate labels in selection"))
-            return
-        gates.append(GateDecl(epoch, kind, tuple(targets),
-                              (tuple(toks), name), line=lineno))
-    else:  # custom_unitary
-        matrix = _parse_matrix(tail, lineno, colon + 1, diags)
-        if matrix is None:
-            return
-        gates.append(GateDecl(epoch, kind, tuple(targets), matrix, line=lineno))
+        terms, projs = parsed
+        for proj in projs:
+            twice = _repeat(factor for factor, _, _, _ in proj)
+            if twice is not None:
+                self.invalid(proj[twice][1], "repeated factor inside one proj(...)")
+            for factor, factor_col, label, label_col in proj:
+                if factor not in self.table:
+                    self.invalid(factor_col, f"unknown factor {factor!r}")
+                elif label not in self.table[factor]:
+                    self.invalid(label_col, f"unknown label {label!r} for factor {factor!r}")
+        if name in self.observables:
+            self.invalid(column, f"duplicate observable {name!r}")
+        self.observables.setdefault(name, ObservableDecl(name, terms, line=self.line))
+
+    def spec(self) -> ScenarioSpec:
+        """The validated, normalized spec of a text free of syntax errors."""
+        if not self.factors:
+            raise ScenarioValidationError(
+                [Diagnostic(self.sections.get("FACTORS", 1), 1, "no factors")])
+        warnings: list[Diagnostic] = []
+        initial, postselect = self._normalized("INITIAL", warnings), None
+        if "POSTSELECT" in self.sections:
+            postselect = PostselectDecl(self.postselect_name,
+                                        self._normalized("POSTSELECT", warnings),
+                                        line=self.sections["POSTSELECT"])
+        if self.semantic:
+            raise ScenarioValidationError(sorted(self.semantic, key=attrgetter("line", "column")))
+        return ScenarioSpec(tuple(self.factors), initial, tuple(self.gates), postselect,
+                            tuple(self.observables.values()), tuple(warnings))
+
+    def _normalized(self, section: str, warnings: list[Diagnostic]
+                    ) -> tuple[AmplitudeEntry, ...]:
+        """The section's entries scaled to norm 1, with a warning if that changed them."""
+        entries = tuple(self.entries.get(section, {}).values())
+        norm = sum(abs(e.amplitude) ** 2 for e in entries) ** 0.5
+        if not entries:
+            self.semantic.append(Diagnostic(self.sections.get(section, 1), 1,
+                                            f"{section} section is missing or empty"))
+        elif norm == 0.0:
+            self.semantic.append(Diagnostic(
+                entries[0].line, 1, f"{section} state has zero norm and cannot be normalized"))
+        elif abs(norm - 1.0) > NORM_WARN_TOL:
+            warnings.append(Diagnostic(
+                entries[0].line, 1, f"{section} amplitudes had norm {norm:.12g}; normalized to 1"))
+            entries = tuple(
+                AmplitudeEntry(e.labels, e.amplitude / norm, line=e.line) for e in entries)
+        return entries
 
 
-def _parse_matrix(text: str, lineno: int, offset: int,
-                  diags: list[Diagnostic]) -> tuple | None:
-    rows = _eval(_Expr.parse_matrix, text, lineno, offset, diags)
-    if rows is not None and any(len(r) != len(rows) for r in rows):
-        bracket = offset + len(text) - len(text.lstrip()) + 1
-        diags.append(Diagnostic(lineno, bracket, "matrix must be square"))
-        return None
-    return rows
-
-
-def _parse_observable_line(content: str, lineno: int, observables: list[ObservableDecl],
-                           diags: list[Diagnostic]) -> None:
-    if "=" not in content:
-        diags.append(Diagnostic(lineno, 1, "expected 'NAME = expression'"))
-        return
-    head, expr = content.split("=", 1)
-    name = head.strip()
-    if not _token_ok(name):
-        diags.append(Diagnostic(lineno, 1, f"invalid observable name {name!r}"))
-        return
-    terms = _eval(_Expr.parse_observable, expr, lineno, len(head) + 1, diags)
-    if terms is None:
-        return
-    observables.append(ObservableDecl(name, terms, line=lineno))
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def _validate(spec: ScenarioSpec, warnings: list[Diagnostic]) -> ScenarioSpec:
-    diags: list[Diagnostic] = []
-    if not spec.factors:
-        raise ScenarioValidationError([Diagnostic(1, 1, "no factors")])
-    table: dict[str, tuple[str, ...]] = {}
-    for f in spec.factors:
-        if f.name in table:
-            diags.append(Diagnostic(f.line, 1, f"duplicate factor {f.name!r}"))
-        elif len(set(f.labels)) != len(f.labels):
-            diags.append(Diagnostic(f.line, 1, f"duplicate labels in factor {f.name!r}"))
-        else:
-            table[f.name] = f.labels
-
-    def check_entry(entry: AmplitudeEntry, where: str) -> None:
-        if len(entry.labels) != len(spec.factors):
-            diags.append(Diagnostic(
-                entry.line, 1,
-                f"{where} line gives {len(entry.labels)} labels, need one per factor "
-                f"({len(spec.factors)})"))
-            return
-        for f, lab in zip(spec.factors, entry.labels):
-            if f.name in table and lab not in table[f.name]:
-                diags.append(Diagnostic(entry.line, 1,
-                                        f"unknown label {lab!r} for factor {f.name!r}"))
-
-    if not spec.initial:
-        diags.append(Diagnostic(1, 1, "INITIAL section is missing or empty"))
-    seen_tuples: set[tuple[str, ...]] = set()
-    for entry in spec.initial:
-        check_entry(entry, "INITIAL")
-        if entry.labels in seen_tuples:
-            diags.append(Diagnostic(entry.line, 1,
-                                    f"duplicate INITIAL entry for {' '.join(entry.labels)}"))
-        seen_tuples.add(entry.labels)
-    if spec.postselect is not None:
-        if not spec.postselect.entries:
-            diags.append(Diagnostic(spec.postselect.line, 1, "POSTSELECT section is empty"))
-        seen_tuples = set()
-        for entry in spec.postselect.entries:
-            check_entry(entry, "POSTSELECT")
-            if entry.labels in seen_tuples:
-                diags.append(Diagnostic(entry.line, 1, "duplicate POSTSELECT entry"))
-            seen_tuples.add(entry.labels)
-
-    _validate_gates(spec, table, diags)
-
-    names_seen: set[str] = set()
-    for obs in spec.observables:
-        if obs.name in names_seen:
-            diags.append(Diagnostic(obs.line, 1, f"duplicate observable {obs.name!r}"))
-        names_seen.add(obs.name)
-        for _, constraints in obs.terms:
-            if constraints is None:
-                continue
-            facs = [f for f, _ in constraints]
-            if len(set(facs)) != len(facs):
-                diags.append(Diagnostic(obs.line, 1,
-                                        "repeated factor inside one proj(...)"))
-            for fac, lab in constraints:
-                if fac not in table:
-                    diags.append(Diagnostic(obs.line, 1, f"unknown factor {fac!r}"))
-                elif lab not in table[fac]:
-                    diags.append(Diagnostic(obs.line, 1,
-                                            f"unknown label {lab!r} for factor {fac!r}"))
-
-    if diags:
-        raise ScenarioValidationError(diags)
-
-    initial, w1 = _normalize(spec.initial, "INITIAL")
-    warnings.extend(w1)
-    postselect = spec.postselect
-    if postselect is not None:
-        entries, w2 = _normalize(postselect.entries, "POSTSELECT")
-        warnings.extend(w2)
-        postselect = PostselectDecl(postselect.name, entries, line=postselect.line)
-    return ScenarioSpec(
-        factors=spec.factors,
-        initial=initial,
-        gates=spec.gates,
-        postselect=postselect,
-        observables=spec.observables,
-        warnings=tuple(warnings),
-    )
-
-
-def _validate_gates(spec: ScenarioSpec, table: dict[str, tuple[str, ...]],
-                    diags: list[Diagnostic]) -> None:
-    finished_epochs: list[str] = []
-    current: str | None = None
-    for g in spec.gates:
-        if g.epoch == "t0":
-            diags.append(Diagnostic(g.line, 1,
-                                    "epoch 't0' is reserved for the initial state"))
-        if g.epoch != current:
-            if g.epoch in finished_epochs:
-                diags.append(Diagnostic(g.line, 1,
-                                        f"epoch {g.epoch!r} revisited; epochs must be contiguous"))
-            if current is not None:
-                finished_epochs.append(current)
-            current = g.epoch
-        if len(set(g.targets)) != len(g.targets):
-            diags.append(Diagnostic(g.line, 1, "gate targets must be distinct factors"))
-            continue
-        missing = [t for t in g.targets if t not in table]
-        if missing:
-            diags.append(Diagnostic(g.line, 1, f"unknown factor {missing[0]!r}"))
-            continue
-        if g.kind == "beamsplitter":
-            labels = table[g.targets[0]]
-            in_pair, out_pair = g.params[:2], g.params[2:]
-            bad = [lab for lab in g.params if lab not in labels]
-            if bad:
-                diags.append(Diagnostic(g.line, 1,
-                                        f"unknown label {bad[0]!r} for factor {g.targets[0]!r}"))
-                continue
-            if len(set(in_pair)) != 2 or len(set(out_pair)) != 2:
-                diags.append(Diagnostic(g.line, 1, "beamsplitter mode pairs must be distinct"))
-                continue
-            if set(in_pair) != set(out_pair) and set(in_pair) & set(out_pair):
-                diags.append(Diagnostic(g.line, 1,
-                                        "mode pairs must be identical or disjoint"))
-        elif g.kind == "swap_map":
-            src, dst = g.params
-            for side in (src, dst):
-                for t, lab in zip(g.targets, side):
-                    if lab != "*" and lab not in table[t]:
-                        diags.append(Diagnostic(g.line, 1,
-                                                f"unknown label {lab!r} for factor {t!r}"))
-        elif g.kind == "projector_select":
-            labels, _ = g.params
-            for lab in labels:
-                if lab not in table[g.targets[0]]:
-                    diags.append(Diagnostic(g.line, 1,
-                                            f"unknown label {lab!r} for factor {g.targets[0]!r}"))
-        else:  # custom_unitary
-            dim = 1
-            for t in g.targets:
-                dim *= len(table[t])
-            if len(g.params) != dim:
-                diags.append(Diagnostic(
-                    g.line, 1,
-                    f"matrix is {len(g.params)}x{len(g.params)} but targets span dim {dim}"))
-                continue
-            if not _matrix_is_unitary(g.params):
-                diags.append(Diagnostic(g.line, 1,
-                                        f"matrix is not unitary to {UNITARY_TOL:g}"))
+# looked up here, not with getattr(), whose type cache keeps each word it is given
+_GATE_READERS = {kind: getattr(_Reader, kind) for kind in GATE_KINDS}
 
 
 def _matrix_is_unitary(rows: tuple) -> bool:
     mat = np.array(rows, dtype=complex)
     return bool(np.max(np.abs(mat @ mat.conj().T - np.eye(len(rows)))) <= UNITARY_TOL)
-
-
-def _normalize(entries: tuple[AmplitudeEntry, ...], where: str
-               ) -> tuple[tuple[AmplitudeEntry, ...], list[Diagnostic]]:
-    norm_sq = sum(abs(e.amplitude) ** 2 for e in entries)
-    warnings: list[Diagnostic] = []
-    if norm_sq == 0.0:
-        line = entries[0].line if entries else 1
-        raise ScenarioValidationError(
-            [Diagnostic(line, 1, f"{where} state has zero norm and cannot be normalized")])
-    norm = norm_sq ** 0.5
-    if abs(norm - 1.0) > NORM_WARN_TOL:
-        line = entries[0].line if entries else 1
-        warnings.append(Diagnostic(
-            line, 1, f"{where} amplitudes had norm {norm:.12g}; normalized to 1"))
-        entries = tuple(
-            AmplitudeEntry(e.labels, e.amplitude / norm, line=e.line) for e in entries)
-    return entries, warnings
 
 
 # ---------------------------------------------------------------------------

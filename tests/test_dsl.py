@@ -34,6 +34,7 @@ class TestAmplitudeSugar:
         ("(1,2)", 1 + 2j),
         ("sqrt(2)/2", math.sqrt(2) / 2),
         ("1+1", 2.0),
+        ("1\xa0+ 1", 2.0),
         ("2*0.25", 0.5),
     ])
     def test_evaluates(self, text, expected):
@@ -65,7 +66,32 @@ class TestParserDiagnostics:
         with pytest.raises(dsl.ScenarioValidationError) as err:
             dsl.parse("FACTORS\n  a: x y\nINITIAL\n  z : 1\n  x : 1\n")
         diag = next(d for d in err.value.diagnostics if "unknown label" in d.message)
-        assert diag.line == 4
+        assert (diag.line, diag.column) == (4, 3)
+
+    BASE = ["FACTORS", "  a: x y", "INITIAL", "  x : 1"]
+
+    @pytest.mark.parametrize("at,added,line,col,error", [
+        (4, ["OBSERVABLES", "  O = 2*proj(a=z)"], 6, 16, dsl.ScenarioValidationError),
+        (4, ["GATES", "  t1 swap_map a : x -> q"], 6, 24, dsl.ScenarioValidationError),
+        (4, ["GATES", "  t1 beamsplitter b : x y -> x y"], 6, 19, dsl.ScenarioValidationError),
+        (4, ["GATES", "  t1 projector_select a : x w as k"], 6, 29,
+         dsl.ScenarioValidationError),
+        (4, ["GATES", "  t1 frobnicate a : x"], 6, 6, dsl.ScenarioSyntaxError),
+        (1, ["  a: x y("], 2, 8, dsl.ScenarioSyntaxError),
+        (2, ["  a: u v"], 3, 3, dsl.ScenarioValidationError),
+        (4, ["  z : 1"], 5, 3, dsl.ScenarioValidationError),
+    ])
+    def test_diagnostic_points_at_the_offending_word(self, at, added, line, col, error):
+        text = "\n".join(self.BASE[:at] + added + self.BASE[at:]) + "\n"
+        with pytest.raises(dsl.ScenarioFileError) as err:
+            dsl.parse(text)
+        first = err.value.diagnostics[0]
+        assert (first.line, first.column, type(err.value)) == (line, col, error)
+
+    def test_factors_may_follow_their_users(self):
+        text = ("INITIAL\n  x : 1\nOBSERVABLES\n  O = proj(a=y)\n"
+                "FACTORS\n  a: x y\n")
+        assert dsl.parse(text).observables[0].terms == ((1, (("a", "y"),)),)
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(dsl.ScenarioSyntaxError) as err:
@@ -109,6 +135,11 @@ class TestParserDiagnostics:
         with pytest.raises(dsl.ScenarioValidationError) as err:
             dsl.parse(text)
         assert any("not unitary" in d.message for d in err.value.diagnostics)
+
+    def test_any_whitespace_is_a_blank_in_a_matrix(self):
+        text = ("FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n"
+                "  t1 custom_unitary a : [\xa01, 0; 0, 1]\n")
+        assert dsl.parse(text).gates[0].params == ((1, 0), (0, 1))
 
     def test_matrix_entry_error_points_at_the_entry(self):
         text = ("FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n"
@@ -162,6 +193,7 @@ class TestObservableGrammar:
         ("proj (a=x)", ((1, X),)),
         ("1e-3*proj(a=x)", ((1e-3, X),)),
         ("2*proj(a=x) - id", ((2, X), (-1, None))),
+        ("2*\xa0proj(a=x)", ((2, X),)),
     ])
     def test_accepted(self, expr, terms):
         assert self.parse_observable(expr) == terms
