@@ -424,6 +424,8 @@ class _Reader:
         self.gates: list[GateDecl] = []
         self.epochs: set[str] = set()  # of the gates read so far
         self.observables: dict[str, ObservableDecl] = {}
+        # (line, text, offset, word index, name) of each record name, as _column takes them
+        self.records: list[tuple[int, str, int, int, str]] = []
 
     def read(self, text: str) -> None:
         """Read FACTORS lines as the header scan meets them, then every other
@@ -443,12 +445,10 @@ class _Reader:
                     section = None
                     continue
                 self.sections[section] = lineno
-                if section == "POSTSELECT" and rest[:1] == ["as"] and len(rest) == 2:
-                    self.postselect_name = rest[1]
+                if section == "POSTSELECT":
+                    self.postselect(content, rest)
                 elif rest:
-                    self.error(_column(content, 0, 1), "POSTSELECT takes at most 'as NAME'"
-                               if section == "POSTSELECT"
-                               else f"unexpected text after section {section}")
+                    self.error(_column(content, 0, 1), f"unexpected text after section {section}")
             elif section is None:
                 self.syntax.append(Diagnostic(lineno, len(content) - len(content.lstrip()) + 1,
                                               "content before any section header"))
@@ -466,6 +466,15 @@ class _Reader:
                 self.amplitude(content, section)
         if deferred and self.syntax:
             self.syntax.sort(key=attrgetter("line", "column"))
+        # sorted: the POSTSELECT header was read before the deferred lines
+        if len(self.records) > 1:
+            first_use: dict[str, int] = {}
+            for line, text, offset, index, name in sorted(self.records):
+                if name in first_use:
+                    self.semantic.append(Diagnostic(line, _column(text, offset, index),
+                                                    f"record name {name!r} already used "
+                                                    f"on line {first_use[name]}"))
+                first_use.setdefault(name, line)
 
     def error(self, column: int, message: str) -> None:
         self.syntax.append(Diagnostic(self.line, column, message))
@@ -486,6 +495,16 @@ class _Reader:
                 k = every.index(word, k) + 1
                 self.error(_column(text, offset, k - 1), f"invalid {what} token {word!r}")
         return False
+
+    def postselect(self, content: str, rest: list[str]) -> None:
+        """The POSTSELECT header: its record is named like a selection's."""
+        if rest:
+            if rest[0] != "as" or len(rest) != 2:
+                return self.error(_column(content, 0, 1), "POSTSELECT takes at most 'as NAME'")
+            if not self.names_ok(content, 0, rest[1:], "name", first=2):
+                return
+            self.postselect_name = rest[1]
+        self.records.append((self.line, content, 0, 2 if rest else 0, self.postselect_name))
 
     def factor(self, content: str) -> None:
         head, colon, tail = content.partition(":")
@@ -634,6 +653,7 @@ class _Reader:
             name, toks = toks[-1], toks[:at]
             if not self.names_ok(tail, offset, [name], "name", first=at + 1):
                 return None
+            self.records.append((self.line, tail, offset, at + 1, name))
         if not toks:
             return self.error(offset + 1, "projector_select needs at least one label")
         if not self.names_ok(tail, offset, toks, "label"):

@@ -17,8 +17,11 @@ trial batches are embarrassingly parallel.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -322,29 +325,29 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: "CouplingStrength | 
     # Per-branch translated pointer profiles, their bin pmfs and cdfs. These
     # are fixed for the whole sequence; only the branch weights evolve.
     branch_amps = _branch_pointer_amps(ptr, gval, lams)
-    cdf = np.cumsum(np.abs(branch_amps) ** 2, axis=1)
-    cdf_last = cdf[:, -1]
-    xs = ptr.positions
+    cdf_rows = np.cumsum(np.abs(branch_amps) ** 2, axis=1).tolist()
     proj_stack = np.stack(projs)
-    n_branches = len(lams)
-    n_bins = cdf.shape[1]
+    last_branch, last_bin = len(lams) - 1, ptr.n_bins - 1
     rng = np.random.default_rng(rng_seed)
-    draws = rng.random((steps, 2))
+    branch_draws, bin_draws = rng.random((steps, 2)).T.tolist()
     psi = system.amplitudes.copy()
-    readouts = np.empty(steps, dtype=float)
-    for step in range(steps):
+    bins = []
+    # Sampling runs on Python floats, which skips numpy's per-call overhead on
+    # 2- and 3-entry vectors. Each step stays bit-identical to np.cumsum,
+    # np.searchsorted(side="left") and np.linalg.norm: accumulate adds in
+    # cumsum's order, bisect_left is searchsorted's rule, and the norm is
+    # computed as np.linalg.norm does for a complex vector.
+    for branch_draw, bin_draw in zip(branch_draws, bin_draws):
         comps = proj_stack @ psi
-        w = np.einsum("bi,bi->b", comps.conj(), comps).real
+        w = np.einsum("bi,bi->b", comps.conj(), comps).real.tolist()
         # sample the readout bin from the mixture sum_b w_b pmf_b
-        cw = np.cumsum(w)
-        b = int(np.searchsorted(cw, draws[step, 0] * cw[-1]))
-        if b >= n_branches:
-            b = n_branches - 1
-        bin_idx = int(np.searchsorted(cdf[b], draws[step, 1] * cdf_last[b]))
-        if bin_idx >= n_bins:
-            bin_idx = n_bins - 1
-        readouts[step] = xs[bin_idx]
+        cw = list(accumulate(w))
+        b = min(bisect_left(cw, branch_draw * cw[-1]), last_branch)
+        cdf = cdf_rows[b]
+        bin_idx = min(bisect_left(cdf, bin_draw * cdf[-1]), last_bin)
+        bins.append(bin_idx)
         # Kraus back-action: project the pointer onto the sampled bin
         psi = branch_amps[:, bin_idx] @ comps
-        psi /= np.linalg.norm(psi)
-    return Trajectory(readouts=readouts, final_state=Ket(system.space, psi))
+        re, im = psi.real, psi.imag
+        psi /= math.sqrt(re.dot(re) + im.dot(im))
+    return Trajectory(readouts=ptr.positions[bins], final_state=Ket(system.space, psi))

@@ -88,6 +88,26 @@ class TestParserDiagnostics:
         first = err.value.diagnostics[0]
         assert (first.line, first.column, type(err.value)) == (line, col, error)
 
+    @pytest.mark.parametrize("added,line,col,message", [
+        (["POSTSELECT as (", "  x : 1"], 5, 15, "invalid name token '('"),
+        (["GATES", "  t1 projector_select a : x y as k", "  t2 projector_select a : x as k"],
+         7, 32, "record name 'k' already used on line 6"),
+        (["GATES", "  t1 projector_select a : x y as k", "POSTSELECT as k", "  x : 1"],
+         7, 15, "record name 'k' already used on line 6"),
+        (["POSTSELECT as k", "  x : 1", "GATES", "  t1 projector_select a : x as k"],
+         8, 32, "record name 'k' already used on line 5"),
+        (["GATES", "  t1 projector_select a : x as postselect", "POSTSELECT", "  x : 1"],
+         7, 1, "record name 'postselect' already used on line 6"),
+    ])
+    def test_record_names_are_valid_and_unique(self, added, line, col, message):
+        # a repeated name would keep only the last probability under that key
+        with pytest.raises(dsl.ScenarioFileError) as err:
+            dsl.parse("\n".join(self.BASE + added) + "\n")
+        [diag] = err.value.diagnostics
+        error = dsl.ScenarioSyntaxError if "token" in message else dsl.ScenarioValidationError
+        assert (diag.line, diag.column, diag.message, type(err.value)) == (
+            line, col, message, error)
+
     def test_factors_may_follow_their_users(self):
         text = ("INITIAL\n  x : 1\nOBSERVABLES\n  O = proj(a=y)\n"
                 "FACTORS\n  a: x y\n")

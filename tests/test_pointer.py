@@ -24,6 +24,67 @@ def two_level():
     return sp, obs
 
 
+def _reference_weak_sequence(system, observable, g, steps, rng_seed, ptr=None):
+    """weak_sequence's step loop as it was written with numpy arrays, kept to
+    pin the lean loop's results bit for bit."""
+    if ptr is None:
+        ptr = pt.PointerWavefunction.gaussian()
+    gval = pt._g(g)
+    lams, projs = pt.eigenbranches(observable)
+    pt._check_shift(ptr, gval, lams)
+    branch_amps = pt._branch_pointer_amps(ptr, gval, lams)
+    cdf = np.cumsum(np.abs(branch_amps) ** 2, axis=1)
+    cdf_last = cdf[:, -1]
+    xs = ptr.positions
+    proj_stack = np.stack(projs)
+    n_branches = len(lams)
+    n_bins = cdf.shape[1]
+    rng = np.random.default_rng(rng_seed)
+    draws = rng.random((steps, 2))
+    psi = system.amplitudes.copy()
+    readouts = np.empty(steps, dtype=float)
+    for step in range(steps):
+        comps = proj_stack @ psi
+        w = np.einsum("bi,bi->b", comps.conj(), comps).real
+        # sample the readout bin from the mixture sum_b w_b pmf_b
+        cw = np.cumsum(w)
+        b = int(np.searchsorted(cw, draws[step, 0] * cw[-1]))
+        if b >= n_branches:
+            b = n_branches - 1
+        bin_idx = int(np.searchsorted(cdf[b], draws[step, 1] * cdf_last[b]))
+        if bin_idx >= n_bins:
+            bin_idx = n_bins - 1
+        readouts[step] = xs[bin_idx]
+        # Kraus back-action: project the pointer onto the sampled bin
+        psi = branch_amps[:, bin_idx] @ comps
+        psi /= np.linalg.norm(psi)
+    return readouts, psi
+
+
+def _sequence_cases():
+    """(id, system, observable, g, pointer) covering diagonal, non-diagonal
+    and complex observables, g = 0 and a small pointer grid."""
+    sp2, obs2 = two_level()
+    half = hb.Ket(sp2, np.array([1, 1]) / SQ2)
+    sp3 = hb.space(("box", ["box1", "box2", "box3"]))
+    even3 = hb.Ket(sp3, np.ones(3) / SQ3)
+    diag3 = hb.Operator(sp3, np.diag([1.0, 2.0, 3.0]))
+    sigma_x = hb.Operator(sp2, np.array([[0, 1], [1, 0]], dtype=complex))
+    herm = np.array([[1.0, 0.5 - 0.3j, 0.2j],
+                     [0.5 + 0.3j, -0.4, 0.7 + 0.1j],
+                     [-0.2j, 0.7 - 0.1j, 0.9]])
+    complex3 = hb.Ket(sp3, np.array([0.6, 0.48j, 0.64]))
+    return [
+        ("two-level", half, obs2, 0.2, None),
+        ("three-level", even3, diag3, 0.2, None),
+        ("sigma-x", hb.Ket(sp2, np.array([0.6, 0.8j])), sigma_x, 0.2, None),
+        ("complex-3x3", complex3, hb.Operator(sp3, herm), 0.3, None),
+        ("g=0", even3, diag3, 0.0, None),
+        ("small-pointer", half, obs2, 0.2,
+         pt.PointerWavefunction.gaussian(n_bins=41, spacing=0.25)),
+    ]
+
+
 class TestPointerWavefunction:
     def test_gaussian_is_measure_normalized(self):
         ptr = pt.PointerWavefunction.gaussian()
@@ -219,6 +280,12 @@ class TestStrongMeasure:
         hits = sum(pt.strong_measure(state, which, 50_000 + s)[0] for s in range(10_000))
         assert hits / 10_000 == pytest.approx(0.5, abs=0.02)
 
+    def test_observable_on_another_space(self):
+        sp, _ = two_level()
+        other = hb.Operator(hb.space(("zzz", ["a", "b"])), np.diag([0.0, 1.0]))
+        with pytest.raises(DimensionMismatch):
+            pt.strong_measure(hb.basis_state(sp, "hi"), other, 1)
+
     def test_collapse_renormalizes(self):
         sp, obs = two_level()
         system = hb.Ket(sp, np.array([0.6, 0.8]))
@@ -282,6 +349,22 @@ class TestWeakSequence:
         ptr = pt.PointerWavefunction.gaussian(n_bins=11, spacing=0.1)
         with pytest.raises(ShiftOutOfGrid):
             pt.weak_sequence(hb.basis_state(sp, "hi"), obs, 10.0, 5, 1, ptr=ptr)
+
+    def test_observable_on_another_space(self):
+        sp, _ = two_level()
+        other = hb.Operator(hb.space(("zzz", ["a", "b"])), np.diag([0.0, 1.0]))
+        with pytest.raises(DimensionMismatch):
+            pt.weak_sequence(hb.basis_state(sp, "hi"), other, 0.1, 5, 1)
+
+    @pytest.mark.parametrize("case", _sequence_cases(), ids=lambda c: c[0])
+    def test_bit_identical_to_reference_loop(self, case):
+        _, system, obs, g, ptr = case
+        for seed in range(50):
+            traj = pt.weak_sequence(system, obs, g, 400, seed, ptr=ptr)
+            readouts, psi = _reference_weak_sequence(system, obs, g, 400, seed,
+                                                    ptr=ptr)
+            assert traj.readouts.tobytes() == readouts.tobytes()
+            assert traj.final_state.amplitudes.tobytes() == psi.tobytes()
 
 
 class TestEigenbranches:
