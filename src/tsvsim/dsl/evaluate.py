@@ -25,7 +25,8 @@ from .. import tsvf
 from ..errors import TsvsimError
 from ..hilbert import Ket, Operator
 from ..scenarios import ScenarioResult
-from .parse import Diagnostic, GateDecl, ScenarioSpec, ScenarioSyntaxError, parse
+from .parse import (Diagnostic, GateDecl, ScenarioSpec, ScenarioSyntaxError, parse,
+                    selection_record)
 
 
 def load_file(path: str | Path) -> ScenarioSpec:
@@ -89,8 +90,7 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
                 labels, name = g.params
                 proj = Operator.projector(sp, {g.targets[0]: list(labels)})
                 p, state = tsvf.post_select(state, proj)
-                key = name or f"{g.epoch}_{g.targets[0]}_{'_'.join(labels)}"
-                probabilities[key] = p
+                probabilities[selection_record(g.epoch, g.targets[0], labels, name)] = p
             else:
                 state = _apply_gate(sp, g, state)
         except TsvsimError as e:

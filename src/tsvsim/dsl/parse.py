@@ -36,6 +36,7 @@ import re
 from dataclasses import dataclass, field
 from math import prod
 from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -104,6 +105,12 @@ class GateDecl:
     #   custom_unitary    row-major tuple of row tuples of complex
     params: tuple
     line: int = field(compare=False, default=0)
+
+
+def selection_record(epoch: str, target: str, labels: Sequence[str], name: str | None) -> str:
+    """The probability key of a projector_select: its 'as' name, else
+    {epoch}_{target}_{labels joined by '_'}."""
+    return name or f"{epoch}_{target}_{'_'.join(labels)}"
 
 
 @dataclass(frozen=True)
@@ -653,7 +660,6 @@ class _Reader:
             name, toks = toks[-1], toks[:at]
             if not self.names_ok(tail, offset, [name], "name", first=at + 1):
                 return None
-            self.records.append((self.line, tail, offset, at + 1, name))
         if not toks:
             return self.error(offset + 1, "projector_select needs at least one label")
         if not self.names_ok(tail, offset, toks, "label"):
@@ -666,6 +672,9 @@ class _Reader:
                 if lab not in known[0]:
                     self.invalid(_column(tail, offset, k),
                                  f"unknown label {lab!r} for factor {targets[0]!r}")
+        # a duplicate is reported at the name, or at the first label if unnamed
+        self.records.append((self.line, tail, offset, len(toks) + 1 if name else 0,
+                             selection_record(head.split()[0], targets[0], toks, name)))
         return (tuple(toks), name)
 
     def custom_unitary(self, head, tail, offset, targets, known):

@@ -14,7 +14,7 @@ All values are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
@@ -41,12 +41,15 @@ class Factor:
 
     name: str
     labels: tuple[str, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.labels:
             raise ValueError(f"factor {self.name!r} has no labels")
-        if len(set(self.labels)) != len(self.labels):
+        index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(index) != len(self.labels):
             raise ValueError(f"factor {self.name!r} has duplicate labels")
+        object.__setattr__(self, "_index", index)
 
     @property
     def dim(self) -> int:
@@ -54,8 +57,8 @@ class Factor:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise KeyError(f"unknown label {label!r} in factor {self.name!r}") from None
 
 
@@ -99,8 +102,11 @@ class Space:
                 f"expected {len(self.factors)} labels, got {len(labels)}"
             )
         idx = 0
-        for f, lab in zip(self.factors, labels):
-            idx = idx * f.dim + f.index(lab)
+        for f, d, lab in zip(self.factors, self.dims, labels):
+            try:
+                idx = idx * d + f._index[lab]
+            except KeyError:
+                f.index(lab)  # raises the unknown-label KeyError
         return idx
 
     def labels_of(self, index: int) -> tuple[str, ...]:

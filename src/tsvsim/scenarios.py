@@ -176,22 +176,18 @@ def _probe(states: np.ndarray, mode: int, rng: np.random.Generator) -> np.ndarra
     against the explicit detector pipeline in the tests); the photon is kept
     either way because the loosened mirror only registers the impact.
     Returns the boolean click mask."""
-    p = np.abs(states[:, mode]) ** 2
+    amps = states[:, mode]
+    mag = np.abs(amps)
+    p = mag ** 2
     clicked = rng.random(len(states)) < p
-    hit = states[clicked]
-    if len(hit):
-        amps = hit[:, mode].copy()
-        hit[:] = 0.0
-        hit[:, mode] = amps / np.abs(amps)
-        states[clicked] = hit
-    miss = states[~clicked]
-    if len(miss):
-        keep = np.sqrt(1.0 - p[~clicked])
-        miss[:, mode] = 0.0
-        # a probability-1 click leaves no silent branch to renormalize
-        good = keep > 1e-9
-        miss[good] /= keep[good, None]
-        states[~clicked] = miss
+    # a clicked row keeps only its mode's phase, a silent row loses the mode
+    phase = np.divide(amps, mag, out=np.zeros_like(amps), where=clicked)
+    np.copyto(states, 0.0, where=clicked[:, None])
+    states[:, mode] = phase
+    # a silent row has p <= draw < 1, a clicked one may have p > 1 by rounding:
+    # take the root for silent rows only, and divide clicked rows by 1.0 (exact)
+    keep = np.sqrt(1.0 - p, out=np.ones_like(p), where=~clicked)
+    states /= np.where(keep > 1e-9, keep, 1.0)[:, None]
     return clicked
 
 
@@ -210,7 +206,7 @@ def _four_mirror_trials(trials: int, rng_seed: int,
     stats: dict[str, float] = {"first_silent_fraction": float(silent.mean())}
 
     # (b) only L_u armed, 100 round trips from |L_d>
-    lone = states[silent].copy()
+    lone = states[silent]
     lonely_clicks = 0
     for _ in range(lonely_trips):
         lone = lone @ bs_t
@@ -219,8 +215,7 @@ def _four_mirror_trials(trials: int, rng_seed: int,
     stats["lonely_lu_clicks"] = float(lonely_clicks)
 
     # (c) R_u armed as well; keep the double-silence subset
-    armed = states[silent].copy()
-    armed = armed @ bs_t
+    armed = states[silent] @ bs_t
     ru_clicked = _probe(armed, r_u, rng)
     armed = armed[~ru_clicked]
     stats["double_silence_fraction"] = float((~ru_clicked).mean()) if len(ru_clicked) else 0.0

@@ -98,6 +98,13 @@ class TestParserDiagnostics:
          8, 32, "record name 'k' already used on line 5"),
         (["GATES", "  t1 projector_select a : x as postselect", "POSTSELECT", "  x : 1"],
          7, 1, "record name 'postselect' already used on line 6"),
+        # an unnamed selection is recorded as {epoch}_{target}_{labels}
+        (["GATES", "  t1 projector_select a : x y", "  t1 projector_select a : x y"],
+         7, 27, "record name 't1_a_x_y' already used on line 6"),
+        (["GATES", "  t1 projector_select a : x y as t2_a_x", "  t2 projector_select a : x"],
+         7, 27, "record name 't2_a_x' already used on line 6"),
+        (["GATES", "  t1 projector_select a : x y", "POSTSELECT as t1_a_x_y", "  x : 1"],
+         7, 15, "record name 't1_a_x_y' already used on line 6"),
     ])
     def test_record_names_are_valid_and_unique(self, added, line, col, message):
         # a repeated name would keep only the last probability under that key

@@ -38,13 +38,22 @@ class TestSpaceAndLabels:
 
     def test_unknown_label(self):
         sp = pair_space()
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown label 'nope' in factor 'positron'"):
             sp.index_of(("1'", "nope"))
+        with pytest.raises(KeyError, match="unknown label 'nope' in factor 'electron'"):
+            sp.factor("electron").index("nope")
 
     def test_wrong_label_count(self):
         sp = pair_space()
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="expected 2 labels, got 1"):
             sp.index_of(("1'",))
+
+    def test_label_lookup_table_is_not_part_of_the_value(self):
+        f = hb.Factor("f", ("a", "b"))
+        assert [f.index("a"), f.index("b")] == [0, 1]
+        assert repr(f) == "Factor(name='f', labels=('a', 'b'))"
+        assert f == hb.Factor("f", ("a", "b"))
+        assert hash(f) == hash(("f", ("a", "b")))
 
 
 class TestTensor:

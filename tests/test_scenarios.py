@@ -1,5 +1,8 @@
 """Built-in scenarios against frozen expected values."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,42 @@ def assert_state(state, entries, atol=1e-12):
     for labels, amp in entries.items():
         want[state.space.index_of(labels)] = amp
     np.testing.assert_allclose(state.amplitudes, want, atol=atol)
+
+
+def _reference_probe(states, mode, rng):
+    """_probe as it was written with boolean-mask gathers and scatters, kept to
+    pin the in-place collapse bit for bit."""
+    p = np.abs(states[:, mode]) ** 2
+    clicked = rng.random(len(states)) < p
+    hit = states[clicked]
+    if len(hit):
+        amps = hit[:, mode].copy()
+        hit[:] = 0.0
+        hit[:, mode] = amps / np.abs(amps)
+        states[clicked] = hit
+    miss = states[~clicked]
+    if len(miss):
+        keep = np.sqrt(1.0 - p[~clicked])
+        miss[:, mode] = 0.0
+        # a probability-1 click leaves no silent branch to renormalize
+        good = keep > 1e-9
+        miss[good] /= keep[good, None]
+        states[~clicked] = miss
+    return clicked
+
+
+def _recorded_trials(monkeypatch, probe, trials, seed):
+    """trial_stats of the four-mirror run with `probe` in _probe's place, and
+    a digest of the click mask and the state bytes after every probe call."""
+    digests = []
+
+    def recording(states, mode, rng):
+        clicked = probe(states, mode, rng)
+        digests.append(hashlib.sha256(clicked.tobytes() + states.tobytes()).digest())
+        return clicked
+
+    monkeypatch.setattr(sc, "_probe", recording)
+    return sc._four_mirror_trials(trials, seed), digests
 
 
 class TestOblivion:
@@ -189,6 +228,40 @@ class TestFourMirror:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             sc.run_four_mirror(trials=0)
+
+    @pytest.mark.parametrize("trials", [1, 3, 200, 10_000])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 9, 42, 2024, 31337])
+    def test_probe_bit_identical_to_reference(self, monkeypatch, seed, trials):
+        probe = sc._probe
+        stats, digests = _recorded_trials(monkeypatch, probe, trials, seed)
+        ref_stats, ref_digests = _recorded_trials(monkeypatch, _reference_probe, trials, seed)
+        assert stats == ref_stats
+        assert len(digests) == 142
+        assert digests == ref_digests
+
+    def test_probe_mixed_batch_matches_reference(self):
+        rng = np.random.default_rng(5)
+        batch = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
+        batch /= np.linalg.norm(batch, axis=1)[:, None]
+        ref = batch.copy()
+        clicked = sc._probe(batch, 1, np.random.default_rng(11))
+        ref_clicked = _reference_probe(ref, 1, np.random.default_rng(11))
+        assert 0 < clicked.sum() < len(clicked)  # some rows click, some stay silent
+        assert clicked.tobytes() == ref_clicked.tobytes()
+        assert batch.tobytes() == ref.tobytes()
+        np.testing.assert_allclose(np.abs(batch[clicked, 1]), 1.0, atol=1e-15)
+        assert not batch[~clicked, 1].any()
+        np.testing.assert_allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-14)
+
+    def test_certain_click_warns_nothing(self):
+        # |1.0000000000000002|^2 > 1: the row clicks, and no sqrt(1 - p) is taken for it
+        batch = np.array([[1.0000000000000002, 0, 0, 0], [1 / SQ2, 1 / SQ2, 0, 0]],
+                         dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clicked = sc._probe(batch, 0, np.random.default_rng(0))
+        assert clicked[0]
+        assert batch[0].tobytes() == np.array([1, 0, 0, 0], dtype=complex).tobytes()
 
 
 class TestThreePathPhoton:
