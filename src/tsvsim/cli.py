@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,35 +29,18 @@ DEFAULT_SEED = 42
 DEFAULT_TRIALS = 10_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: str
-    seed: int = DEFAULT_SEED
-    trials: int = DEFAULT_TRIALS
-    g_sweep: tuple[float, float, int, bool] | None = None  # (min, max, steps, log)
-    output: str = "table"
-    out_path: str | None = None
-    option: str = "recombine_all"
-    g: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.g_sweep is not None and self.g_sweep[0] <= 0:
-            raise ValueError("g sweep minimum must be > 0")
-
-
 def _fmt(x: float) -> str:
     return f"{x + 0.0:.9f}"  # +0.0 folds IEEE negative zero into "0.000000000"
 
 
-def _sweep_rows(config: RunConfig) -> list[tuple[float, float]]:
-    context = sc.sweep_context(config.scenario)
+def _sweep_rows(scenario: str,
+                sweep: tuple[float, float, int, bool]) -> list[tuple[float, float]]:
+    """(g, shift/g) rows for the sweep (min, max, steps, log)."""
+    context = sc.sweep_context(scenario)
     if context is None:
-        raise ValueError(
-            f"scenario {config.scenario!r} has no pointer context to sweep")
+        raise ValueError(f"scenario {scenario!r} has no pointer context to sweep")
     pre, obs, post_proj = context
-    g_min, g_max, steps, log = config.g_sweep
+    g_min, g_max, steps, log = sweep
     if log:
         gs = np.geomspace(g_min, g_max, steps)
     else:
@@ -182,55 +164,58 @@ def _parse_sweep(text: str) -> tuple[float, float, int, bool]:
     return g_min, g_max, steps, log
 
 
-def _run_scenario(config: RunConfig) -> ScenarioResult:
-    if config.scenario in sc.SCENARIOS:
-        if config.scenario == "four_mirror":
-            return sc.run_four_mirror(trials=config.trials, rng_seed=config.seed)
-        if config.scenario == "three_path_photon":
-            return sc.run_three_path_photon(option=config.option, g=config.g)
-        return sc.SCENARIOS[config.scenario].runner()
-    spec = dsl.load_file(config.scenario)
+def _run_scenario(args: argparse.Namespace) -> ScenarioResult:
+    if args.scenario in sc.SCENARIOS:
+        if args.scenario == "four_mirror":
+            return sc.run_four_mirror(trials=args.trials, rng_seed=args.seed)
+        if args.scenario == "three_path_photon":
+            return sc.run_three_path_photon(option=args.option, g=args.g)
+        return sc.SCENARIOS[args.scenario].runner()
+    spec = dsl.load_file(args.scenario)
     for diag in spec.warnings:
-        print(f"warning: {config.scenario}:{diag}", file=sys.stderr)
-    return dsl.evaluate(spec, scenario_id=Path(config.scenario).stem)
+        print(f"warning: {args.scenario}:{diag}", file=sys.stderr)
+    return dsl.evaluate(spec, scenario_id=Path(args.scenario).stem)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         sweep_spec = _parse_sweep(args.g_sweep) if args.g_sweep else None
-        config = RunConfig(scenario=args.scenario, seed=args.seed, trials=args.trials,
-                           g_sweep=sweep_spec, output=args.format,
-                           out_path=args.out, option=args.option, g=args.g)
+        if args.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if sweep_spec is not None and sweep_spec[0] <= 0:
+            raise ValueError("g sweep minimum must be > 0")
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if config.scenario not in sc.SCENARIOS and not Path(config.scenario).exists():
-        print(f"error: unknown scenario or missing file {config.scenario!r} "
+    if args.scenario not in sc.SCENARIOS and not Path(args.scenario).exists():
+        print(f"error: unknown scenario or missing file {args.scenario!r} "
               "(see `tsvsim list`)", file=sys.stderr)
         return 2
     try:
-        result = _run_scenario(config)
-        sweep = _sweep_rows(config) if config.g_sweep else None
+        result = _run_scenario(args)
+        sweep = _sweep_rows(args.scenario, sweep_spec) if sweep_spec else None
+    except OSError as e:  # only dsl.load_file reads here: a directory, no permission
+        print(f"error: cannot read {args.scenario}: {e.strerror}", file=sys.stderr)
+        return 4
     except dsl.ScenarioFileError as e:
         for diag in e.diagnostics:
-            print(f"{config.scenario}:{diag}", file=sys.stderr)
+            print(f"{args.scenario}:{diag}", file=sys.stderr)
         return 3
     except TsvsimError as e:
         diag = getattr(e, "diagnostic", None)
-        where = f"{config.scenario}:{diag}" if diag else str(e)
+        where = f"{args.scenario}:{diag}" if diag else str(e)
         print(f"error: {where}", file=sys.stderr)
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    color = (config.out_path is None and config.output == "table"
+    color = (args.out is None and args.format == "table"
              and sys.stdout.isatty() and not os.environ.get("NO_COLOR"))
-    payload = emit(result, config.output, config.seed, config.trials,
-                   sweep=sweep, color=color)
+    payload = emit(result, args.format, args.seed, args.trials, sweep=sweep, color=color)
     try:
-        if config.out_path:
-            Path(config.out_path).write_bytes(payload)
+        if args.out:
+            Path(args.out).write_bytes(payload)
         else:
             sys.stdout.buffer.write(payload)
             sys.stdout.buffer.flush()

@@ -112,7 +112,7 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
                 terms = [coeff * Operator.projector(sp, dict(constraints or ()))
                          for coeff, constraints in obs.terms]
                 op = sum(terms[1:], terms[0])
-                weak_values[obs.name] = tsvf.weak_value(tsv, op).value
+                weak_values[obs.name] = tsvf.weak_value(tsv, op)
         except TsvsimError as e:
             line = spec.postselect.line if spec.postselect is not None else 1
             raise _with_position(e, line)

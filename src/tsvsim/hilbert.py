@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidBipartition
 
-ATOL_NORM = 1e-12
 ATOL_PROJECTOR = 1e-12
+SCHMIDT_TOL = 1e-8  # singular values above this count toward the Schmidt rank
 
 # Fixed 50/50 convention: symmetric beam splitter / Stern-Gerlach splitter.
 # Scenario builders that need real equal-amplitude splits absorb the i phases
@@ -124,16 +124,13 @@ def space(*factors: tuple[str, Sequence[str]]) -> Space:
 
 
 class Ket:
-    """Dense complex amplitude vector over a labeled product basis.
+    """Dense complex amplitude vector over a labeled product basis, of any
+    norm; callers that need unit norm check it (TwoStateVector) or make it
+    (unit)."""
 
-    Unit norm unless constructed with normalized=False; the flag is checked
-    at construction (|norm - 1| <= 1e-12) when claimed.
-    """
+    __slots__ = ("space", "amplitudes")
 
-    __slots__ = ("space", "amplitudes", "normalized")
-
-    def __init__(self, space: Space, amplitudes: np.ndarray | Sequence[complex],
-                 normalized: bool | None = None):
+    def __init__(self, space: Space, amplitudes: np.ndarray | Sequence[complex]):
         amps = np.asarray(amplitudes, dtype=complex)
         if amps.shape != (space.dim,):
             raise DimensionMismatch(
@@ -143,12 +140,6 @@ class Ket:
         amps.flags.writeable = False
         self.space = space
         self.amplitudes = amps
-        nrm = float(np.linalg.norm(amps))
-        if normalized is None:
-            normalized = abs(nrm - 1.0) <= ATOL_NORM
-        elif normalized and abs(nrm - 1.0) > ATOL_NORM:
-            raise ValueError(f"ket claimed normalized but has norm {nrm!r}")
-        self.normalized = normalized
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -184,23 +175,21 @@ def basis_state(sp: Space, *labels: str) -> Ket:
     """Basis ket |labels...> with amplitude 1."""
     amps = np.zeros(sp.dim, dtype=complex)
     amps[sp.index_of(labels)] = 1.0
-    return Ket(sp, amps, normalized=True)
+    return Ket(sp, amps)
 
 
-def from_amplitudes(sp: Space, entries: Mapping[Sequence[str], complex],
-                    normalized: bool | None = None) -> Ket:
+def from_amplitudes(sp: Space, entries: Mapping[Sequence[str], complex]) -> Ket:
     """Build a ket from a {label tuple: amplitude} mapping; unlisted entries are 0."""
     amps = np.zeros(sp.dim, dtype=complex)
     for labels, a in entries.items():
         amps[sp.index_of(labels)] = a
-    return Ket(sp, amps, normalized=normalized)
+    return Ket(sp, amps)
 
 
 def tensor(a: Ket, b: Ket) -> Ket:
     """Tensor product. Factor lists concatenate; amplitudes are the Kronecker product."""
     joined = Space(a.space.factors + b.space.factors)
-    return Ket(joined, np.kron(a.amplitudes, b.amplitudes),
-               normalized=a.normalized and b.normalized)
+    return Ket(joined, np.kron(a.amplitudes, b.amplitudes))
 
 
 def inner(bra: Ket, ket: Ket) -> complex:
@@ -289,17 +278,15 @@ class Operator(OperatorForm):
     def act(self, t: np.ndarray) -> np.ndarray:
         return self.matrix @ t
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
     def is_unitary(self, tol: float = 1e-10) -> bool:
         eye = self.matrix @ self.matrix.conj().T
         return bool(np.max(np.abs(eye - np.eye(self.space.dim))) <= tol)
 
-    def is_projector(self, tol: float = ATOL_PROJECTOR) -> bool:
-        if not self.is_hermitian(tol):
-            return False
-        return bool(np.max(np.abs(self.matrix @ self.matrix - self.matrix)) <= tol)
+    def is_projector(self) -> bool:
+        """Hermitian and idempotent, to ATOL_PROJECTOR."""
+        m = self.matrix
+        return bool(np.max(np.abs(m - m.conj().T)) <= ATOL_PROJECTOR
+                    and np.max(np.abs(m @ m - m)) <= ATOL_PROJECTOR)
 
     # algebra ---------------------------------------------------------------
 
@@ -339,11 +326,11 @@ class Diagonal(OperatorForm):
         # results match the dense matrix bit for bit
         return self.diagonal.reshape((-1,) + (1,) * (t.ndim - 1)) * t + 0.0
 
-    def is_projector(self, tol: float = ATOL_PROJECTOR) -> bool:
-        """Hermitian and idempotent: every entry real and 0 or 1, to tol."""
+    def is_projector(self) -> bool:
+        """Hermitian and idempotent: every entry real and 0 or 1, to ATOL_PROJECTOR."""
         d = self.diagonal
-        return bool(np.max(np.abs(d - d.conj())) <= tol
-                    and np.max(np.abs(d * d - d)) <= tol)
+        return bool(np.max(np.abs(d - d.conj())) <= ATOL_PROJECTOR
+                    and np.max(np.abs(d * d - d)) <= ATOL_PROJECTOR)
 
     def __add__(self, other: "Diagonal") -> "Diagonal":
         self._check_space(other)
@@ -444,11 +431,12 @@ class Bipartition:
             raise InvalidBipartition("both sides of a bipartition must be non-empty")
 
 
-def schmidt_rank(k: Ket, cut: Bipartition, tol: float = 1e-8) -> tuple[int, np.ndarray]:
+def schmidt_rank(k: Ket, cut: Bipartition) -> tuple[int, np.ndarray]:
     """Schmidt rank and coefficients of k across the cut.
 
-    Returns (rank, coefficients): the number of singular values above tol and
-    the full descending singular-value list of the reshaped amplitude matrix.
+    Returns (rank, coefficients): the number of singular values above
+    SCHMIDT_TOL and the full descending singular-value list of the reshaped
+    amplitude matrix.
     For a normalized ket the squared coefficients sum to 1.
     """
     cut.validate(k.space)
@@ -458,7 +446,7 @@ def schmidt_rank(k: Ket, cut: Bipartition, tol: float = 1e-8) -> tuple[int, np.n
     d_left = prod(dims[i] for i in cut.left)
     mat = t.reshape(d_left, -1)
     coeffs = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(coeffs > tol))
+    rank = int(np.sum(coeffs > SCHMIDT_TOL))
     return rank, coeffs
 
 

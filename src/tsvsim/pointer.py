@@ -38,21 +38,10 @@ DEFAULT_SPACING = 0.05
 DEFAULT_SIGMA = 1.0
 
 
-@dataclass(frozen=True)
-class CouplingStrength:
-    """Dimensionless pointer shift per unit eigenvalue."""
-
-    g: float
-
-    def __post_init__(self) -> None:
-        if self.g < 0:
-            raise ValueError(f"coupling strength must be >= 0, got {self.g}")
-
-
-def _g(value: "CouplingStrength | float") -> float:
-    if isinstance(value, CouplingStrength):
-        return value.g
-    if value < 0:
+def _g(value: float) -> float:
+    """The coupling strength g, the pointer shift per unit eigenvalue, as a float.
+    NaN fails the check too, since it compares false with 0."""
+    if not value >= 0:
         raise ValueError(f"coupling strength must be >= 0, got {value}")
     return float(value)
 
@@ -136,8 +125,7 @@ class Trajectory:
 # internals
 
 
-def eigenbranches(observable: OperatorForm,
-                  tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, list[np.ndarray]]:
+def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, list[np.ndarray]]:
     """Cluster the spectral decomposition of a Hermitian observable.
 
     Returns (eigenvalues, projector matrices), one entry per distinct
@@ -145,7 +133,7 @@ def eigenbranches(observable: OperatorForm,
     matrix, so it is meant for the small system spaces pointers couple to.
     """
     mat = observable.matrix
-    if np.max(np.abs(mat - mat.conj().T)) > tol:
+    if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
         raise ValueError("observable is not Hermitian to 1e-10")
     evals, evecs = np.linalg.eigh(mat)
     groups: list[list[int]] = [[0]]
@@ -214,8 +202,7 @@ def _unique_pointer_name(sp: Space) -> str:
 # public operations
 
 
-def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction,
-           g: "CouplingStrength | float") -> Ket:
+def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: float) -> Ket:
     """Impulsive von Neumann coupling; returns the joint system (x) pointer ket.
 
     The pointer enters as a new factor appended after the system factors. The
@@ -302,7 +289,7 @@ def strong_measure(system: Ket, observable: OperatorForm,
     return float(lams[idx]), Ket(system.space, collapsed)
 
 
-def weak_sequence(system: Ket, observable: OperatorForm, g: "CouplingStrength | float",
+def weak_sequence(system: Ket, observable: OperatorForm, g: float,
                   steps: int, rng_seed: int,
                   ptr: PointerWavefunction | None = None) -> Trajectory:
     """Repeated weak measurement of one observable on a single system.

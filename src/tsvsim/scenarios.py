@@ -38,27 +38,7 @@ SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
 
 
-EPOCH_ORDER = ("t0", "t1", "t2", "final")
-
-
-@dataclass(frozen=True)
-class ScheduleEpoch:
-    """Time marker partitioning a scenario run; the canonical labels are
-    strictly ordered t0 < t1 < t2 < final."""
-
-    label: str
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if self.label not in EPOCH_ORDER:
-            raise ValueError(f"unknown epoch label {self.label!r}")
-
-    @property
-    def index(self) -> int:
-        return EPOCH_ORDER.index(self.label)
-
-    def __lt__(self, other: "ScheduleEpoch") -> bool:
-        return self.index < other.index
+EPOCH_ORDER = ("t0", "t1", "t2", "final")  # the canonical epochs, in schedule order
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +63,9 @@ class ScenarioResult:
         for name, p in self.probabilities.items():
             if not (-1e-12 <= p <= 1.0 + 1e-12):
                 raise ValueError(f"probability {name!r} = {p!r} outside [0, 1]")
-        canonical = [ScheduleEpoch(k) for k in self.states_by_epoch
+        canonical = [EPOCH_ORDER.index(k) for k in self.states_by_epoch
                      if k in EPOCH_ORDER]
-        if any(b < a for a, b in zip(canonical, canonical[1:])):
+        if canonical != sorted(canonical):
             raise ValueError("epoch states recorded out of schedule order")
 
 
@@ -191,12 +171,13 @@ def _probe(states: np.ndarray, mode: int, rng: np.random.Generator) -> np.ndarra
     return clicked
 
 
-def _four_mirror_trials(trials: int, rng_seed: int,
-                        lonely_trips: int = 100, armed_trips: int = 20) -> dict[str, float]:
+LONELY_TRIPS = 100  # round trips with only L_u armed, stage (b)
+ARMED_TRIPS = 20    # round trips with both mirrors armed, stage (c)
+
+
+def _four_mirror_trials(trials: int, rng_seed: int) -> dict[str, float]:
     rng = np.random.default_rng(rng_seed)
-    photon = _four_mirror_space().factor("photon")
-    bs = hb.mode_coupler(photon, ("L_u", "L_d"), ("R_u", "R_d"))
-    bs_t = bs.T  # right-multiplication by bs.T applies bs to each row
+    bs_t = _four_mirror_static()[0].T  # right-multiplication by bs.T applies bs to each row
     l_u, r_u = 0, 2
 
     states = np.zeros((trials, 4), dtype=complex)
@@ -208,7 +189,7 @@ def _four_mirror_trials(trials: int, rng_seed: int,
     # (b) only L_u armed, 100 round trips from |L_d>
     lone = states[silent]
     lonely_clicks = 0
-    for _ in range(lonely_trips):
+    for _ in range(LONELY_TRIPS):
         lone = lone @ bs_t
         lone = lone @ bs_t
         lonely_clicks += int(_probe(lone, l_u, rng).sum())
@@ -223,7 +204,7 @@ def _four_mirror_trials(trials: int, rng_seed: int,
     first_click = np.full(n_armed, np.iinfo(np.int64).max, dtype=np.int64)
     exposures = 0
     clicks_seen = 0
-    for trip in range(1, armed_trips + 1):
+    for trip in range(1, ARMED_TRIPS + 1):
         armed = armed @ bs_t
         lu = _probe(armed, l_u, rng)
         exposures += n_armed
@@ -423,7 +404,7 @@ def run_three_boxes() -> ScenarioResult:
     tsv = tsvf.TwoStateVector(pre, post)
     projs = [Operator.projector(sp, {"box": lab}, tag=f"P{i+1}")
              for i, lab in enumerate(sp.factor("box").labels)]
-    weak_values = {p.tag: tsvf.weak_value(tsv, p).value for p in projs}
+    weak_values = {p.tag: tsvf.weak_value(tsv, p) for p in projs}
     total = tsvf.projector_weak_value_sum(tsv, projs)
     p_post, collapsed = tsvf.post_select(pre, Operator.ket_projector(post))
     return ScenarioResult(
@@ -525,9 +506,9 @@ def run_hardy() -> ScenarioResult:
     post_full = hb.apply_to_factors(post_full, out_coupler, ["positron"])
     post_full = hb.apply_to_factors(post_full, out_coupler_e, ["electron"])
     tsv_full = tsvf.TwoStateVector(t1, post_full)
-    weak_values = {k: tsvf.weak_value(tsv_full, p).value for k, p in pair_projs.items()}
+    weak_values = {k: tsvf.weak_value(tsv_full, p) for k, p in pair_projs.items()}
     for key, proj in marg_projs.items():
-        weak_values[key] = tsvf.weak_value(tsv_full, proj).value
+        weak_values[key] = tsvf.weak_value(tsv_full, proj)
 
     # the pair projectors resolve the identity on the reduced path space
     pre_r, post_r = hardy_selections()
@@ -564,7 +545,7 @@ THREE_PATH_POINTER = dict(n_bins=41, spacing=0.25, sigma=1.0)  # three joint poi
 
 
 def run_three_path_photon(option: str = "recombine_all",
-                          g: "pt.CouplingStrength | float" = 0.05) -> ScenarioResult:
+                          g: float = 0.05) -> ScenarioResult:
     """Photon split 1/3 - 2/3 and again into three equal beams, with a weak
     pointer riding on every path.
 
@@ -595,7 +576,7 @@ def run_three_path_photon(option: str = "recombine_all",
 
     if option == "recombine_all":
         tsv = tsvf.TwoStateVector(pre, post)
-        weak_values = {p.tag: tsvf.weak_value(tsv, p).value for p in projs.values()}
+        weak_values = {p.tag: tsvf.weak_value(tsv, p) for p in projs.values()}
         post_proj = Operator.ket_projector(post)
         trial_stats: dict[str, float] = {}
         for i, name in enumerate(pointer_names, start=1):
@@ -614,17 +595,17 @@ def run_three_path_photon(option: str = "recombine_all",
     # recombine_two: merge paths 2 and 3 back into the parent beam
     merge = hb.mode_coupler(path, ("path2", "path3"), ("path2", "path3"),
                             block=hb.splitter_real())
-    recombined = hb.apply(Operator(sp, merge), pre)
+    recombined = hb.apply_to_factors(pre, merge, ["path"])
     outcomes = {"single": "path1", "merged": "path2"}
     probabilities = {f"beam_{name}": recombined.probability([lab])
                      for name, lab in outcomes.items()}
     weak_values = {}
     for name, lab in outcomes.items():
         # post-selection on the sharp outcome, pulled back through the merger
-        back = hb.apply(Operator(sp, merge.conj().T), hb.basis_state(sp, lab))
+        back = hb.apply_to_factors(hb.basis_state(sp, lab), merge.conj().T, ["path"])
         tsv = tsvf.TwoStateVector(pre, back)
         for i, p in enumerate(projs.values(), start=1):
-            weak_values[f"P{i}_given_{name}"] = tsvf.weak_value(tsv, p).value
+            weak_values[f"P{i}_given_{name}"] = tsvf.weak_value(tsv, p)
 
     joint_r = hb.apply_to_factors(joint, merge, ["path"])
     trial_stats = {}

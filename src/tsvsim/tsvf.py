@@ -13,8 +13,6 @@ are pure; inputs are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import hilbert
@@ -24,20 +22,7 @@ from .hilbert import Diagonal, Ket, OperatorForm
 
 EPS_OVERLAP = 1e-10    # near-orthogonal selections amplify rounding noise quadratically
 EPS_BRANCH = 1e-14
-
-
-@dataclass(frozen=True)
-class WeakValue:
-    value: complex
-    operator_tag: str
-
-    @property
-    def re(self) -> float:
-        return self.value.real
-
-    @property
-    def im(self) -> float:
-        return self.value.imag
+ATOL_RESOLUTION = 1e-10  # how far a projector family's diagonals may miss the identity
 
 
 class TwoStateVector:
@@ -67,22 +52,20 @@ class TwoStateVector:
         return abs(self.overlap()) ** 2
 
 
-def weak_value(tsv: TwoStateVector, a: OperatorForm,
-               eps_overlap: float = EPS_OVERLAP) -> WeakValue:
+def weak_value(tsv: TwoStateVector, a: OperatorForm) -> complex:
     """<post|A|pre> / <post|pre>.
 
-    Raises OrthogonalSelection when |<post|pre>| <= eps_overlap: the weak value
+    Raises OrthogonalSelection when |<post|pre>| <= EPS_OVERLAP: the weak value
     is undefined there and must not be interpreted.
     """
     if a.space != tsv.pre.space:
         raise DimensionMismatch("operator space differs from selection space")
     denom = tsv.overlap()
-    if abs(denom) <= eps_overlap:
+    if abs(denom) <= EPS_OVERLAP:
         raise OrthogonalSelection(
-            f"|<post|pre>| = {abs(denom):.3e} <= {eps_overlap:.1e}; weak value undefined"
+            f"|<post|pre>| = {abs(denom):.3e} <= {EPS_OVERLAP:.1e}; weak value undefined"
         )
-    num = complex(np.vdot(tsv.post.amplitudes, a.act(tsv.pre.amplitudes)))
-    return WeakValue(num / denom, a.tag)
+    return complex(np.vdot(tsv.post.amplitudes, a.act(tsv.pre.amplitudes))) / denom
 
 
 def born_probability(state: Ket, outcome_projector: OperatorForm) -> float:
@@ -112,8 +95,7 @@ def post_select(state: Ket, outcome_projector: OperatorForm) -> tuple[float, Ket
     return p, Ket(state.space, v / np.sqrt(p))
 
 
-def projector_weak_value_sum(tsv: TwoStateVector, projectors: list[Diagonal],
-                             tol: float = 1e-10) -> complex:
+def projector_weak_value_sum(tsv: TwoStateVector, projectors: list[Diagonal]) -> complex:
     """Sum of weak values over a complete family of label projectors.
 
     The family's diagonals must add up to one on every basis state, i.e.
@@ -126,6 +108,6 @@ def projector_weak_value_sum(tsv: TwoStateVector, projectors: list[Diagonal],
         if p.space != projectors[0].space:
             raise DimensionMismatch("projectors on different spaces")
     total = sum(p.diagonal for p in projectors)
-    if np.max(np.abs(total - 1.0)) > tol:
+    if np.max(np.abs(total - 1.0)) > ATOL_RESOLUTION:
         raise IncompleteSet("projectors do not sum to the identity")
-    return sum(weak_value(tsv, p).value for p in projectors)
+    return sum(weak_value(tsv, p) for p in projectors)

@@ -136,6 +136,17 @@ class TestExitCodes:
     def test_usage_error_exit_2(self, capsys):
         assert cli.main(["run"]) == 2
 
+    def test_unreadable_path_exit_4(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "run", str(tmp_path))
+        assert (code, out) == (4, "")
+        assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("argv", [("--g", "nan"), ("--g-sweep", "nan:0.2:3")])
+    def test_nan_coupling_exit_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, "run", "three_path_photon", *argv)
+        assert code == 2
+        assert err == "error: coupling strength must be >= 0, got nan\n"
+
 
 class TestScenarioFiles:
     def test_shipped_fixture_runs(self, capsys):

@@ -78,10 +78,8 @@ class TestTensor:
         sp_a = hb.space(("a", ["x", "y", "z"]))
         sp_b = hb.space(("b", ["u", "v"]))
         for _ in range(25):
-            a = hb.Ket(sp_a, rng.normal(size=3) + 1j * rng.normal(size=3),
-                       normalized=False)
-            b = hb.Ket(sp_b, rng.normal(size=2) + 1j * rng.normal(size=2),
-                       normalized=False)
+            a = hb.Ket(sp_a, rng.normal(size=3) + 1j * rng.normal(size=3))
+            b = hb.Ket(sp_b, rng.normal(size=2) + 1j * rng.normal(size=2))
             assert hb.tensor(a, b).norm() == pytest.approx(a.norm() * b.norm(),
                                                            rel=1e-12)
 
@@ -91,7 +89,7 @@ class TestTensor:
         for name, dim in (("a", 2), ("b", 3), ("c", 2)):
             sp = hb.space((name, [f"{name}{i}" for i in range(dim)]))
             v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            kets.append(hb.Ket(sp, v, normalized=False))
+            kets.append(hb.Ket(sp, v))
         a, b, c = kets
         left = hb.tensor(hb.tensor(a, b), c)
         right = hb.tensor(a, hb.tensor(b, c))
@@ -163,7 +161,7 @@ class TestApply:
             assert op.is_unitary(1e-14)
             for _ in range(30):
                 v = rng.normal(size=2) + 1j * rng.normal(size=2)
-                k = hb.Ket(sp, v, normalized=False)
+                k = hb.Ket(sp, v)
                 assert abs(hb.apply(op, k).norm() - k.norm()) <= 1e-12
 
     def test_dimension_mismatch(self):
@@ -190,7 +188,7 @@ class TestApplyToFactors:
         rng = np.random.default_rng(6)
         sp = hb.space(("a", ["a0", "a1"]), ("b", ["b0", "b1"]), ("c", ["c0", "c1"]))
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
-        k = hb.Ket(sp, v, normalized=False)
+        k = hb.Ket(sp, v)
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
         big = np.kron(swap, swap)  # acts on (c, a) in that order
         out = hb.apply_to_factors(k, big, ["c", "a"])
@@ -211,7 +209,7 @@ class TestProjectors:
     def test_projector_laws(self):
         sp = pair_space()
         p = hb.Operator.projector(sp, {"electron": "1'"})
-        assert p.is_projector(1e-12)
+        assert p.is_projector()
         k = hb.Ket(sp, np.array([0.5, 0.5, 0.5, 0.5]))
         twice = hb.apply(p, hb.apply(p, k))
         np.testing.assert_allclose(twice.amplitudes, hb.apply(p, k).amplitudes,
@@ -408,16 +406,6 @@ class TestBasisMapsAgainstDenseReference:
 
 
 class TestKetValidation:
-    def test_claimed_normalized_checked(self):
-        sp = hb.space(("a", ["x", "y"]))
-        with pytest.raises(ValueError):
-            hb.Ket(sp, np.array([1.0, 1.0]), normalized=True)
-
-    def test_autodetect_normalization_flag(self):
-        sp = hb.space(("a", ["x", "y"]))
-        assert hb.Ket(sp, np.array([1.0, 0.0])).normalized
-        assert not hb.Ket(sp, np.array([2.0, 0.0])).normalized
-
     def test_amplitudes_are_immutable(self):
         sp = hb.space(("a", ["x", "y"]))
         k = hb.basis_state(sp, "x")

@@ -108,15 +108,18 @@ class TestPointerWavefunction:
         np.testing.assert_array_equal(pt.grid_positions(factor), ptr.positions)
 
     def test_coupling_strength_validation(self):
-        with pytest.raises(ValueError):
-            pt.CouplingStrength(-0.1)
+        sp, obs = two_level()
+        ptr = pt.PointerWavefunction.gaussian()
+        for g in (-0.1, float("nan")):  # NaN compares false with 0 as well
+            with pytest.raises(ValueError, match=f"coupling strength must be >= 0, got {g}$"):
+                pt.couple(hb.basis_state(sp, "hi"), obs, ptr, g=g)
 
 
 class TestCouple:
     def test_eigenstate_shift_recenters_pointer(self):
         sp, obs = two_level()
         ptr = pt.PointerWavefunction.gaussian()
-        joint = pt.couple(hb.basis_state(sp, "hi"), obs, ptr, pt.CouplingStrength(2.0))
+        joint = pt.couple(hb.basis_state(sp, "hi"), obs, ptr, 2.0)
         mean = pt.pointer_mean(joint, hb.Operator.identity(sp))
         assert mean == pytest.approx(2.0, abs=1e-9)
 

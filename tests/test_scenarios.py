@@ -341,9 +341,9 @@ class TestScenarioResult:
             sc.ScenarioResult(scenario_id="bad",
                               states_by_epoch={"t2": k, "t1": k},
                               probabilities={})
-        assert sc.ScheduleEpoch("t0") < sc.ScheduleEpoch("final")
-        with pytest.raises(ValueError):
-            sc.ScheduleEpoch("t9")
+        # branch keys outside the canonical epochs take no part in the order
+        sc.ScenarioResult(scenario_id="ok", probabilities={},
+                          states_by_epoch={"t0": k, "final": k, "collision": k})
 
     def test_outcome_sets_sum_to_one(self):
         res = sc.run_oblivion()
