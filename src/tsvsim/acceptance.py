@@ -238,22 +238,24 @@ def _fixture_matches(scenario_id: str) -> None:
            f"{scenario_id}: fixture reports nothing to compare")
 
 
+FUZZ_PIECES = ("FACTORS", "INITIAL", "GATES", "POSTSELECT", "OBSERVABLES",
+               "beamsplitter", "swap_map", "projector_select", "custom_unitary",
+               "proj", "id", "sqrt", "as", "->", ":", "=", "*", "(", ")", "[", "]",
+               ";", ",", "1/sqrt(3)", "i", "#", "-", "+")
+
+
 def _fuzz_parser(n_inputs: int, seed: int) -> int:
     import random
     import string
 
     rng = random.Random(seed)
     alphabet = string.printable + "αβ∑'»→\x00"
-    pieces = ["FACTORS", "INITIAL", "GATES", "POSTSELECT", "OBSERVABLES",
-              "beamsplitter", "swap_map", "projector_select", "custom_unitary",
-              "proj", "id", "sqrt", "as", "->", ":", "=", "*", "(", ")", "[", "]",
-              ";", ",", "1/sqrt(3)", "i", "#", "-", "+"]
     crashes = 0
     for _ in range(n_inputs):
         if rng.random() < 0.5:
             text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 160)))
         else:
-            toks = [rng.choice(pieces) if rng.random() < 0.6
+            toks = [rng.choice(FUZZ_PIECES) if rng.random() < 0.6
                     else "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 8)))
                     for _ in range(rng.randrange(0, 32))]
             text = rng.choice([" ", "\n", "  "]).join(toks)

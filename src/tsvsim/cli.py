@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -149,6 +150,8 @@ def _emit_jsonl(result: ScenarioResult, seed: int, sweep) -> bytes:
 
 
 def _parse_sweep(text: str) -> tuple[float, float, int, bool]:
+    """(min, max, steps, log) of MIN:MAX:STEPS[:log]: both bounds finite and
+    > 0, STEPS an integer >= 1; a ValueError names the first bad field."""
     parts = text.split(":")
     log = False
     if len(parts) == 4:
@@ -158,10 +161,22 @@ def _parse_sweep(text: str) -> tuple[float, float, int, bool]:
         parts = parts[:3]
     if len(parts) != 3:
         raise ValueError("expected MIN:MAX:STEPS[:log]")
-    g_min, g_max, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    bounds = []
+    for field, part in zip(("MIN", "MAX"), parts):
+        try:
+            bound = float(part)
+        except ValueError:
+            bound = math.nan  # rejected below like any other bad bound
+        if not 0 < bound < math.inf:
+            raise ValueError(f"g sweep {field} must be a finite number > 0, got {part!r}")
+        bounds.append(bound)
+    try:
+        steps = int(parts[2])
+    except ValueError:
+        steps = 0
     if steps < 1:
-        raise ValueError("sweep needs at least one step")
-    return g_min, g_max, steps, log
+        raise ValueError(f"g sweep STEPS must be an integer >= 1, got {parts[2]!r}")
+    return bounds[0], bounds[1], steps, log
 
 
 def _run_scenario(args: argparse.Namespace) -> ScenarioResult:
@@ -182,8 +197,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sweep_spec = _parse_sweep(args.g_sweep) if args.g_sweep else None
         if args.trials < 1:
             raise ValueError("trials must be >= 1")
-        if sweep_spec is not None and sweep_spec[0] <= 0:
-            raise ValueError("g sweep minimum must be > 0")
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from .parse import (Diagnostic, GateDecl, ScenarioSpec, ScenarioSyntaxError, par
 
 
 def load_file(path: str | Path) -> ScenarioSpec:
-    """Read and parse a .scn file (UTF-8)."""
+    """Read and parse a .scn file (UTF-8, after a byte-order mark if any)."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -38,7 +38,8 @@ def load_file(path: str | Path) -> ScenarioSpec:
         raise ScenarioSyntaxError(
             [Diagnostic(1, 1, f"file is not valid UTF-8: {e.reason} at byte {e.start}")]
         ) from None
-    return parse(text)
+    # not decode("utf-8-sig"), whose error offsets would not count the mark
+    return parse(text.removeprefix("\ufeff"))
 
 
 def builtin_scenario_path(scenario_id: str) -> Path:

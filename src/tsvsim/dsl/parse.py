@@ -17,8 +17,9 @@ there are none do semantic ones (unknown names, duplicates, epoch order,
 matrix size and unitarity) raise ScenarioValidationError.
 
 One recursive-descent parser, _Expr, reads every expression: amplitudes,
-custom_unitary matrix literals and observables; its docstring holds the
-grammar. Amplitudes accept sugar such as 1/sqrt(3), i, -0.5, 2/3, and an
+custom_unitary matrix literals and observables. It lexes each expression once
+with one master regex, and its rules consume the tokens; its docstring holds
+the grammar. Amplitudes accept sugar such as 1/sqrt(3), i, -0.5, 2/3, and an
 explicit re,im pair; a parenthesized (re,im) works anywhere a scalar does.
 `#` starts a comment, and a blank is any whitespace character. Parsing is
 total: malformed input produces diagnostics with line and column positions,
@@ -34,6 +35,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import prod
 from operator import attrgetter
 from typing import Sequence
@@ -143,10 +145,10 @@ class ScenarioSpec:
 # expression parser
 
 
-_NUM_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_FACTOR_RE = re.compile(r"[^=,)]*")
-_LABEL_RE = re.compile(r"[^,)]*")
+# _Expr's lexer (its docstring has the tokens). No re.ASCII: \s is exactly
+# str.isspace, and \d is every digit that float() reads.
+_TOKEN_RE = re.compile(r"(\s*)(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                       r"|([A-Za-z_][A-Za-z_0-9]*)|(\S)|\Z)")
 
 
 class _ExprError(Exception):
@@ -160,6 +162,13 @@ class _Expr:
     """Recursive-descent parser for every .scn expression: amplitudes,
     custom_unitary matrix literals and observables.
 
+    One _TOKEN_RE.findall() lexes the text into (blank, num, word, op)
+    tokens: the blank (any str.isspace run) before the token, then its text
+    in the slot of its kind, NUMBER, [A-Za-z_][A-Za-z_0-9]* or any other
+    single character; the end token has all three empty. The rules consume
+    tokens by index. Positions, needed only for a diagnostic or a proj(...)
+    name, are summed from the token lengths on first use.
+
     Grammar (each rule is a parse_* method; _eval runs one over a whole text):
         pair       := expr [',' expr]
         expr       := term (('+'|'-') term)*
@@ -172,128 +181,115 @@ class _Expr:
         primary    := 'id' | 'proj' '(' factor '=' label (',' factor '=' label)* ')'
 
     A coeff has no top-level '*', '+' or '-': `(2*3)*proj(...)` needs its
-    parentheses. In a primary, factor and label are the text between the
-    delimiters, stripped; parse_primary records each with its column in
-    `projs`, which parse_observable returns beside the terms so that the
-    caller can check them against FACTORS. A blank is any whitespace
-    character (str.isspace), as between words.
+    parentheses. In a primary, factor and label are the text spanned by the
+    tokens up to the next delimiter, so `proj(a b=x)` names factor 'a b';
+    parse_primary records each with its column in `projs`, which
+    parse_observable returns beside the terms so that the caller can check
+    them against FACTORS.
     """
 
     def __init__(self, text: str, offset: int):
         self.text = text
-        self.offset = offset  # column of text[0] in the original line
-        self.pos = 0
+        self.base = offset + 1  # column of text[0] in the original line
+        self.toks = _TOKEN_RE.findall(text)  # (blank, num, word, op)
+        self.i = 0  # index of the next token
+        self.ends: list[int] | None = None  # _past's table
         self.projs: list[list[tuple[str, int, str, int]]] = []  # parse_primary's names
 
-    def _skip_ws(self) -> None:
-        while self.text[self.pos:self.pos + 1].isspace():
-            self.pos += 1
+    def _past(self, k: int) -> int:
+        """Index in text just past the first k tokens."""
+        if self.ends is None:
+            self.ends = list(accumulate(map(len, map("".join, self.toks)), initial=0))
+        return self.ends[k]
 
-    def _col(self) -> int:
-        return self.offset + self.pos + 1
+    def _start(self, k: int) -> int:
+        """Index in text of token k, past its blank."""
+        return self._past(k) + len(self.toks[k][0])
 
-    def _fail(self, message: str):
-        raise _ExprError(self._col(), message)
+    def _fail(self, message: str, k: int | None = None):
+        """Raise at the column of token k, by default the next one."""
+        raise _ExprError(self.base + self._start(self.i if k is None else k), message)
 
-    def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _at(self, chars: str) -> bool:
-        ch = self.peek()
-        return ch != "" and ch in chars
-
-    def _word(self) -> str:
-        self._skip_ws()
-        m = _WORD_RE.match(self.text, self.pos)
-        return m.group(0) if m else ""
-
-    def eat(self, ch: str) -> None:
-        if self.peek() != ch:
-            self._fail(f"expected {ch!r}")
-        self.pos += 1
+    def eat(self, op: str) -> None:
+        if self.toks[self.i][3] != op:
+            self._fail(f"expected {op!r}")
+        self.i += 1
 
     def parse_pair(self, expr=None) -> complex:
         """pair, or coeff when expr is parse_quot."""
         expr = expr or self.parse_expr
         value = expr()
-        if self.peek() == ",":
-            self.pos += 1
-            col = self._col()
+        if self.toks[self.i][3] == ",":
+            self.i += 1
+            after_comma = self.i
             imag = expr()
             if abs(value.imag) > 0 or abs(imag.imag) > 0:
-                raise _ExprError(col, "re,im parts of a pair must be real")
+                raise _ExprError(self.base + self._past(after_comma),
+                                 "re,im parts of a pair must be real")
             value = complex(value.real, imag.real)
         return value
 
     def parse_expr(self) -> complex:
         value = self.parse_term()
-        while self._at("+-"):
-            op = self.text[self.pos]
-            self.pos += 1
+        while (op := self.toks[self.i][3]) in ("+", "-"):
+            self.i += 1
             rhs = self.parse_term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def parse_term(self, ops: str = "*/", signed: bool = True) -> complex:
+    def parse_term(self, ops: tuple = ("*", "/"), signed: bool = True) -> complex:
         value = self.parse_factor(signed)
-        while self._at(ops):
-            op = self.text[self.pos]
-            col = self._col()
-            self.pos += 1
+        while (op := self.toks[self.i][3]) in ops:
+            k = self.i
+            self.i += 1
             rhs = self.parse_factor(signed)
             if op == "/":
                 if rhs == 0:
-                    raise _ExprError(col, "division by zero")
+                    self._fail("division by zero", k)
                 value /= rhs
             else:
                 value *= rhs
         return value
 
     def parse_quot(self) -> complex:
-        return self.parse_term("/", signed=False)
+        return self.parse_term(("/",), signed=False)
 
     def parse_factor(self, signed: bool = True) -> complex:
         sign = 1.0
-        while signed and self._at("+-"):
-            if self.text[self.pos] == "-":
+        while signed and (op := self.toks[self.i][3]) in ("+", "-"):
+            if op == "-":
                 sign = -sign
-            self.pos += 1
+            self.i += 1
         return sign * self.parse_atom()
 
     def parse_atom(self) -> complex:
-        if self.peek() == "(":
-            self.pos += 1
+        _, num, word, op = self.toks[self.i]
+        if num:
+            self.i += 1
+            return complex(float(num))
+        if word == "i":
+            self.i += 1
+            return 1j
+        if op == "(" or word == "sqrt":
+            self.i += 1
+            if word:
+                self.eat("(")
             value = self.parse_pair()
             self.eat(")")
-            return value
-        m = _NUM_RE.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return complex(float(m.group(0)))
-        word = self._word()
-        if word == "i":
-            self.pos += len(word)
-            return 1j
-        if word == "sqrt":
-            self.pos += len(word)
-            self.eat("(")
-            inner = self.parse_pair()
-            self.eat(")")
-            return cmath.sqrt(inner)
+            return cmath.sqrt(value) if word else value
         self._fail("expected a number, 'i', 'sqrt(...)' or '(...)'")
 
     def parse_matrix(self) -> tuple:
-        if self.peek() != "[":
+        if self.toks[self.i][3] != "[":
             self._fail("expected a matrix literal [a, b; c, d]")
-        self.pos += 1
+        self.i += 1
         rows, row = [], []
         while True:
             row.append(self.parse_expr())
-            if not self._at(",;]"):
+            sep = self.toks[self.i][3]
+            if sep not in (",", ";", "]"):
                 self._fail("expected ',', ';' or ']'")
-            sep = self.text[self.pos]
-            self.pos += 1
+            self.i += 1
             if sep != ",":
                 rows.append(tuple(row))
                 row = []
@@ -304,55 +300,55 @@ class _Expr:
         terms = []
         while True:
             sign = 1.0
-            while self._at("+-"):
-                if self.text[self.pos] == "-":
+            while (op := self.toks[self.i][3]) in ("+", "-"):
+                if op == "-":
                     sign = -sign
-                self.pos += 1
+                self.i += 1
             coeff = complex(1.0)
-            if self._word() in ("", "i", "sqrt") and self.peek():  # no name next: a coeff
+            _, num, word, op = self.toks[self.i]
+            if num or op or word in ("i", "sqrt"):  # no name next: a coeff
                 coeff = self.parse_pair(self.parse_quot)
                 self.eat("*")
             terms.append((sign * coeff, self.parse_primary()))
-            if not self._at("+-"):
+            if self.toks[self.i][3] not in ("+", "-"):
                 return tuple(terms), self.projs
 
     def parse_primary(self) -> tuple[tuple[str, str], ...] | None:
-        word = self._word()
+        word = self.toks[self.i][2]
         if word not in ("id", "proj"):
             self._fail("expected proj(...) or id")
-        self.pos += len(word)
+        self.i += 1
         if word == "id":
             return None
         self.eat("(")
         constraints, names = [], []
         while True:
-            factor, factor_col = self._name(_FACTOR_RE)
+            factor, factor_col = self._name(("=", ",", ")"))
             self.eat("=")
-            label, label_col = self._name(_LABEL_RE)
+            label, label_col = self._name((",", ")"))
             constraints.append((factor, label))
             names.append((factor, factor_col, label, label_col))
-            if self.peek() != ",":
+            if self.toks[self.i][3] != ",":
                 break
-            self.pos += 1
+            self.i += 1
         self.eat(")")
         self.projs.append(names)
         return tuple(constraints)
 
-    def _name(self, pattern: re.Pattern) -> tuple[str, int]:
-        """The text pattern matches up to a delimiter, stripped and non-empty,
-        with its column."""
-        m = pattern.match(self.text, self.pos)
-        raw = m.group(0)
-        name = raw.strip()
-        if not name:
-            self._fail("empty factor or label in proj(...)")
-        column = self._col() + len(raw) - len(raw.lstrip())
-        self.pos = m.end()
-        return name, column
+    def _name(self, stops: tuple) -> tuple[str, int]:
+        """The text from the next token up to the first op in stops or the
+        end, blanks around it dropped, non-empty; with its column."""
+        toks, k = self.toks, self.i
+        while toks[k][3] not in stops and any(toks[k][1:]):  # up to a stop or the end
+            k += 1
+        if k == self.i:
+            raise _ExprError(self.base + self._past(k), "empty factor or label in proj(...)")
+        start = self._start(self.i)
+        self.i = k
+        return self.text[start:self._past(k)], self.base + start
 
     def finish(self) -> None:
-        self._skip_ws()
-        if self.pos != len(self.text):
+        if any(self.toks[self.i][1:]):  # not the end token
             self._fail("unexpected trailing input")
 
 
@@ -541,21 +537,22 @@ class _Reader:
         head, colon, tail = content.partition(":")
         if not colon:
             return self.error(_column(content, 0, 0), "expected 'labels... : amplitude'")
-        labels = head.split()
+        labels, need = tuple(head.split()), len(self.label_sets)
         if not labels:
             return self.error(len(head) + 1, "expected basis labels before ':'")
-        if not self.names_ok(head, 0, labels, "label"):
+        # a label in a factor's set passed names_ok on its FACTORS line
+        known = len(labels) == need and all(map(frozenset.__contains__, self.label_sets, labels))
+        if not (known or self.names_ok(head, 0, labels, "label")):
             return
         amp = _eval(_Expr.parse_pair, tail, self.line, len(head) + 1, self.syntax)
         if amp is None:
             return
-        labels, need = tuple(labels), len(self.factors)
         if len(labels) != need:
             self.invalid(_column(head, 0, need) if len(labels) > need else len(head) + 1,
                          f"{section} line gives {len(labels)} labels, need one per factor ({need})")
-        else:
-            for k, (f, known, lab) in enumerate(zip(self.factors, self.label_sets, labels)):
-                if lab not in known:
+        elif not known:
+            for k, (f, labs, lab) in enumerate(zip(self.factors, self.label_sets, labels)):
+                if lab not in labs:
                     self.invalid(_column(head, 0, k),
                                  f"unknown label {lab!r} for factor {f.name!r}")
         entries = self.entries.setdefault(section, {})

@@ -145,7 +145,24 @@ class TestExitCodes:
     def test_nan_coupling_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, "run", "three_path_photon", *argv)
         assert code == 2
-        assert err == "error: coupling strength must be >= 0, got nan\n"
+        assert err == {
+            "--g": "error: coupling strength must be >= 0, got nan\n",
+            "--g-sweep": "error: g sweep MIN must be a finite number > 0, got 'nan'\n",
+        }[argv[0]]
+
+    @pytest.mark.parametrize("sweep,field,value", [
+        ("0.01:-1:3:log", "MAX", "-1"),
+        ("0.01:inf:3", "MAX", "inf"),
+        ("inf:inf:1", "MIN", "inf"),
+        ("0.01:nan:3", "MAX", "nan"),
+        ("0.01:0:3", "MAX", "0"),
+        ("0.01:0.2:3.5", "STEPS", "3.5"),
+    ])
+    def test_bad_sweep_field_named_before_running(self, capsys, sweep, field, value):
+        code, out, err = run_cli(capsys, "run", "hardy", "--g-sweep", sweep)
+        what = "an integer >= 1" if field == "STEPS" else "a finite number > 0"
+        assert (code, out) == (2, "")
+        assert err == f"error: g sweep {field} must be {what}, got {value!r}\n"
 
 
 class TestScenarioFiles:

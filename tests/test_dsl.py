@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import random
+import re
+import string
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsvsim import dsl, hilbert as hb, scenarios as sc
+from tsvsim.acceptance import FUZZ_PIECES
+from tsvsim.dsl import Diagnostic
+from tsvsim.dsl.parse import _Expr as TokenExpr, _eval as token_eval
 from tsvsim.errors import OrthogonalSelection, ZeroProbabilityBranch
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -49,6 +55,14 @@ class TestAmplitudeSugar:
         # normalization rescales to 1; the raw value is checked via the warning
         assert spec.initial[0].amplitude == pytest.approx(1.0, abs=1e-12)
         assert any("norm" in w.message for w in spec.warnings)
+
+    @pytest.mark.parametrize("text,same", [("\u0661/sqrt(\u0662)", "1/sqrt(2)"),
+                                           ("1\u3000+\u30001", "2")])
+    def test_any_digit_and_any_blank(self, text, same):
+        # a lexer built with re.ASCII or [0-9] fails this
+        def spec(amplitude):
+            return repr(dsl.parse(f"FACTORS\n  a: x y\nINITIAL\n  x : {amplitude}\n  y : 1\n"))
+        assert spec(text) == spec(same)
 
     def test_division_by_zero_is_diagnosed(self):
         with pytest.raises(dsl.ScenarioSyntaxError) as err:
@@ -364,6 +378,16 @@ class TestFixtures:
         assert "\r" not in text
         assert text.endswith("\n")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = dsl.builtin_scenario_path("hardy")
+        marked = tmp_path / "hardy.scn"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert repr(dsl.load_file(marked)) == repr(dsl.load_file(path))
+        marked.write_bytes(b"\xef\xbb\xbfab\x80")
+        with pytest.raises(dsl.ScenarioSyntaxError) as err:
+            dsl.load_file(marked)
+        assert err.value.diagnostics[0].message.endswith("at byte 5")
+
     def test_no_utf8_file_diagnosed(self, tmp_path):
         bad = tmp_path / "bad.scn"
         bad.write_bytes(b"\xff\xfeFACTORS")
@@ -472,3 +496,299 @@ def test_parser_never_crashes(text):
     except dsl.ScenarioFileError as e:
         assert e.diagnostics
         assert all(d.line >= 1 and d.column >= 1 for d in e.diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# the token-driven _Expr against the character-cursor _Expr it replaced
+
+# The character-cursor parser and its _eval, kept verbatim as the reference:
+# every rule must give the same value (compared by repr) or the same
+# Diagnostic.
+
+_NUM_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_FACTOR_RE = re.compile(r"[^=,)]*")
+_LABEL_RE = re.compile(r"[^,)]*")
+
+
+class _ExprError(Exception):
+    def __init__(self, column: int, message: str):
+        self.column = column
+        self.message = message
+        super().__init__(message)
+
+
+class _Expr:
+    """Recursive-descent parser for every .scn expression: amplitudes,
+    custom_unitary matrix literals and observables.
+
+    Grammar (each rule is a parse_* method; _eval runs one over a whole text):
+        pair       := expr [',' expr]
+        expr       := term (('+'|'-') term)*
+        term       := factor (('*'|'/') factor)*
+        factor     := ('+'|'-')* atom
+        atom       := NUMBER | 'i' | 'sqrt' '(' pair ')' | '(' pair ')'
+        matrix     := '[' row (';' row)* ']'        row   := expr (',' expr)*
+        observable := oterm (('+'|'-') oterm)*      oterm := ('+'|'-')* [coeff '*'] primary
+        coeff      := quot [',' quot]               quot  := atom ('/' atom)*
+        primary    := 'id' | 'proj' '(' factor '=' label (',' factor '=' label)* ')'
+
+    A coeff has no top-level '*', '+' or '-': `(2*3)*proj(...)` needs its
+    parentheses. In a primary, factor and label are the text between the
+    delimiters, stripped; parse_primary records each with its column in
+    `projs`, which parse_observable returns beside the terms so that the
+    caller can check them against FACTORS. A blank is any whitespace
+    character (str.isspace), as between words.
+    """
+
+    def __init__(self, text: str, offset: int):
+        self.text = text
+        self.offset = offset  # column of text[0] in the original line
+        self.pos = 0
+        self.projs: list[list[tuple[str, int, str, int]]] = []  # parse_primary's names
+
+    def _skip_ws(self) -> None:
+        while self.text[self.pos:self.pos + 1].isspace():
+            self.pos += 1
+
+    def _col(self) -> int:
+        return self.offset + self.pos + 1
+
+    def _fail(self, message: str):
+        raise _ExprError(self._col(), message)
+
+    def peek(self) -> str:
+        self._skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def _at(self, chars: str) -> bool:
+        ch = self.peek()
+        return ch != "" and ch in chars
+
+    def _word(self) -> str:
+        self._skip_ws()
+        m = _WORD_RE.match(self.text, self.pos)
+        return m.group(0) if m else ""
+
+    def eat(self, ch: str) -> None:
+        if self.peek() != ch:
+            self._fail(f"expected {ch!r}")
+        self.pos += 1
+
+    def parse_pair(self, expr=None) -> complex:
+        """pair, or coeff when expr is parse_quot."""
+        expr = expr or self.parse_expr
+        value = expr()
+        if self.peek() == ",":
+            self.pos += 1
+            col = self._col()
+            imag = expr()
+            if abs(value.imag) > 0 or abs(imag.imag) > 0:
+                raise _ExprError(col, "re,im parts of a pair must be real")
+            value = complex(value.real, imag.real)
+        return value
+
+    def parse_expr(self) -> complex:
+        value = self.parse_term()
+        while self._at("+-"):
+            op = self.text[self.pos]
+            self.pos += 1
+            rhs = self.parse_term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def parse_term(self, ops: str = "*/", signed: bool = True) -> complex:
+        value = self.parse_factor(signed)
+        while self._at(ops):
+            op = self.text[self.pos]
+            col = self._col()
+            self.pos += 1
+            rhs = self.parse_factor(signed)
+            if op == "/":
+                if rhs == 0:
+                    raise _ExprError(col, "division by zero")
+                value /= rhs
+            else:
+                value *= rhs
+        return value
+
+    def parse_quot(self) -> complex:
+        return self.parse_term("/", signed=False)
+
+    def parse_factor(self, signed: bool = True) -> complex:
+        sign = 1.0
+        while signed and self._at("+-"):
+            if self.text[self.pos] == "-":
+                sign = -sign
+            self.pos += 1
+        return sign * self.parse_atom()
+
+    def parse_atom(self) -> complex:
+        if self.peek() == "(":
+            self.pos += 1
+            value = self.parse_pair()
+            self.eat(")")
+            return value
+        m = _NUM_RE.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+            return complex(float(m.group(0)))
+        word = self._word()
+        if word == "i":
+            self.pos += len(word)
+            return 1j
+        if word == "sqrt":
+            self.pos += len(word)
+            self.eat("(")
+            inner = self.parse_pair()
+            self.eat(")")
+            return cmath.sqrt(inner)
+        self._fail("expected a number, 'i', 'sqrt(...)' or '(...)'")
+
+    def parse_matrix(self) -> tuple:
+        if self.peek() != "[":
+            self._fail("expected a matrix literal [a, b; c, d]")
+        self.pos += 1
+        rows, row = [], []
+        while True:
+            row.append(self.parse_expr())
+            if not self._at(",;]"):
+                self._fail("expected ',', ';' or ']'")
+            sep = self.text[self.pos]
+            self.pos += 1
+            if sep != ",":
+                rows.append(tuple(row))
+                row = []
+            if sep == "]":
+                return tuple(rows)
+
+    def parse_observable(self) -> tuple:
+        terms = []
+        while True:
+            sign = 1.0
+            while self._at("+-"):
+                if self.text[self.pos] == "-":
+                    sign = -sign
+                self.pos += 1
+            coeff = complex(1.0)
+            if self._word() in ("", "i", "sqrt") and self.peek():  # no name next: a coeff
+                coeff = self.parse_pair(self.parse_quot)
+                self.eat("*")
+            terms.append((sign * coeff, self.parse_primary()))
+            if not self._at("+-"):
+                return tuple(terms), self.projs
+
+    def parse_primary(self) -> tuple[tuple[str, str], ...] | None:
+        word = self._word()
+        if word not in ("id", "proj"):
+            self._fail("expected proj(...) or id")
+        self.pos += len(word)
+        if word == "id":
+            return None
+        self.eat("(")
+        constraints, names = [], []
+        while True:
+            factor, factor_col = self._name(_FACTOR_RE)
+            self.eat("=")
+            label, label_col = self._name(_LABEL_RE)
+            constraints.append((factor, label))
+            names.append((factor, factor_col, label, label_col))
+            if self.peek() != ",":
+                break
+            self.pos += 1
+        self.eat(")")
+        self.projs.append(names)
+        return tuple(constraints)
+
+    def _name(self, pattern: re.Pattern) -> tuple[str, int]:
+        """The text pattern matches up to a delimiter, stripped and non-empty,
+        with its column."""
+        m = pattern.match(self.text, self.pos)
+        raw = m.group(0)
+        name = raw.strip()
+        if not name:
+            self._fail("empty factor or label in proj(...)")
+        column = self._col() + len(raw) - len(raw.lstrip())
+        self.pos = m.end()
+        return name, column
+
+    def finish(self) -> None:
+        self._skip_ws()
+        if self.pos != len(self.text):
+            self._fail("unexpected trailing input")
+
+
+def _eval(rule, text: str, line: int, offset: int, diags: list[Diagnostic]):
+    """Run one _Expr rule (an unbound parse_* method) over the whole of text.
+
+    Returns its value, or None after appending a positioned diagnostic.
+    """
+    try:
+        ex = _Expr(text, offset)
+        value = rule(ex)
+        ex.finish()
+        return value
+    except _ExprError as e:
+        diags.append(Diagnostic(line, e.column, e.message))
+        return None
+    except RecursionError:
+        diags.append(Diagnostic(line, offset + 1, "expression nested too deeply"))
+        return None
+
+
+_RULES = ("parse_pair", "parse_matrix", "parse_observable")
+
+
+def _assert_same_as_reference(text, offset=0):
+    for rule in _RULES:
+        got, want = [], []
+        value = token_eval(getattr(TokenExpr, rule), text, 1, offset, got)
+        reference = _eval(getattr(_Expr, rule), text, 1, offset, want)
+        assert (repr(value), got) == (repr(reference), want), (rule, text)
+
+
+class TestTokenExprMatchesReference:
+    @pytest.mark.parametrize("scenario_id", FIXTURE_IDS)
+    def test_fixture_expression_tails(self, scenario_id):
+        for line in fixture_text(scenario_id).splitlines():
+            content = line.partition("#")[0]
+            for sep in ":=":
+                head, found, tail = content.partition(sep)
+                if found:
+                    _assert_same_as_reference(tail, len(head) + 1)
+
+    @pytest.mark.parametrize("text,column,message", [
+        ("1,   (0,1)", 3, "re,im parts of a pair must be real"),  # just past the ','
+        ("1 +", 4, "expected a number, 'i', 'sqrt(...)' or '(...)'"),  # one past the text
+        ("1/ 0", 2, "division by zero"),
+        ("proj(  a b =x)", 8, None),
+        ("proj(a=\t )", 8, "empty factor or label in proj(...)"),  # just past the '='
+        ("proj( a = x , b= y)* 2", 20, "unexpected trailing input"),
+        ("(" * 2000, 1, "expression nested too deeply"),
+    ])
+    def test_columns(self, text, column, message):
+        _assert_same_as_reference(text)
+        diags = []
+        rule = TokenExpr.parse_observable if "proj" in text else TokenExpr.parse_pair
+        value = token_eval(rule, text, 1, 0, diags)
+        if message is None:  # a proj name's column is its first non-blank character
+            assert value[1] == [[("a b", column, "x", 13)]]
+        else:
+            assert diags == [Diagnostic(1, column, message)]
+
+    def test_texts_of_fuzz_pieces(self):
+        rng = random.Random(8)
+        for _ in range(3000):
+            words = [rng.choice(FUZZ_PIECES) if rng.random() < 0.6
+                     else "".join(rng.choice(string.printable + "\u0663\u3000é")
+                                  for _ in range(rng.randrange(1, 4)))
+                     for _ in range(rng.randrange(0, 12))]
+            _assert_same_as_reference(rng.choice(["", " ", "  "]).join(words),
+                                      rng.randrange(0, 8))
+
+    @given(st.lists(st.sampled_from(
+        [*"0123456789", "\u0663", *".eEi", "sqrt", "proj", "id", *"+-*/(),;[]=",
+         *"axZ_", " ", "\t", "\u3000"]), max_size=24).map("".join), st.integers(0, 9))
+    @settings(max_examples=1000, deadline=None)
+    def test_random_expressions(self, text, offset):
+        _assert_same_as_reference(text, offset)
