@@ -93,9 +93,7 @@ def criterion_3_oblivion() -> str:
     res = sc.run_oblivion()
     for epoch, entries in _oblivion_expected_states().items():
         state = res.states_by_epoch[epoch]
-        want = np.zeros(state.space.dim, dtype=complex)
-        for labels, amp in entries.items():
-            want[state.space.index_of(labels)] = amp
+        want = hb.from_amplitudes(state.space, entries).amplitudes
         diff = float(np.max(np.abs(state.amplitudes - want)))
         _check(diff <= 1e-12, f"state {epoch} differs elementwise by {diff:.2e}")
     _check([res.schmidt_ranks[e] for e in ("t0", "t1", "t2")] == [1, 2, 1],
@@ -117,14 +115,12 @@ def criterion_3_oblivion() -> str:
 def criterion_4_elastic_collision() -> str:
     res = sc.run_elastic_collision()
     t2 = res.states_by_epoch["t2"]
-    want = np.zeros(t2.space.dim, dtype=complex)
-    for labels in ((("1'", "2''", "READY")), ("1''", "2''", "READY"),
-                   ("1'''", "2'''", "READY"), ("1''''", "2'''", "READY")):
-        want[t2.space.index_of(labels)] = 0.5
+    want = hb.from_amplitudes(t2.space, dict.fromkeys(
+        [("1'", "2''", "READY"), ("1''", "2''", "READY"),
+         ("1'''", "2'''", "READY"), ("1''''", "2'''", "READY")], 0.5)).amplitudes
     diff = float(np.max(np.abs(t2.amplitudes - want)))
     _check(diff <= 1e-12, f"Critical-Interval state differs by {diff:.2e}")
-    rank, _ = hb.schmidt_rank(res.states_by_epoch["final"],
-                              hb.Bipartition.of(t2.space, ["A1"]))
+    rank, _ = hb.schmidt_rank(res.states_by_epoch["final"], ["A1"])
     _check(rank == 1, f"conditioned A1 Schmidt rank {rank}, want 1")
     _check(abs(res.probabilities["no_collision"] - 0.5) <= 1e-12,
            f"no-collision probability {res.probabilities['no_collision']}")
@@ -279,7 +275,7 @@ def criterion_8_dsl() -> str:
 
 def criterion_9_properties() -> str:
     # projector-set weak value sums
-    pre, post = sc.three_boxes_selections()
+    pre, post = sc.three_boxes_selections("box")
     tsv = tsvf.TwoStateVector(pre, post)
     projs = [hb.Operator.projector(pre.space, {"box": lab})
              for lab in pre.space.factor("box").labels]

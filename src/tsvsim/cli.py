@@ -54,96 +54,60 @@ def _sweep_rows(scenario: str,
     return rows
 
 
+# Each output section with its csv header and jsonl kind, in output order.
+_SECTIONS = {
+    "probabilities": ("name,value", "probability"),
+    "weak_values": ("name,re,im", "weak_value"),
+    "schmidt_ranks": ("epoch,rank", "schmidt_rank"),
+    "trial_stats": ("name,value", "trial_stat"),
+    "g_sweep": ("g,shift_over_g", "g_sweep"),
+}
+
+
+def _cells(section: str, value) -> list[str]:
+    """Table and csv text of one value: a weak value's real and imaginary
+    parts, a Schmidt rank as an int, anything else with nine decimals."""
+    if section == "weak_values":
+        return [_fmt(value.real), _fmt(value.imag)]
+    return [str(value) if section == "schmidt_ranks" else _fmt(value)]
+
+
 def emit(result: ScenarioResult, fmt: str, seed: int, trials: int,
          sweep: list[tuple[float, float]] | None = None, color: bool = False) -> bytes:
     """Render a result deterministically. Floats carry nine digits after the
     point; empty sections are omitted in every format."""
+    sid = result.scenario_id
+    bold, plain = ("\x1b[1m", "\x1b[0m") if color else ("", "")
     if fmt == "jsonl":
-        return _emit_jsonl(result, seed, sweep)
-    if fmt == "csv":
-        return _emit_csv(result, seed, trials, sweep)
-    return _emit_table(result, seed, trials, sweep, color)
-
-
-_SECTIONS = ("probabilities", "weak_values", "schmidt_ranks", "trial_stats")
-
-
-def _emit_table(result: ScenarioResult, seed: int, trials: int,
-                sweep, color: bool) -> bytes:
-    bold = ("\x1b[1m", "\x1b[0m") if color else ("", "")
-    lines = [f"# scenario={result.scenario_id} seed={seed} trials={trials}"]
-    for section in _SECTIONS:
-        data = getattr(result, section)
-        if not data:
+        lines = [json.dumps({"scenario": sid, "name": "seed", "kind": "meta",
+                             "re": float(seed), "im": 0.0})]
+    else:
+        lines = [f"# scenario={sid} seed={seed} trials={trials}"]
+    for section, (header, kind) in _SECTIONS.items():
+        if section == "g_sweep":
+            rows = [(_fmt(g), value) for g, value in sweep or ()]
+        else:
+            rows = list(getattr(result, section).items())
+        if not rows:
             continue
-        lines.append(f"{bold[0]}{section}{bold[1]}")
-        width = max(len(str(k)) for k in data) + 2
-        for key, value in data.items():
-            if section == "weak_values":
-                rendered = f"{_fmt(value.real)}  {_fmt(value.imag)}i"
-            elif section == "schmidt_ranks":
-                rendered = str(value)
+        if fmt == "table":
+            lines.append(f"{bold}{section}{plain}")
+            # names are padded to one column; sweep rows are not
+            width = 0 if section == "g_sweep" else max(len(key) for key, _ in rows)
+        elif fmt == "csv":
+            lines += [f"# {section}", header]
+        for key, value in rows:
+            if fmt == "jsonl":
+                z = complex(value)
+                name = f"g={key}" if section == "g_sweep" else key
+                lines.append(json.dumps({"scenario": sid, "name": name, "kind": kind,
+                                         "re": z.real, "im": z.imag}))
+            elif fmt == "csv":
+                lines.append(",".join([key, *_cells(section, value)]))
             else:
-                rendered = _fmt(value)
-            lines.append(f"  {key:<{width}}{rendered}")
-    if sweep:
-        lines.append(f"{bold[0]}g_sweep{bold[1]}")
-        for g, value in sweep:
-            lines.append(f"  {_fmt(g)}  {_fmt(value)}")
+                imag = "i" if section == "weak_values" else ""
+                lines.append(f"  {key:<{width}}  {'  '.join(_cells(section, value))}{imag}")
     return ("\n".join(lines) + "\n").encode()
-
-
-def _emit_csv(result: ScenarioResult, seed: int, trials: int, sweep) -> bytes:
-    lines = [f"# scenario={result.scenario_id} seed={seed} trials={trials}"]
-    headers = {
-        "probabilities": "name,value",
-        "weak_values": "name,re,im",
-        "schmidt_ranks": "epoch,rank",
-        "trial_stats": "name,value",
-    }
-    for section in _SECTIONS:
-        data = getattr(result, section)
-        if not data:
-            continue
-        lines.append(f"# {section}")
-        lines.append(headers[section])
-        for key, value in data.items():
-            if section == "weak_values":
-                lines.append(f"{key},{_fmt(value.real)},{_fmt(value.imag)}")
-            elif section == "schmidt_ranks":
-                lines.append(f"{key},{value}")
-            else:
-                lines.append(f"{key},{_fmt(value)}")
-    if sweep:
-        lines.append("# g_sweep")
-        lines.append("g,shift_over_g")
-        for g, value in sweep:
-            lines.append(f"{_fmt(g)},{_fmt(value)}")
-    return ("\n".join(lines) + "\n").encode()
-
-
-def _emit_jsonl(result: ScenarioResult, seed: int, sweep) -> bytes:
-    records = [{"scenario": result.scenario_id, "name": "seed", "kind": "meta",
-                "re": float(seed), "im": 0.0}]
-    kinds = {
-        "probabilities": "probability",
-        "weak_values": "weak_value",
-        "schmidt_ranks": "schmidt_rank",
-        "trial_stats": "trial_stat",
-    }
-    for section in _SECTIONS:
-        for key, value in getattr(result, section).items():
-            if section == "weak_values":
-                re_part, im_part = float(value.real), float(value.imag)
-            else:
-                re_part, im_part = float(value), 0.0
-            records.append({"scenario": result.scenario_id, "name": key,
-                            "kind": kinds[section], "re": re_part, "im": im_part})
-    if sweep:
-        for g, value in sweep:
-            records.append({"scenario": result.scenario_id, "name": f"g={_fmt(g)}",
-                            "kind": "g_sweep", "re": float(value), "im": 0.0})
-    return ("\n".join(json.dumps(r) for r in records) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +161,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sweep_spec = _parse_sweep(args.g_sweep) if args.g_sweep else None
         if args.trials < 1:
             raise ValueError("trials must be >= 1")
+        if args.seed < 0:
+            raise ValueError("seed must be >= 0")
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -36,7 +36,7 @@ import cmath
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import prod
+from math import inf, isfinite, prod
 from operator import attrgetter
 from typing import Sequence
 
@@ -735,13 +735,19 @@ class _Reader:
                     ) -> tuple[AmplitudeEntry, ...]:
         """The section's entries scaled to norm 1, with a warning if that changed them."""
         entries = tuple(self.entries.get(section, {}).values())
-        norm = sum(abs(e.amplitude) ** 2 for e in entries) ** 0.5
+        try:
+            norm = sum(abs(e.amplitude) ** 2 for e in entries) ** 0.5
+        except OverflowError:  # a square past the float range
+            norm = inf
         if not entries:
             self.semantic.append(Diagnostic(self.sections.get(section, 1), 1,
                                             f"{section} section is missing or empty"))
         elif norm == 0.0:
             self.semantic.append(Diagnostic(
                 entries[0].line, 1, f"{section} state has zero norm and cannot be normalized"))
+        elif not isfinite(norm):
+            self.semantic.append(Diagnostic(
+                entries[0].line, 1, f"{section} state norm is not finite and cannot be normalized"))
         elif abs(norm - 1.0) > NORM_WARN_TOL:
             warnings.append(Diagnostic(
                 entries[0].line, 1, f"{section} amplitudes had norm {norm:.12g}; normalized to 1"))

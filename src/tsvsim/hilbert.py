@@ -404,47 +404,28 @@ def apply_to_factors(k: Ket, matrix: np.ndarray, factor_names: Sequence[str]) ->
 
 
 # ---------------------------------------------------------------------------
-# Bipartitions and Schmidt decomposition
+# Schmidt decomposition
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """A split of the factor indices into left and right groups."""
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-
-    @classmethod
-    def of(cls, sp: Space, left_names: Sequence[str]) -> "Bipartition":
-        left = tuple(sorted(sp.factor_index(n) for n in left_names))
-        right = tuple(i for i in range(len(sp.factors)) if i not in left)
-        return cls(left, right)
-
-    def validate(self, sp: Space) -> None:
-        n = len(sp.factors)
-        both = sorted(self.left + self.right)
-        if (set(self.left) & set(self.right)) or both != list(range(n)):
-            raise InvalidBipartition(
-                f"bipartition {self.left}|{self.right} does not cover {n} factors"
-            )
-        if not self.left or not self.right:
-            raise InvalidBipartition("both sides of a bipartition must be non-empty")
-
-
-def schmidt_rank(k: Ket, cut: Bipartition) -> tuple[int, np.ndarray]:
-    """Schmidt rank and coefficients of k across the cut.
+def schmidt_rank(k: Ket, left: Sequence[str]) -> tuple[int, np.ndarray]:
+    """Schmidt rank and coefficients of k across the cut between the named
+    factors and the rest.
 
     Returns (rank, coefficients): the number of singular values above
     SCHMIDT_TOL and the full descending singular-value list of the reshaped
     amplitude matrix.
-    For a normalized ket the squared coefficients sum to 1.
+    For a normalized ket the squared coefficients sum to 1. A name given
+    twice, or a side left with no factor, raises InvalidBipartition.
     """
-    cut.validate(k.space)
     dims = k.space.dims
-    t = k.as_tensor()
-    t = np.transpose(t, cut.left + cut.right)
-    d_left = prod(dims[i] for i in cut.left)
-    mat = t.reshape(d_left, -1)
+    axes = sorted(k.space.factor_index(n) for n in left)
+    if len(set(axes)) != len(axes):
+        raise InvalidBipartition(f"factor named twice in the cut {list(left)}")
+    if not 0 < len(axes) < len(dims):
+        raise InvalidBipartition("both sides of a bipartition must be non-empty")
+    rest = [i for i in range(len(dims)) if i not in axes]
+    t = np.transpose(k.as_tensor(), axes + rest)
+    mat = t.reshape(prod(dims[i] for i in axes), -1)
     coeffs = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(coeffs > SCHMIDT_TOL))
     return rank, coeffs
@@ -474,28 +455,19 @@ def mode_coupler(factor: Factor, in_pair: tuple[str, str], out_pair: tuple[str, 
     round trips through an untouched splitter recombine exactly.
     """
     b = BS_SYMMETRIC if block is None else np.asarray(block, dtype=complex)
-    i0, i1 = (factor.index(x) for x in in_pair)
-    o0, o1 = (factor.index(x) for x in out_pair)
-    n = factor.dim
-    u = np.eye(n, dtype=complex)
-    if {i0, i1} == {o0, o1}:
-        if (i0, i1) != (o0, o1):
+    ins = [factor.index(x) for x in in_pair]
+    outs = [factor.index(x) for x in out_pair]
+    u = np.eye(factor.dim, dtype=complex)
+    if set(ins) == set(outs):
+        if ins != outs:
             raise ValueError("in/out pairs overlap but are not identical")
-        for r, rr in enumerate((o0, o1)):
-            for c, cc in enumerate((i0, i1)):
-                u[rr, cc] = b[r, c]
+        u[np.ix_(outs, ins)] = b
         return u
-    if {i0, i1} & {o0, o1}:
+    if set(ins) & set(outs):
         raise ValueError("in/out pairs must be identical or disjoint")
-    for idx in (i0, i1, o0, o1):
-        u[idx, idx] = 0.0
-    for r, rr in enumerate((o0, o1)):
-        for c, cc in enumerate((i0, i1)):
-            u[rr, cc] = b[r, c]
-    bh = b.conj().T
-    for r, rr in enumerate((i0, i1)):
-        for c, cc in enumerate((o0, o1)):
-            u[rr, cc] = bh[r, c]
+    u[ins + outs, ins + outs] = 0.0
+    u[np.ix_(outs, ins)] = b
+    u[np.ix_(ins, outs)] = b.conj().T
     return u
 
 

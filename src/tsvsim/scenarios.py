@@ -32,7 +32,7 @@ import numpy as np
 from . import hilbert as hb
 from . import pointer as pt
 from . import tsvf
-from .hilbert import Bipartition, Diagonal, Ket, Operator, OperatorForm
+from .hilbert import Diagonal, Ket, Operator, OperatorForm
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -226,18 +226,13 @@ def _four_mirror_trials(trials: int, rng_seed: int) -> dict[str, float]:
 
 
 @lru_cache(maxsize=1)
-def _oblivion_space() -> hb.Space:
-    return hb.space(
+def _oblivion_static():
+    sp = hb.space(
         ("electron", ["1'", "1''"]),
         ("positron", ["2'", "2''"]),
         ("det1", ["READY1", "CLICK1"]),
         ("det2", ["READY2", "CLICK2"]),
     )
-
-
-@lru_cache(maxsize=1)
-def _oblivion_static():
-    sp = _oblivion_space()
     ready = ("READY1", "READY2")
     t0 = hb.from_amplitudes(sp, {
         ("1'", "2'") + ready: 0.5,
@@ -268,7 +263,6 @@ def run_oblivion() -> ScenarioResult:
     recovers its full superposition. Schmidt ranks across the electron|rest
     cut track the rise and erasure of the entanglement: 1 -> 2 -> 1.
     """
-    sp = _oblivion_space()
     t0, flip1, flip2, projs = _oblivion_static()
     # first crossing: electron path 1'' meets positron path 2'
     s = hb.apply(flip1, t0)
@@ -279,8 +273,7 @@ def run_oblivion() -> ScenarioResult:
     p_click2 = tsvf.born_probability(s, projs["click2"])
     p_no2, t2 = tsvf.post_select(s, projs["no2"])
 
-    cut = Bipartition.of(sp, ["electron"])
-    ranks = {ep: hb.schmidt_rank(state, cut)[0]
+    ranks = {ep: hb.schmidt_rank(state, ["electron"])[0]
              for ep, state in (("t0", t0), ("t1", t1), ("t2", t2))}
     return ScenarioResult(
         scenario_id="oblivion",
@@ -296,24 +289,19 @@ def run_oblivion() -> ScenarioResult:
     )
 
 
-def return_probabilities(state: Ket) -> tuple[float, float]:
-    """Send both particles back through their splitters and report the
-    probability of each returning to its source mode (1' resp. 2')."""
-    h = hb.splitter_real()
-    s = hb.apply_to_factors(state, h, ["electron"])
-    s = hb.apply_to_factors(s, h, ["positron"])
-    return (s.marginal_probability("electron", "1'"),
-            s.marginal_probability("positron", "2'"))
-
-
 def time_reversal_check(result: ScenarioResult, epoch: str = "t2") -> tuple[float, float]:
-    """Reverse the splitting of each particle in the chosen epoch state.
+    """Reverse the splitting of each particle in the chosen epoch state and
+    report the probability of each returning to its source mode (1' resp. 2').
 
     On the silent-detectors final state the electron returns to its source
     with certainty while the positron does so only half the time: the
     operational signature that only the positron's momentum changed.
     """
-    return return_probabilities(result.states_by_epoch[epoch])
+    h = hb.splitter_real()
+    s = hb.apply_to_factors(result.states_by_epoch[epoch], h, ["electron"])
+    s = hb.apply_to_factors(s, h, ["positron"])
+    return (s.marginal_probability("electron", "1'"),
+            s.marginal_probability("positron", "2'"))
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +350,10 @@ def run_elastic_collision() -> ScenarioResult:
     p_coll, collision = tsvf.post_select(
         exposed, Operator.projector(sp, {"coll_det": "CLICK"}))
 
-    cut = Bipartition.of(sp, ["A1"])
     ranks = {
-        "t0": hb.schmidt_rank(t0, cut)[0],
-        "t2": hb.schmidt_rank(t2, cut)[0],
-        "final": hb.schmidt_rank(no_collision, cut)[0],
+        "t0": hb.schmidt_rank(t0, ["A1"])[0],
+        "t2": hb.schmidt_rank(t2, ["A1"])[0],
+        "final": hb.schmidt_rank(no_collision, ["A1"])[0],
     }
     return ScenarioResult(
         scenario_id="elastic_collision",
@@ -381,14 +368,11 @@ def run_elastic_collision() -> ScenarioResult:
 # Three boxes
 
 
-@lru_cache(maxsize=1)
-def _boxes_space() -> hb.Space:
-    return hb.space(("box", ["box1", "box2", "box3"]))
-
-
-@lru_cache(maxsize=1)
-def three_boxes_selections() -> tuple[Ket, Ket]:
-    sp = _boxes_space()
+@lru_cache(maxsize=2)
+def three_boxes_selections(factor: str) -> tuple[Ket, Ket]:
+    """Pre/post pair on one factor with labels factor1..factor3: an even
+    superposition, post-selected with the third sign flipped."""
+    sp = hb.space((factor, [f"{factor}{i}" for i in (1, 2, 3)]))
     pre = hb.Ket(sp, np.array([1, 1, 1]) / SQ3)
     post = hb.Ket(sp, np.array([1, 1, -1]) / SQ3)
     return pre, post
@@ -399,7 +383,7 @@ def run_three_boxes() -> ScenarioResult:
     third box's sign flipped. The box-occupation weak values come out
     (1, 1, -1): two ordinary boxes plus one odd, still summing to one particle.
     """
-    pre, post = three_boxes_selections()
+    pre, post = three_boxes_selections("box")
     sp = pre.space
     tsv = tsvf.TwoStateVector(pre, post)
     projs = [Operator.projector(sp, {"box": lab}, tag=f"P{i+1}")
@@ -417,15 +401,6 @@ def run_three_boxes() -> ScenarioResult:
 
 # ---------------------------------------------------------------------------
 # Hardy's overlapping interferometers
-
-
-@lru_cache(maxsize=1)
-def _hardy_space() -> hb.Space:
-    return hb.space(
-        ("positron", ["O+", "NO+", "C+", "D+"]),
-        ("electron", ["O-", "NO-", "C-", "D-"]),
-        ("ann_det", ["READY", "CLICK"]),
-    )
 
 
 @lru_cache(maxsize=1)
@@ -457,7 +432,11 @@ def _hardy_pair_projectors(sp: hb.Space) -> dict[str, Diagonal]:
 @lru_cache(maxsize=1)
 def _hardy_static():
     """Initial state and fixed gates/projectors of the Hardy setup."""
-    sp = _hardy_space()
+    sp = hb.space(
+        ("positron", ["O+", "NO+", "C+", "D+"]),
+        ("electron", ["O-", "NO-", "C-", "D-"]),
+        ("ann_det", ["READY", "CLICK"]),
+    )
     t0 = hb.from_amplitudes(sp, {
         ("O+", "O-", "READY"): 0.5,
         ("O+", "NO-", "READY"): 0.5,
@@ -489,9 +468,9 @@ def run_hardy() -> ScenarioResult:
     the tension: (OO, NO_O, O_NO, NO_NO) = (0, 1, 1, -1), and the negative
     pair cancels the positive ones in every single-particle marginal.
     """
-    sp = _hardy_space()
     (t0, flip, silent, out_coupler, out_coupler_e, dd_proj,
      pair_projs, marg_projs) = _hardy_static()
+    sp = t0.space
     s = hb.apply(flip, t0)
     p_no_ann, t1 = tsvf.post_select(s, silent)
 
@@ -528,19 +507,6 @@ def run_hardy() -> ScenarioResult:
 # Three-path photon with one weak pointer per path
 
 
-@lru_cache(maxsize=1)
-def _three_path_space() -> hb.Space:
-    return hb.space(("path", ["path1", "path2", "path3"]))
-
-
-@lru_cache(maxsize=1)
-def three_path_selections() -> tuple[Ket, Ket]:
-    sp = _three_path_space()
-    pre = hb.Ket(sp, np.array([1, 1, 1]) / SQ3)
-    post = hb.Ket(sp, np.array([1, 1, -1]) / SQ3)
-    return pre, post
-
-
 THREE_PATH_POINTER = dict(n_bins=41, spacing=0.25, sigma=1.0)  # three joint pointers
 
 
@@ -562,7 +528,7 @@ def run_three_path_photon(option: str = "recombine_all",
     if option not in ("recombine_all", "recombine_two"):
         raise ValueError(f"unknown option {option!r}")
     gval = pt._g(g)
-    pre, post = three_path_selections()
+    pre, post = three_boxes_selections("path")
     sp = pre.space
     path = sp.factor("path")
     projs = {lab: Operator.projector(sp, {"path": lab}, tag=f"P{i+1}")
@@ -634,34 +600,33 @@ def run_three_path_photon(option: str = "recombine_all",
 
 @dataclass(frozen=True)
 class ScenarioInfo:
-    scenario_id: str
     runner: Callable[..., ScenarioResult]
     description: str
 
 
 SCENARIOS: dict[str, ScenarioInfo] = {
     "four_mirror": ScenarioInfo(
-        "four_mirror", run_four_mirror,
+        run_four_mirror,
         "photon in a four-mirror interferometer: one silent detector banishes "
         "it from a corner, a second silence makes that corner reachable"),
     "oblivion": ScenarioInfo(
-        "oblivion", run_oblivion,
+        run_oblivion,
         "electron-positron pair with annihilation watchdogs: entanglement "
         "rises and erases, one particle changed, the other restored"),
     "elastic_collision": ScenarioInfo(
-        "elastic_collision", run_elastic_collision,
+        run_elastic_collision,
         "two superposed atoms colliding elastically: silence on the diverted "
         "paths is an interaction-free position measurement"),
     "three_boxes": ScenarioInfo(
-        "three_boxes", run_three_boxes,
+        run_three_boxes,
         "particle over three boxes, post-selected with the third sign flipped: "
         "box weak values (1, 1, -1)"),
     "hardy": ScenarioInfo(
-        "hardy", run_hardy,
+        run_hardy,
         "overlapping interferometers with an annihilation watchdog: pair weak "
         "values (0, 1, 1, -1) and vanishing single-particle marginals"),
     "three_path_photon": ScenarioInfo(
-        "three_path_photon", run_three_path_photon,
+        run_three_path_photon,
         "photon over three paths with a weak pointer on each: recombination "
         "choice reveals or hides the negative-mass path"),
 }
@@ -670,15 +635,13 @@ SCENARIOS: dict[str, ScenarioInfo] = {
 def sweep_context(scenario_id: str) -> tuple[Ket, OperatorForm, Operator] | None:
     """(pre-selected ket, swept observable, post-selection projector) for the
     scenarios with a canonical odd weak value; None for the others."""
-    if scenario_id == "three_boxes":
-        pre, post = three_boxes_selections()
-        obs = Operator.projector(pre.space, {"box": "box3"}, tag="P3")
+    factor = {"three_boxes": "box", "three_path_photon": "path"}.get(scenario_id)
+    if factor:
+        pre, post = three_boxes_selections(factor)
+        obs = Operator.projector(pre.space, {factor: f"{factor}3"}, tag="P3")
     elif scenario_id == "hardy":
         pre, post = hardy_selections()
         obs = _hardy_pair_projectors(pre.space)["NO_NO"]
-    elif scenario_id == "three_path_photon":
-        pre, post = three_path_selections()
-        obs = Operator.projector(pre.space, {"path": "path3"}, tag="P3")
     else:
         return None
     return pre, obs, Operator.ket_projector(post)

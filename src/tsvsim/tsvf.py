@@ -68,14 +68,19 @@ def weak_value(tsv: TwoStateVector, a: OperatorForm) -> complex:
     return complex(np.vdot(tsv.post.amplitudes, a.act(tsv.pre.amplitudes))) / denom
 
 
+def _project(state: Ket, projector: OperatorForm) -> tuple[np.ndarray, float]:
+    """(P|psi>, ||P psi||^2), with P checked to be a projector on psi's space."""
+    if projector.space != state.space:
+        raise DimensionMismatch("projector space differs from state space")
+    if not projector.is_projector():
+        raise ValueError("outcome operator is not a projector (P^2 = P = P+ to 1e-12)")
+    v = projector.act(state.amplitudes)
+    return v, float(np.vdot(v, v).real)
+
+
 def born_probability(state: Ket, outcome_projector: OperatorForm) -> float:
     """||P|psi>||^2 without collapsing. P is validated as a projector."""
-    if outcome_projector.space != state.space:
-        raise DimensionMismatch("projector space differs from state space")
-    if not outcome_projector.is_projector():
-        raise ValueError("outcome operator is not a projector (P^2 = P = P+ to 1e-12)")
-    v = outcome_projector.act(state.amplitudes)
-    return float(np.vdot(v, v).real)
+    return _project(state, outcome_projector)[1]
 
 
 def post_select(state: Ket, outcome_projector: OperatorForm) -> tuple[float, Ket]:
@@ -84,12 +89,7 @@ def post_select(state: Ket, outcome_projector: OperatorForm) -> tuple[float, Ket
     Raises ZeroProbabilityBranch when the probability falls below 1e-14; the
     collapsed state is undefined there.
     """
-    if outcome_projector.space != state.space:
-        raise DimensionMismatch("projector space differs from state space")
-    if not outcome_projector.is_projector():
-        raise ValueError("outcome operator is not a projector (P^2 = P = P+ to 1e-12)")
-    v = outcome_projector.act(state.amplitudes)
-    p = float(np.vdot(v, v).real)
+    v, p = _project(state, outcome_projector)
     if p < EPS_BRANCH:
         raise ZeroProbabilityBranch(f"branch probability {p:.3e} < {EPS_BRANCH:.1e}")
     return p, Ket(state.space, v / np.sqrt(p))

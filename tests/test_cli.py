@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tsvsim import cli, dsl
+from tsvsim.scenarios import ScenarioResult
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +62,69 @@ class TestRunJsonl:
         p3 = next(r for r in records if r["name"] == "P3")
         assert p3 == {"scenario": "three_boxes", "name": "P3",
                       "kind": "weak_value", "re": -1.0, "im": 0.0}
+
+
+class TestEmitGolden:
+    """emit's exact bytes for one result with every section: a weak value
+    with a -0.0 part, int ranks, a trial stat that rounds to -0, a sweep."""
+
+    RESULT = ScenarioResult(
+        scenario_id="golden", states_by_epoch={},
+        probabilities={"p_half": 0.5, "p_third": 1 / 3},
+        weak_values={"P1": complex(-0.0, 1.0), "P3": complex(-1.0, -0.0)},
+        schmidt_ranks={"t0": 1, "t1": 2},
+        trial_stats={"shift": -2.5e-10, "count": 12.0})
+    SWEEP = [(0.01, -0.9999), (0.2, -0.25)]
+    TABLE = (
+        "# scenario=golden seed=7 trials=100\n"
+        "{b}probabilities{e}\n  p_half   0.500000000\n  p_third  0.333333333\n"
+        "{b}weak_values{e}\n  P1  0.000000000  1.000000000i\n"
+        "  P3  -1.000000000  0.000000000i\n"
+        "{b}schmidt_ranks{e}\n  t0  1\n  t1  2\n"
+        "{b}trial_stats{e}\n  shift  -0.000000000\n  count  12.000000000\n"
+        "{b}g_sweep{e}\n  0.010000000  -0.999900000\n  0.200000000  -0.250000000\n")
+    CSV = (
+        "# scenario=golden seed=7 trials=100\n"
+        "# probabilities\nname,value\np_half,0.500000000\np_third,0.333333333\n"
+        "# weak_values\nname,re,im\nP1,0.000000000,1.000000000\n"
+        "P3,-1.000000000,0.000000000\n"
+        "# schmidt_ranks\nepoch,rank\nt0,1\nt1,2\n"
+        "# trial_stats\nname,value\nshift,-0.000000000\ncount,12.000000000\n"
+        "# g_sweep\ng,shift_over_g\n0.010000000,-0.999900000\n0.200000000,-0.250000000\n")
+    JSONL = "".join(
+        f'{{"scenario": "golden", "name": {name}, "kind": {kind}, "re": {re}, "im": {im}}}\n'
+        for name, kind, re, im in (
+            ('"seed"', '"meta"', "7.0", "0.0"),
+            ('"p_half"', '"probability"', "0.5", "0.0"),
+            ('"p_third"', '"probability"', "0.3333333333333333", "0.0"),
+            ('"P1"', '"weak_value"', "-0.0", "1.0"),
+            ('"P3"', '"weak_value"', "-1.0", "-0.0"),
+            ('"t0"', '"schmidt_rank"', "1.0", "0.0"),
+            ('"t1"', '"schmidt_rank"', "2.0", "0.0"),
+            ('"shift"', '"trial_stat"', "-2.5e-10", "0.0"),
+            ('"count"', '"trial_stat"', "12.0", "0.0"),
+            ('"g=0.010000000"', '"g_sweep"', "-0.9999", "0.0"),
+            ('"g=0.200000000"', '"g_sweep"', "-0.25", "0.0"),
+        ))
+
+    @pytest.mark.parametrize("fmt,color", [
+        ("table", False), ("table", True), ("csv", False), ("jsonl", False)])
+    def test_every_section(self, fmt, color):
+        want = {
+            "table": self.TABLE.format(**({"b": "\x1b[1m", "e": "\x1b[0m"} if color
+                                          else {"b": "", "e": ""})),
+            "csv": self.CSV,
+            "jsonl": self.JSONL,
+        }[fmt]
+        got = cli.emit(self.RESULT, fmt, 7, 100, sweep=self.SWEEP, color=color)
+        assert got == want.encode()
+
+    def test_sweep_rows_are_not_aligned(self):
+        got = cli.emit(ScenarioResult("golden", {}, {}), "table", 1, 1,
+                       sweep=[(0.5, 1.0), (10.5, -1.0), (0.5, 1.0)])
+        assert got == (b"# scenario=golden seed=1 trials=1\ng_sweep\n"
+                       b"  0.500000000  1.000000000\n  10.500000000  -1.000000000\n"
+                       b"  0.500000000  1.000000000\n")
 
 
 class TestDeterminism:
@@ -132,6 +196,11 @@ class TestExitCodes:
                                str(tmp_path / "no_dir" / "out.csv"))
         assert code == 4
         assert "cannot write" in err
+
+    @pytest.mark.parametrize("scenario", ["four_mirror", "three_boxes"])
+    def test_negative_seed_exit_2(self, capsys, scenario):
+        code, out, err = run_cli(capsys, "run", scenario, "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be >= 0\n")
 
     def test_usage_error_exit_2(self, capsys):
         assert cli.main(["run"]) == 2

@@ -154,6 +154,19 @@ class TestParserDiagnostics:
             dsl.parse("FACTORS\n  a: x y\nINITIAL\n  x : 0\n")
         assert any("zero norm" in d.message for d in err.value.diagnostics)
 
+    @pytest.mark.parametrize("amplitude", ["1e200", "1e400", "0*1e400", "1e400-1e400"])
+    def test_non_finite_norm_state(self, amplitude):
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.parse(f"FACTORS\n  a: x y\nINITIAL\n  y : 1\n  x : {amplitude}\n")
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+            (4, 1, "INITIAL state norm is not finite and cannot be normalized")]
+
+    def test_large_finite_norm_is_normalized(self):
+        spec = dsl.parse("FACTORS\n  a: x y\nINITIAL\n  x : 1e154\n  y : 1\n")
+        assert [w.message for w in spec.warnings] == [
+            "INITIAL amplitudes had norm 1e+154; normalized to 1"]
+        assert [e.amplitude for e in spec.initial] == [1.0, 1e-154]
+
     def test_epoch_revisit_rejected(self):
         text = ("FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n"
                 "  t1 beamsplitter a : x y -> x y\n"

@@ -219,7 +219,7 @@ class TestProjectors:
 class TestSchmidt:
     def test_product_state_rank_one(self):
         sp = pair_space()
-        rank, coeffs = hb.schmidt_rank(split_state(sp), hb.Bipartition.of(sp, ["electron"]))
+        rank, coeffs = hb.schmidt_rank(split_state(sp), ["electron"])
         assert rank == 1
         assert coeffs[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -232,7 +232,7 @@ class TestSchmidt:
         state = hb.from_amplitudes(sp, {
             ("1'", "2'"): 1 / SQ3, ("1'", "2''"): 1 / SQ3, ("1''", "2''"): 1 / SQ3,
         })
-        rank, coeffs = hb.schmidt_rank(state, hb.Bipartition.of(sp, ["electron"]))
+        rank, coeffs = hb.schmidt_rank(state, ["electron"])
         assert rank == 2
         np.testing.assert_allclose(coeffs, [s_hi, s_lo], atol=1e-12)
         assert np.sum(coeffs ** 2) == pytest.approx(1.0, abs=1e-10)
@@ -240,7 +240,7 @@ class TestSchmidt:
     def test_silent_final_state_rank_one(self):
         sp = pair_space()
         state = hb.from_amplitudes(sp, {("1'", "2''"): 1 / SQ2, ("1''", "2''"): 1 / SQ2})
-        rank, _ = hb.schmidt_rank(state, hb.Bipartition.of(sp, ["electron"]))
+        rank, _ = hb.schmidt_rank(state, ["electron"])
         assert rank == 1
 
     def test_rank_one_reconstructs_as_product(self):
@@ -250,8 +250,7 @@ class TestSchmidt:
         b = rng.normal(size=2) + 1j * rng.normal(size=2)
         amps = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
         k = hb.Ket(sp, amps)
-        cut = hb.Bipartition.of(sp, ["electron"])
-        rank, coeffs = hb.schmidt_rank(k, cut)
+        rank, coeffs = hb.schmidt_rank(k, ["electron"])
         assert rank == 1
         # reconstruct |u0><v0| from the SVD and compare to the amplitudes
         mat = k.as_tensor().reshape(2, 2)
@@ -261,10 +260,11 @@ class TestSchmidt:
 
     def test_invalid_bipartition(self):
         sp = pair_space()
-        with pytest.raises(InvalidBipartition):
-            hb.schmidt_rank(split_state(sp), hb.Bipartition((0,), (0, 1)))
-        with pytest.raises(InvalidBipartition):
-            hb.schmidt_rank(split_state(sp), hb.Bipartition((0, 1), ()))
+        for left in (["electron", "electron"], ["electron", "positron"], []):
+            with pytest.raises(InvalidBipartition):
+                hb.schmidt_rank(split_state(sp), left)
+        with pytest.raises(KeyError, match="no factor named 'muon'"):
+            hb.schmidt_rank(split_state(sp), ["muon"])
 
 
 class TestGateBuilders:
@@ -277,6 +277,38 @@ class TestGateBuilders:
         state[1] = 1.0  # L_d
         round_trip = u @ (u @ state)
         np.testing.assert_allclose(round_trip, state, atol=1e-15)
+
+    FOUR = hb.Factor("photon", ("L_u", "L_d", "R_u", "R_d"))
+
+    @pytest.mark.parametrize("block", [None, hb.splitter_real()])
+    def test_mode_coupler_identical_pairs_embed_the_block(self, block):
+        b = hb.beamsplitter() if block is None else block
+        u = hb.mode_coupler(self.FOUR, ("R_d", "L_d"), ("R_d", "L_d"), block=block)
+        want = np.eye(4, dtype=complex)
+        want[3, 3], want[3, 1], want[1, 3], want[1, 1] = b[0, 0], b[0, 1], b[1, 0], b[1, 1]
+        assert np.array_equal(u, want)
+
+    def test_mode_coupler_disjoint_pairs_route_through_block_and_inverse(self):
+        b = np.array([[1, 2j], [3, 4 - 1j]])
+        u = hb.mode_coupler(self.FOUR, ("R_u", "L_u"), ("L_d", "R_d"), block=b)
+        # rows/columns in label order L_u, L_d, R_u, R_d
+        want = np.array([[0, b[0, 1].conjugate(), 0, b[1, 1].conjugate()],
+                         [b[0, 1], 0, b[0, 0], 0],
+                         [0, b[0, 0].conjugate(), 0, b[1, 0].conjugate()],
+                         [b[1, 1], 0, b[1, 0], 0]])
+        assert np.array_equal(u, want)
+        two = hb.Factor("f", ("a", "b", "c", "d", "e"))
+        u = hb.mode_coupler(two, ("a", "b"), ("c", "d"))
+        bs = hb.beamsplitter()
+        assert np.array_equal(u[np.ix_([2, 3], [0, 1])], bs)
+        assert np.array_equal(u[np.ix_([0, 1], [2, 3])], bs.conj().T)
+        assert u[4, 4] == 1 and np.count_nonzero(u[4]) == 1
+
+    def test_mode_coupler_rejects_overlapping_pairs(self):
+        with pytest.raises(ValueError, match="^in/out pairs overlap but are not identical$"):
+            hb.mode_coupler(self.FOUR, ("L_u", "L_d"), ("L_d", "L_u"))
+        with pytest.raises(ValueError, match="^in/out pairs must be identical or disjoint$"):
+            hb.mode_coupler(self.FOUR, ("L_u", "L_d"), ("L_d", "R_u"))
 
     def test_flag_flip_is_permutation(self):
         sp = hb.space(("p", ["x", "y"]), ("d", ["READY", "CLICK"]))
