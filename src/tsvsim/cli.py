@@ -212,7 +212,7 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_check(_: argparse.Namespace) -> int:
-    failures = acceptance.run_all(print)
+    failures = acceptance.run_all()
     total = len(acceptance.CRITERIA)
     print(f"{total - failures}/{total} criteria passed")
     return 0 if failures == 0 else 1

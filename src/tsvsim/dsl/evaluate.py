@@ -49,8 +49,8 @@ def builtin_scenario_path(scenario_id: str) -> Path:
         return Path(p)
 
 
-def _with_position(exc: TsvsimError, line: int, column: int = 1) -> TsvsimError:
-    exc.diagnostic = Diagnostic(line, column, str(exc))
+def _with_position(exc: TsvsimError, line: int) -> TsvsimError:
+    exc.diagnostic = Diagnostic(line, 1, str(exc))
     return exc
 
 

@@ -40,7 +40,7 @@ from math import inf, isfinite, prod
 from operator import attrgetter
 from typing import Sequence
 
-import numpy as np
+from ..hilbert import is_unitary
 
 NORM_WARN_TOL = 1e-9
 UNITARY_TOL = 1e-8
@@ -614,7 +614,7 @@ class _Reader:
             elif len(ins) != 2 or len(outs) != 2:
                 self.invalid(_column(tail, offset, 1 if len(ins) != 2 else 4),
                              "beamsplitter mode pairs must be distinct")
-            elif ins != outs and ins & outs:
+            elif toks[:2] != toks[3:] and ins & outs:
                 self.invalid(_column(tail, offset, 3), "mode pairs must be identical or disjoint")
         return (toks[0], toks[1], toks[3], toks[4])
 
@@ -686,7 +686,7 @@ class _Reader:
             if len(rows) != dim:
                 self.invalid(bracket,
                              f"matrix is {len(rows)}x{len(rows)} but targets span dim {dim}")
-            elif not _matrix_is_unitary(rows):
+            elif not is_unitary(rows, UNITARY_TOL):
                 self.invalid(bracket, f"matrix is not unitary to {UNITARY_TOL:g}")
         return rows
 
@@ -758,11 +758,6 @@ class _Reader:
 
 # looked up here, not with getattr(), whose type cache keeps each word it is given
 _GATE_READERS = {kind: getattr(_Reader, kind) for kind in GATE_KINDS}
-
-
-def _matrix_is_unitary(rows: tuple) -> bool:
-    mat = np.array(rows, dtype=complex)
-    return bool(np.max(np.abs(mat @ mat.conj().T - np.eye(len(rows)))) <= UNITARY_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -29,4 +29,5 @@ class IncompleteSet(TsvsimError, ValueError):
 
 
 class ShiftOutOfGrid(TsvsimError, ValueError):
-    """A pointer translation would push the wavepacket past the grid edge."""
+    """A pointer translation would push the wavepacket past the grid edge, or
+    is nonzero but too small a fraction of a bin for the grid to resolve."""

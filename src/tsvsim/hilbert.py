@@ -25,14 +25,15 @@ from .errors import DimensionMismatch, InvalidBipartition
 ATOL_PROJECTOR = 1e-12
 SCHMIDT_TOL = 1e-8  # singular values above this count toward the Schmidt rank
 
-# Fixed 50/50 convention: symmetric beam splitter / Stern-Gerlach splitter.
-# Scenario builders that need real equal-amplitude splits absorb the i phases
-# into their basis definitions (see splitter_real).
+# Fixed 50/50 convention: symmetric beam splitter / Stern-Gerlach splitter,
+# (1/sqrt2)[[1, i], [i, 1]] on a 2-dim factor. Scenario builders that need
+# real equal-amplitude splits absorb the i phases (see SPLIT_REAL).
 BS_SYMMETRIC = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
 
 # Phase-absorbed variant: splits a source mode into two equal real amplitudes
 # and is its own inverse, which keeps time-reversal checks transparent.
 SPLIT_REAL = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+BS_SYMMETRIC.flags.writeable = SPLIT_REAL.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -201,27 +202,26 @@ def inner(bra: Ket, ket: Ket) -> complex:
 
 class OperatorForm:
     """Shared by Operator, Diagonal and Permutation: the `space` acted on, a
-    `tag` naming the operator in results, a dense `matrix` built on request,
-    and `act(t)`, which applies the operator along axis 0 of an amplitude array.
+    dense `matrix` built on request, and `act(t)`, which applies the operator
+    along axis 0 of an amplitude array.
     """
 
-    __slots__ = ("space", "tag")
+    __slots__ = ("space",)
 
     def _check_space(self, other: "OperatorForm") -> None:
         if self.space != other.space:
             raise DimensionMismatch("operators on different spaces")
 
     def __repr__(self) -> str:
-        t = f", tag={self.tag!r}" if self.tag else ""
-        return f"{type(self).__name__}({self.space!r}{t})"
+        return f"{type(self).__name__}({self.space!r})"
 
 
 class Operator(OperatorForm):
-    """Dense complex square matrix acting on a Space, for matrices without
-    structure to exploit (ket projectors, user matrices, observables). The
-    identity and label projectors built here are Diagonal forms."""
+    """Dense complex square matrix, with a free-form `tag`, for matrices
+    without structure to exploit (ket projectors, user matrices, observables).
+    Label projectors, the identity projector(sp, {}) among them, are Diagonal."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "tag")
 
     def __init__(self, space: Space, matrix: np.ndarray, tag: str = ""):
         mat = np.asarray(matrix, dtype=complex)
@@ -238,18 +238,13 @@ class Operator(OperatorForm):
     # construction helpers ------------------------------------------------
 
     @staticmethod
-    def identity(sp: Space, tag: str = "I") -> "Diagonal":
-        return Diagonal(sp, np.ones(sp.dim), tag=tag)
-
-    @staticmethod
-    def projector(sp: Space, constraints: Mapping[str, str | Sequence[str]],
-                  tag: str = "") -> "Diagonal":
+    def projector(sp: Space, constraints: Mapping[str, str | Sequence[str]]) -> "Diagonal":
         """Diagonal projector onto basis states whose labels satisfy the constraints.
 
         constraints maps factor name -> label (or collection of allowed labels);
         unconstrained factors are untouched. The result holds the 0/1 mask.
         """
-        return Diagonal(sp, Operator.basis_mask(sp, constraints).astype(float), tag=tag)
+        return Diagonal(sp, Operator.basis_mask(sp, constraints).astype(float))
 
     @staticmethod
     def basis_mask(sp: Space, constraints: Mapping[str, str | Sequence[str]]) -> np.ndarray:
@@ -268,19 +263,15 @@ class Operator(OperatorForm):
         return mask.reshape(sp.dim)
 
     @classmethod
-    def ket_projector(cls, k: Ket, tag: str = "") -> "Operator":
+    def ket_projector(cls, k: Ket) -> "Operator":
         """|k><k| (k should be normalized for a true projector)."""
         v = k.amplitudes
-        return cls(k.space, np.outer(v, v.conj()), tag=tag)
+        return cls(k.space, np.outer(v, v.conj()))
 
     # queries --------------------------------------------------------------
 
     def act(self, t: np.ndarray) -> np.ndarray:
         return self.matrix @ t
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        eye = self.matrix @ self.matrix.conj().T
-        return bool(np.max(np.abs(eye - np.eye(self.space.dim))) <= tol)
 
     def is_projector(self) -> bool:
         """Hermitian and idempotent, to ATOL_PROJECTOR."""
@@ -306,7 +297,7 @@ class Diagonal(OperatorForm):
 
     __slots__ = ("diagonal",)
 
-    def __init__(self, space: Space, diagonal: np.ndarray, tag: str = ""):
+    def __init__(self, space: Space, diagonal: np.ndarray):
         diag = np.array(diagonal)
         if diag.shape != (space.dim,):
             raise DimensionMismatch(
@@ -315,7 +306,6 @@ class Diagonal(OperatorForm):
         diag.flags.writeable = False
         self.space = space
         self.diagonal = diag
-        self.tag = tag
 
     @property
     def matrix(self) -> np.ndarray:
@@ -337,7 +327,7 @@ class Diagonal(OperatorForm):
         return Diagonal(self.space, self.diagonal + other.diagonal)
 
     def __mul__(self, scalar: complex) -> "Diagonal":
-        return Diagonal(self.space, self.diagonal * scalar, tag=self.tag)
+        return Diagonal(self.space, self.diagonal * scalar)
 
     __rmul__ = __mul__
 
@@ -348,7 +338,7 @@ class Permutation(OperatorForm):
 
     __slots__ = ("index",)
 
-    def __init__(self, space: Space, index: np.ndarray, tag: str = ""):
+    def __init__(self, space: Space, index: np.ndarray):
         idx = np.array(index, dtype=np.intp)
         if idx.shape != (space.dim,) or not np.array_equal(np.sort(idx),
                                                            np.arange(space.dim)):
@@ -356,7 +346,6 @@ class Permutation(OperatorForm):
         idx.flags.writeable = False
         self.space = space
         self.index = idx
-        self.tag = tag
 
     @property
     def matrix(self) -> np.ndarray:
@@ -435,14 +424,10 @@ def schmidt_rank(k: Ket, left: Sequence[str]) -> tuple[int, np.ndarray]:
 # Gate library. Everything returned here is unitary.
 
 
-def beamsplitter() -> np.ndarray:
-    """Symmetric 50/50 splitter (1/sqrt2)[[1, i], [i, 1]] on a 2-dim factor."""
-    return BS_SYMMETRIC.copy()
-
-
-def splitter_real() -> np.ndarray:
-    """Self-inverse 50/50 split with real equal amplitudes (phases absorbed)."""
-    return SPLIT_REAL.copy()
+def is_unitary(matrix: np.ndarray | Sequence[Sequence[complex]], tol: float) -> bool:
+    """Whether U U+ is the identity to tol in every entry."""
+    u = np.asarray(matrix, dtype=complex)
+    return bool(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= tol)
 
 
 def mode_coupler(factor: Factor, in_pair: tuple[str, str], out_pair: tuple[str, str],
@@ -487,7 +472,7 @@ def _exchange(sp: Space, src: Mapping[int, int], dst: Mapping[int, int],
 
 
 def flag_flip(sp: Space, condition: Mapping[str, str | Sequence[str]],
-              flag_factor: str, ready: str, click: str, tag: str = "") -> Permutation:
+              flag_factor: str, ready: str, click: str) -> Permutation:
     """Permutation toggling a flag factor on basis states matching condition.
 
     Models detectors and annihilation events as norm-preserving basis maps:
@@ -501,11 +486,11 @@ def flag_flip(sp: Space, condition: Mapping[str, str | Sequence[str]],
     if np.any(at_ready & ~np.take(mask, c_idx, axis=ax)):
         # condition must not depend on the flag itself
         raise ValueError("flag_flip condition must be independent of the flag factor")
-    return Permutation(sp, _exchange(sp, {ax: r_idx}, {ax: c_idx}, at_ready), tag=tag)
+    return Permutation(sp, _exchange(sp, {ax: r_idx}, {ax: c_idx}, at_ready))
 
 
 def label_swap(sp: Space, factor_names: Sequence[str],
-               src: Sequence[str], dst: Sequence[str], tag: str = "") -> Permutation:
+               src: Sequence[str], dst: Sequence[str]) -> Permutation:
     """Transposition of two joint label assignments on the given factors.
 
     Entries in src/dst may be "*" to mean "any label, carried through"; the
@@ -525,4 +510,4 @@ def label_swap(sp: Space, factor_names: Sequence[str],
         else:
             fixed_src[ax] = f.index(s)
             fixed_dst[ax] = f.index(d)
-    return Permutation(sp, _exchange(sp, fixed_src, fixed_dst), tag=tag)
+    return Permutation(sp, _exchange(sp, fixed_src, fixed_dst))

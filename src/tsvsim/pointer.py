@@ -37,6 +37,11 @@ DEFAULT_BINS = 401
 DEFAULT_SPACING = 0.05
 DEFAULT_SIGMA = 1.0
 
+# Smallest nonzero shift, in grid bins, that a coupling may ask for. Rounding
+# noise in the interpolated profile (about 2e-16) reaches shift/g as that
+# noise over the shift in bins: 2e-11 at this floor, below the printed digits.
+MIN_SHIFT_BINS = 1e-5
+
 
 def _g(value: float) -> float:
     """The coupling strength g, the pointer shift per unit eigenvalue, as a float.
@@ -180,6 +185,11 @@ def _check_shift(ptr: PointerWavefunction, g: float, lams: np.ndarray) -> None:
         raise ShiftOutOfGrid(
             f"shift g*|lambda| = {worst:g} exceeds half the grid extent {ptr.half_extent:g}"
         )
+    if 0 < worst < MIN_SHIFT_BINS * ptr.spacing:
+        raise ShiftOutOfGrid(
+            f"shift g*|lambda| = {worst:g} is under {MIN_SHIFT_BINS:g} bins of width "
+            f"{ptr.spacing:g}, below what the grid resolves"
+        )
 
 
 def _branch_pointer_amps(ptr: PointerWavefunction, g: float,
@@ -231,18 +241,6 @@ def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: f
     return Ket(joined, joint.reshape(-1))
 
 
-def _split_pointer_axes(joint: Ket, post_projector: OperatorForm) -> tuple[int, list[int]]:
-    k = len(post_projector.space.factors)
-    if joint.space.factors[:k] != post_projector.space.factors:
-        raise DimensionMismatch(
-            "post-selection projector must cover the leading (system) factors"
-        )
-    ptr_axes = list(range(k, len(joint.space.factors)))
-    if not ptr_axes:
-        raise DimensionMismatch("joint state has no pointer factor")
-    return k, ptr_axes
-
-
 def pointer_mean(joint: Ket, post_projector: OperatorForm,
                  pointer: str | None = None) -> float:
     """Mean position of the pointer distribution conditioned on post-selection.
@@ -251,7 +249,14 @@ def pointer_mean(joint: Ket, post_projector: OperatorForm,
     multi-pointer joint state, `pointer` names the factor to average; default
     is the last one. As g -> 0, mean/g -> Re(weak value) with O(g^2) error.
     """
-    k, ptr_axes = _split_pointer_axes(joint, post_projector)
+    k = len(post_projector.space.factors)
+    if joint.space.factors[:k] != post_projector.space.factors:
+        raise DimensionMismatch(
+            "post-selection projector must cover the leading (system) factors"
+        )
+    ptr_axes = list(range(k, len(joint.space.factors)))
+    if not ptr_axes:
+        raise DimensionMismatch("joint state has no pointer factor")
     if pointer is None:
         axis = ptr_axes[-1]
     else:

@@ -297,9 +297,8 @@ def time_reversal_check(result: ScenarioResult, epoch: str = "t2") -> tuple[floa
     with certainty while the positron does so only half the time: the
     operational signature that only the positron's momentum changed.
     """
-    h = hb.splitter_real()
-    s = hb.apply_to_factors(result.states_by_epoch[epoch], h, ["electron"])
-    s = hb.apply_to_factors(s, h, ["positron"])
+    s = hb.apply_to_factors(result.states_by_epoch[epoch], hb.SPLIT_REAL, ["electron"])
+    s = hb.apply_to_factors(s, hb.SPLIT_REAL, ["positron"])
     return (s.marginal_probability("electron", "1'"),
             s.marginal_probability("positron", "2'"))
 
@@ -386,10 +385,10 @@ def run_three_boxes() -> ScenarioResult:
     pre, post = three_boxes_selections("box")
     sp = pre.space
     tsv = tsvf.TwoStateVector(pre, post)
-    projs = [Operator.projector(sp, {"box": lab}, tag=f"P{i+1}")
-             for i, lab in enumerate(sp.factor("box").labels)]
-    weak_values = {p.tag: tsvf.weak_value(tsv, p) for p in projs}
-    total = tsvf.projector_weak_value_sum(tsv, projs)
+    projs = {f"P{i}": Operator.projector(sp, {"box": lab})
+             for i, lab in enumerate(sp.factor("box").labels, start=1)}
+    weak_values = {key: tsvf.weak_value(tsv, p) for key, p in projs.items()}
+    total = tsvf.projector_weak_value_sum(tsv, list(projs.values()))
     p_post, collapsed = tsvf.post_select(pre, Operator.ket_projector(post))
     return ScenarioResult(
         scenario_id="three_boxes",
@@ -422,10 +421,10 @@ def hardy_selections() -> tuple[Ket, Ket]:
 def _hardy_pair_projectors(sp: hb.Space) -> dict[str, Diagonal]:
     # key convention: electron (minus) label first
     return {
-        "OO": Operator.projector(sp, {"electron": "O-", "positron": "O+"}, tag="OO"),
-        "NO_O": Operator.projector(sp, {"electron": "NO-", "positron": "O+"}, tag="NO_O"),
-        "O_NO": Operator.projector(sp, {"electron": "O-", "positron": "NO+"}, tag="O_NO"),
-        "NO_NO": Operator.projector(sp, {"electron": "NO-", "positron": "NO+"}, tag="NO_NO"),
+        "OO": Operator.projector(sp, {"electron": "O-", "positron": "O+"}),
+        "NO_O": Operator.projector(sp, {"electron": "NO-", "positron": "O+"}),
+        "O_NO": Operator.projector(sp, {"electron": "O-", "positron": "NO+"}),
+        "NO_NO": Operator.projector(sp, {"electron": "NO-", "positron": "NO+"}),
     }
 
 
@@ -447,13 +446,13 @@ def _hardy_static():
                         "ann_det", "READY", "CLICK")
     silent = Operator.projector(sp, {"ann_det": "READY"})
     out_coupler = hb.mode_coupler(sp.factor("positron"), ("O+", "NO+"),
-                                  ("C+", "D+"), block=hb.splitter_real())
+                                  ("C+", "D+"), block=hb.SPLIT_REAL)
     out_coupler_e = hb.mode_coupler(sp.factor("electron"), ("O-", "NO-"),
-                                    ("C-", "D-"), block=hb.splitter_real())
+                                    ("C-", "D-"), block=hb.SPLIT_REAL)
     dd_proj = Operator.projector(sp, {"positron": "D+", "electron": "D-"})
     marg_projs = {
-        "NO_minus": Operator.projector(sp, {"electron": "NO-"}, tag="NO_minus"),
-        "NO_plus": Operator.projector(sp, {"positron": "NO+"}, tag="NO_plus"),
+        "NO_minus": Operator.projector(sp, {"electron": "NO-"}),
+        "NO_plus": Operator.projector(sp, {"positron": "NO+"}),
     }
     return (t0, flip, silent, out_coupler, out_coupler_e, dd_proj,
             _hardy_pair_projectors(sp), marg_projs)
@@ -531,63 +530,52 @@ def run_three_path_photon(option: str = "recombine_all",
     pre, post = three_boxes_selections("path")
     sp = pre.space
     path = sp.factor("path")
-    projs = {lab: Operator.projector(sp, {"path": lab}, tag=f"P{i+1}")
-             for i, lab in enumerate(path.labels)}
+    projs = [Operator.projector(sp, {"path": lab}) for lab in path.labels]
     ptr = pt.PointerWavefunction.gaussian(**THREE_PATH_POINTER)
 
     joint = pre
-    for lab in path.labels:
-        joint = pt.couple(joint, projs[lab], ptr, gval)
+    for p in projs:
+        joint = pt.couple(joint, p, ptr, gval)
     pointer_names = [f.name for f in joint.space.factors[1:]]
 
+    # key suffix -> (post-selected ket for the weak values, projector for the
+    # pointer means on the joint state)
     if option == "recombine_all":
-        tsv = tsvf.TwoStateVector(pre, post)
-        weak_values = {p.tag: tsvf.weak_value(tsv, p) for p in projs.values()}
-        post_proj = Operator.ket_projector(post)
-        trial_stats: dict[str, float] = {}
-        for i, name in enumerate(pointer_names, start=1):
-            shift = pt.pointer_mean(joint, post_proj, pointer=name)
-            trial_stats[f"shift_path{i}"] = shift
-            if gval > 0:
-                trial_stats[f"shift_over_g_path{i}"] = shift / gval
-        return ScenarioResult(
-            scenario_id="three_path_photon",
-            states_by_epoch={"t0": pre},
-            probabilities={"postselect_third_negative": tsv.selection_probability()},
-            weak_values=weak_values,
-            trial_stats=trial_stats,
-        )
+        states = {"t0": pre}
+        probabilities = {"postselect_third_negative":
+                         tsvf.TwoStateVector(pre, post).selection_probability()}
+        selections = {"": (post, Operator.ket_projector(post))}
+    else:
+        # merge paths 2 and 3 back into the parent beam, then measure sharply;
+        # each outcome's post-selection is pulled back through the merger
+        merge = hb.mode_coupler(path, ("path2", "path3"), ("path2", "path3"),
+                                block=hb.SPLIT_REAL)
+        recombined = hb.apply_to_factors(pre, merge, ["path"])
+        joint = hb.apply_to_factors(joint, merge, ["path"])
+        outcomes = {"single": "path1", "merged": "path2"}
+        states = {"t0": pre, "final": recombined}
+        probabilities = {f"beam_{name}": recombined.probability([lab])
+                         for name, lab in outcomes.items()}
+        selections = {f"_given_{name}": (
+            hb.apply_to_factors(hb.basis_state(sp, lab), merge.conj().T, ["path"]),
+            Operator.projector(sp, {"path": lab})) for name, lab in outcomes.items()}
 
-    # recombine_two: merge paths 2 and 3 back into the parent beam
-    merge = hb.mode_coupler(path, ("path2", "path3"), ("path2", "path3"),
-                            block=hb.splitter_real())
-    recombined = hb.apply_to_factors(pre, merge, ["path"])
-    outcomes = {"single": "path1", "merged": "path2"}
-    probabilities = {f"beam_{name}": recombined.probability([lab])
-                     for name, lab in outcomes.items()}
-    weak_values = {}
-    for name, lab in outcomes.items():
-        # post-selection on the sharp outcome, pulled back through the merger
-        back = hb.apply_to_factors(hb.basis_state(sp, lab), merge.conj().T, ["path"])
-        tsv = tsvf.TwoStateVector(pre, back)
-        for i, p in enumerate(projs.values(), start=1):
-            weak_values[f"P{i}_given_{name}"] = tsvf.weak_value(tsv, p)
-
-    joint_r = hb.apply_to_factors(joint, merge, ["path"])
-    trial_stats = {}
-    for name, lab in outcomes.items():
-        sharp = Operator.projector(sp, {"path": lab})
-        shifts = [pt.pointer_mean(joint_r, sharp, pointer=nm) for nm in pointer_names]
-        for i, shift in enumerate(shifts, start=1):
-            trial_stats[f"shift_path{i}_given_{name}"] = shift
+    weak_values: dict[str, complex] = {}
+    trial_stats: dict[str, float] = {}
+    for suffix, (post_ket, post_proj) in selections.items():
+        tsv = tsvf.TwoStateVector(pre, post_ket)
+        shifts = [pt.pointer_mean(joint, post_proj, pointer=nm) for nm in pointer_names]
+        for i, (p, shift) in enumerate(zip(projs, shifts), start=1):
+            weak_values[f"P{i}{suffix}"] = tsvf.weak_value(tsv, p)
+            trial_stats[f"shift_path{i}{suffix}"] = shift
             if gval > 0:
-                trial_stats[f"shift_over_g_path{i}_given_{name}"] = shift / gval
-        if gval > 0:
-            trial_stats[f"total_over_g_beam1_given_{name}"] = shifts[0] / gval
-            trial_stats[f"total_over_g_beam23_given_{name}"] = (shifts[1] + shifts[2]) / gval
+                trial_stats[f"shift_over_g_path{i}{suffix}"] = shift / gval
+        if option == "recombine_two" and gval > 0:
+            trial_stats[f"total_over_g_beam1{suffix}"] = shifts[0] / gval
+            trial_stats[f"total_over_g_beam23{suffix}"] = (shifts[1] + shifts[2]) / gval
     return ScenarioResult(
         scenario_id="three_path_photon",
-        states_by_epoch={"t0": pre, "final": recombined},
+        states_by_epoch=states,
         probabilities=probabilities,
         weak_values=weak_values,
         trial_stats=trial_stats,
@@ -638,7 +626,7 @@ def sweep_context(scenario_id: str) -> tuple[Ket, OperatorForm, Operator] | None
     factor = {"three_boxes": "box", "three_path_photon": "path"}.get(scenario_id)
     if factor:
         pre, post = three_boxes_selections(factor)
-        obs = Operator.projector(pre.space, {factor: f"{factor}3"}, tag="P3")
+        obs = Operator.projector(pre.space, {factor: f"{factor}3"})
     elif scenario_id == "hardy":
         pre, post = hardy_selections()
         obs = _hardy_pair_projectors(pre.space)["NO_NO"]

@@ -1,0 +1,26 @@
+"""The names perfbench's layer tracer patches: each must exist where the
+tracer looks it up, and come back unchanged when the trace ends."""
+
+from pathlib import Path
+
+import numpy as np
+
+from tsvsim import cli, dsl, hilbert as hb
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_patches_and_restores(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    before = (cli.main, dsl.parse, hb.Operator.__dict__["projector"])
+    sp = hb.space(("sys", ["lo", "hi"]))
+    with spans.Tracer() as tracer:
+        assert cli.main(["run", "three_boxes", "--out", str(tmp_path / "out.txt")]) == 0
+        which = hb.Operator(sp, np.diag([1.0, 2.0]), tag="which")
+    assert which.tag == "which"
+    assert {"cli.main", "cli.emit", "tsvf.weak_value"} <= {s[0] for s in tracer.spans}
+    assert tracer.counts["hilbert.operators"] >= 1
+    assert (cli.main, dsl.parse, hb.Operator.__dict__["projector"]) == before
+    assert capsys.readouterr().out == ""

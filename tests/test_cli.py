@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -191,6 +192,23 @@ class TestExitCodes:
         assert code == 3
         assert "line 5" in err
 
+    def test_reversed_beamsplitter_pair_exit_3(self, capsys, tmp_path):
+        scn = tmp_path / "reversed.scn"
+        scn.write_text("FACTORS\n  a: x y\nINITIAL\n  x : 1\n"
+                       "GATES\n  t1 beamsplitter a : x y -> y x\n")
+        code, out, err = run_cli(capsys, "run", str(scn))
+        assert (code, out) == (3, "")
+        assert err == f"{scn}:line 6, col 30: mode pairs must be identical or disjoint\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("hardy", "--g-sweep", "1e-15:1e-6:4:log"),
+        ("three_path_photon", "--g", "1e-12"),
+    ])
+    def test_shift_below_grid_resolution_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, "run", *argv)
+        assert (code, out) == (3, "")
+        assert "below what the grid resolves" in err
+
     def test_unwritable_output_exit_4(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "three_boxes", "--out",
                                str(tmp_path / "no_dir" / "out.csv"))
@@ -285,3 +303,13 @@ class TestThreePathOptions:
         assert code == 0
         assert "beam_single,0.333333333" in out
         assert "beam_merged,0.666666667" in out
+
+    @pytest.mark.parametrize("option,digest", [
+        ("recombine_all", "011a0d15216a2c09e4897ee17c478933196c8c0e75ab87e6c548c56d4454add2"),
+        ("recombine_two", "efd9edf59a18b26419c1ee2800639cc1654948c9991398916c3ec795e2780ff3"),
+    ])
+    def test_csv_bytes_pinned(self, capsys, option, digest):
+        code, out, err = run_cli(capsys, "run", "three_path_photon", "--option", option,
+                                 "--g", "0.05", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -94,6 +94,8 @@ class TestParserDiagnostics:
         (1, ["  a: x y("], 2, 8, dsl.ScenarioSyntaxError),
         (2, ["  a: u v"], 3, 3, dsl.ScenarioValidationError),
         (4, ["  z : 1"], 5, 3, dsl.ScenarioValidationError),
+        # the out pair must be the in pair in the same order, or disjoint from it
+        (4, ["GATES", "  t1 beamsplitter a : x y -> y x"], 6, 30, dsl.ScenarioValidationError),
     ])
     def test_diagnostic_points_at_the_offending_word(self, at, added, line, col, error):
         text = "\n".join(self.BASE[:at] + added + self.BASE[at:]) + "\n"

@@ -14,7 +14,7 @@ def boxes_context():
     sp = hb.space(("box", ["box1", "box2", "box3"]))
     pre = hb.Ket(sp, np.ones(3) / SQ3)
     post = hb.Ket(sp, np.array([1, 1, -1]) / SQ3)
-    p3 = hb.Operator.projector(sp, {"box": "box3"}, tag="P3")
+    p3 = hb.Operator.projector(sp, {"box": "box3"})
     return sp, pre, post, p3
 
 
@@ -120,7 +120,7 @@ class TestCouple:
         sp, obs = two_level()
         ptr = pt.PointerWavefunction.gaussian()
         joint = pt.couple(hb.basis_state(sp, "hi"), obs, ptr, 2.0)
-        mean = pt.pointer_mean(joint, hb.Operator.identity(sp))
+        mean = pt.pointer_mean(joint, hb.Operator.projector(sp, {}))
         assert mean == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_coupling_is_exact_product(self):
@@ -151,6 +151,19 @@ class TestCouple:
         with pytest.raises(ShiftOutOfGrid):
             pt.couple(hb.basis_state(sp, "hi"), obs, ptr, 6.0)
 
+    def test_shift_below_grid_resolution(self):
+        # spacing 0.05 and |lambda| = 1: the floor is g = 1e-5 * 0.05
+        sp, obs = two_level()
+        ptr = pt.PointerWavefunction.gaussian()
+        k = hb.basis_state(sp, "hi")
+        for g in (1e-15, 1e-12, 4.9e-7):
+            with pytest.raises(ShiftOutOfGrid, match="below what the grid resolves"):
+                pt.couple(k, obs, ptr, g)
+        assert pt.couple(k, obs, ptr, 1e-6).norm() == pytest.approx(1.0, abs=1e-12)
+        exact = pt.couple(k, obs, ptr, 0.0)
+        np.testing.assert_array_equal(exact.amplitudes.reshape(2, -1)[1],
+                                      ptr.ket_amplitudes())
+
     def test_non_hermitian_rejected(self):
         sp, _ = two_level()
         bad = hb.Operator(sp, np.array([[0, 1], [0, 0]], dtype=complex))
@@ -172,7 +185,7 @@ class TestPointerMean:
         obs = hb.Operator(sp, np.diag([0.0, 3.0]))
         ptr = pt.PointerWavefunction.gaussian()
         joint = pt.couple(hb.basis_state(sp, "y"), obs, ptr, 1.0)
-        mean = pt.pointer_mean(joint, hb.Operator.identity(sp))
+        mean = pt.pointer_mean(joint, hb.Operator.projector(sp, {}))
         assert abs(mean - 3.0) <= ptr.spacing
 
     def test_hardy_pair_mean_over_g(self):
@@ -188,7 +201,7 @@ class TestPointerMean:
 
     def test_three_boxes_positive_weak_value(self):
         sp, pre, post, _ = boxes_context()
-        p1 = hb.Operator.projector(sp, {"box": "box1"}, tag="P1")
+        p1 = hb.Operator.projector(sp, {"box": "box1"})
         joint = pt.couple(pre, p1, pt.PointerWavefunction.gaussian(), 0.05)
         mean = pt.pointer_mean(joint, hb.Operator.ket_projector(post))
         assert 0.85 <= mean / 0.05 <= 1.15
@@ -206,7 +219,7 @@ class TestPointerMean:
                           pt.PointerWavefunction.gaussian(), 0.1)
         other = hb.space(("zzz", ["a", "b"]))
         with pytest.raises(DimensionMismatch):
-            pt.pointer_mean(joint, hb.Operator.identity(other))
+            pt.pointer_mean(joint, hb.Operator.projector(other, {}))
 
     def test_weak_limit_error_halves_quadratically(self):
         # halving g from 0.1 to 0.05 must shrink the error at least 2.5x
@@ -352,6 +365,11 @@ class TestWeakSequence:
         ptr = pt.PointerWavefunction.gaussian(n_bins=11, spacing=0.1)
         with pytest.raises(ShiftOutOfGrid):
             pt.weak_sequence(hb.basis_state(sp, "hi"), obs, 10.0, 5, 1, ptr=ptr)
+
+    def test_shift_below_grid_resolution(self):
+        sp, obs = two_level()
+        with pytest.raises(ShiftOutOfGrid, match="below what the grid resolves"):
+            pt.weak_sequence(hb.basis_state(sp, "hi"), obs, 1e-12, 5, 1)
 
     def test_observable_on_another_space(self):
         sp, _ = two_level()

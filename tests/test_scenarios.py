@@ -309,6 +309,20 @@ class TestThreePathPhoton:
         with pytest.raises(ValueError):
             sc.run_three_path_photon("recombine_none")
 
+    @pytest.mark.parametrize("g", [0.05, 0.0])
+    def test_key_order(self, g):
+        # the key order is the output row order
+        over_g = ["shift_over_g_path{}"] if g else []
+        shifts = [k.format(i) for i in (1, 2, 3) for k in ["shift_path{}", *over_g]]
+        res = sc.run_three_path_photon("recombine_all", g=g)
+        assert list(res.weak_values) == ["P1", "P2", "P3"]
+        assert list(res.trial_stats) == shifts
+        totals = ["total_over_g_beam1", "total_over_g_beam23"] if g else []
+        res = sc.run_three_path_photon("recombine_two", g=g)
+        given = ("_given_single", "_given_merged")
+        assert list(res.weak_values) == [f"P{i}{s}" for s in given for i in (1, 2, 3)]
+        assert list(res.trial_stats) == [k + s for s in given for k in shifts + totals]
+
 
 class TestRegistry:
     def test_scenario_ids(self):

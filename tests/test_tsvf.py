@@ -19,8 +19,7 @@ def boxes():
 
 
 def box_projectors(sp):
-    return [hb.Operator.projector(sp, {"box": lab}, tag=f"P{i+1}")
-            for i, lab in enumerate(sp.factor("box").labels)]
+    return [hb.Operator.projector(sp, {"box": lab}) for lab in sp.factor("box").labels]
 
 
 class TestWeakValue:
@@ -31,7 +30,7 @@ class TestWeakValue:
 
     def test_identity_gives_one(self, boxes):
         sp, tsv = boxes
-        wv = tsvf.weak_value(tsv, hb.Operator.identity(sp))
+        wv = tsvf.weak_value(tsv, hb.Operator.projector(sp, {}))
         assert wv == pytest.approx(1.0, abs=1e-14)
 
     def test_hardy_negative_pair(self):
@@ -48,7 +47,7 @@ class TestWeakValue:
         sp = hb.space(("a", ["x", "y"]))
         tsv = tsvf.TwoStateVector(hb.basis_state(sp, "x"), hb.basis_state(sp, "y"))
         with pytest.raises(OrthogonalSelection):
-            tsvf.weak_value(tsv, hb.Operator.identity(sp))
+            tsvf.weak_value(tsv, hb.Operator.projector(sp, {}))
 
     def test_eigenvector_selection_gives_eigenvalue(self):
         sp = hb.space(("a", ["x", "y", "z"]))
@@ -107,7 +106,7 @@ class TestPostSelect:
 
     def test_identity_projector(self):
         sp, state = self.oblivion_state()
-        p, same = tsvf.post_select(state, hb.Operator.identity(sp))
+        p, same = tsvf.post_select(state, hb.Operator.projector(sp, {}))
         assert p == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(same.amplitudes, state.amplitudes, atol=1e-15)
 
@@ -146,7 +145,7 @@ class TestProjectorSum:
 
     def test_single_identity(self, boxes):
         sp, tsv = boxes
-        assert tsvf.projector_weak_value_sum(tsv, [hb.Operator.identity(sp)]) == \
+        assert tsvf.projector_weak_value_sum(tsv, [hb.Operator.projector(sp, {})]) == \
             pytest.approx(1.0, abs=1e-14)
 
     def test_incomplete_set_rejected(self, boxes):
