@@ -150,8 +150,8 @@ def _weak_limit_error(pre: hb.Ket, obs: hb.OperatorForm, post_proj: hb.Operator,
     # grid chosen so g = 0.05 and 0.025 shift by whole bins; translation
     # interpolation then drops out and the pure O(g^2) response remains
     ptr = pt.PointerWavefunction.gaussian(n_bins=801, spacing=0.025, sigma=1.0)
-    joint = pt.couple(pre, obs, ptr, g)
-    return abs(pt.pointer_mean(joint, post_proj) / g - want)
+    (shift,) = pt.pointer_mean(pt.couple(pre, obs, ptr, g), post_proj)
+    return abs(shift / g - want)
 
 
 def criterion_6_weak_limit() -> str:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, dsl, pointer as pt, scenarios as sc
+from . import acceptance, dsl, hilbert as hb, pointer as pt, scenarios as sc
 from .errors import TsvsimError
 from .scenarios import ScenarioResult
 
@@ -34,12 +34,9 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.9f}"  # +0.0 folds IEEE negative zero into "0.000000000"
 
 
-def _sweep_rows(scenario: str,
+def _sweep_rows(context: tuple[hb.Ket, hb.OperatorForm, hb.Operator],
                 sweep: tuple[float, float, int, bool]) -> list[tuple[float, float]]:
-    """(g, shift/g) rows for the sweep (min, max, steps, log)."""
-    context = sc.sweep_context(scenario)
-    if context is None:
-        raise ValueError(f"scenario {scenario!r} has no pointer context to sweep")
+    """(g, shift/g) rows of the sweep (min, max, steps, log) on a sweep_context."""
     pre, obs, post_proj = context
     g_min, g_max, steps, log = sweep
     if log:
@@ -49,8 +46,8 @@ def _sweep_rows(scenario: str,
     ptr = pt.PointerWavefunction.gaussian()
     rows = []
     for g in gs:
-        joint = pt.couple(pre, obs, ptr, float(g))
-        rows.append((float(g), pt.pointer_mean(joint, post_proj) / float(g)))
+        (shift,) = pt.pointer_mean(pt.couple(pre, obs, ptr, float(g)), post_proj)
+        rows.append((float(g), shift / float(g)))
     return rows
 
 
@@ -170,9 +167,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: unknown scenario or missing file {args.scenario!r} "
               "(see `tsvsim list`)", file=sys.stderr)
         return 2
+    context = sc.sweep_context(args.scenario) if sweep_spec else None
+    if sweep_spec and context is None:
+        print(f"error: scenario {args.scenario!r} has no pointer context to sweep",
+              file=sys.stderr)
+        return 2
     try:
         result = _run_scenario(args)
-        sweep = _sweep_rows(args.scenario, sweep_spec) if sweep_spec else None
+        sweep = _sweep_rows(context, sweep_spec) if context else None
     except OSError as e:  # only dsl.load_file reads here: a directory, no permission
         print(f"error: cannot read {args.scenario}: {e.strerror}", file=sys.stderr)
         return 4

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ShiftOutOfGrid, ZeroProbabilityBranch
 from .hilbert import Factor, Ket, OperatorForm, Space
+from .tsvf import NOT_A_PROJECTOR
 
 HERMITICITY_TOL = 1e-10
 EIGENVALUE_CLUSTER_TOL = 1e-8
@@ -81,10 +82,10 @@ class PointerWavefunction:
         amps.flags.writeable = False
         if self.n_bins % 2 == 0:
             raise ValueError("bin count must be odd so a center bin exists")
-        if self.spacing <= 0:
+        if not self.spacing > 0:  # NaN fails too
             raise ValueError("grid spacing must be positive")
         total = float(np.sum(np.abs(amps) ** 2) * self.spacing)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"pointer not normalized: sum |a|^2 dx = {total!r}")
 
     @classmethod
@@ -218,8 +219,9 @@ def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: f
     The pointer enters as a new factor appended after the system factors. The
     observable may act on the full system space or on a leading subset of its
     factors (identity on the rest), so several pointers can be attached in
-    turn without ever forming full-space matrices. With g = 0 the result is an
-    exact product and the pointer is untouched.
+    turn without ever forming full-space matrices; pointer_mean then reads
+    them all from one post-selection. With g = 0 the result is an exact
+    product and the pointer is untouched.
     """
     k = len(observable.space.factors)
     if system.space.factors[:k] != observable.space.factors:
@@ -241,39 +243,35 @@ def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: f
     return Ket(joined, joint.reshape(-1))
 
 
-def pointer_mean(joint: Ket, post_projector: OperatorForm,
-                 pointer: str | None = None) -> float:
-    """Mean position of the pointer distribution conditioned on post-selection.
+def pointer_mean(joint: Ket, post_projector: OperatorForm) -> tuple[float, ...]:
+    """Mean position of every pointer, conditioned on one post-selection.
 
-    post_projector acts on the system factors (identity on pointers). With a
-    multi-pointer joint state, `pointer` names the factor to average; default
-    is the last one. As g -> 0, mean/g -> Re(weak value) with O(g^2) error.
+    post_projector acts on the leading (system) factors, and every factor
+    after them must be a pointer. The joint state is projected and squared
+    once; the tuple holds one mean per pointer, in factor order. As g -> 0,
+    each mean/g -> Re(weak value) of its observable with O(g^2) error.
     """
     k = len(post_projector.space.factors)
     if joint.space.factors[:k] != post_projector.space.factors:
         raise DimensionMismatch(
             "post-selection projector must cover the leading (system) factors"
         )
-    ptr_axes = list(range(k, len(joint.space.factors)))
-    if not ptr_axes:
+    if not post_projector.is_projector():
+        raise ValueError(NOT_A_PROJECTOR)
+    grids = [grid_positions(f) for f in joint.space.factors[k:]]
+    if not grids:
         raise DimensionMismatch("joint state has no pointer factor")
-    if pointer is None:
-        axis = ptr_axes[-1]
-    else:
-        axis = joint.space.factor_index(pointer)
-        if axis not in ptr_axes:
-            raise DimensionMismatch(f"{pointer!r} is not a pointer factor here")
     sys_dim = post_projector.space.dim
-    t = joint.amplitudes.reshape(sys_dim, -1)
-    t = post_projector.act(t)
-    prob = (np.abs(t) ** 2).reshape([sys_dim] + [joint.space.dims[a] for a in ptr_axes])
+    t = post_projector.act(joint.amplitudes.reshape(sys_dim, -1))
+    prob = (np.abs(t) ** 2).reshape([sys_dim] + [len(xs) for xs in grids])
     total = float(prob.sum())
     if total < 1e-12:
         raise ZeroProbabilityBranch(f"post-selection probability {total:.3e} < 1e-12")
-    keep = 1 + ptr_axes.index(axis)
-    marg = prob.sum(axis=tuple(i for i in range(prob.ndim) if i != keep))
-    xs = grid_positions(joint.space.factors[axis])
-    return float(np.dot(xs, marg) / total)
+    means = []
+    for keep, xs in enumerate(grids, start=1):
+        marg = prob.sum(axis=tuple(i for i in range(prob.ndim) if i != keep))
+        means.append(float(np.dot(xs, marg) / total))
+    return tuple(means)
 
 
 def strong_measure(system: Ket, observable: OperatorForm,

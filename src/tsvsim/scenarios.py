@@ -536,7 +536,6 @@ def run_three_path_photon(option: str = "recombine_all",
     joint = pre
     for p in projs:
         joint = pt.couple(joint, p, ptr, gval)
-    pointer_names = [f.name for f in joint.space.factors[1:]]
 
     # key suffix -> (post-selected ket for the weak values, projector for the
     # pointer means on the joint state)
@@ -564,7 +563,7 @@ def run_three_path_photon(option: str = "recombine_all",
     trial_stats: dict[str, float] = {}
     for suffix, (post_ket, post_proj) in selections.items():
         tsv = tsvf.TwoStateVector(pre, post_ket)
-        shifts = [pt.pointer_mean(joint, post_proj, pointer=nm) for nm in pointer_names]
+        shifts = pt.pointer_mean(joint, post_proj)
         for i, (p, shift) in enumerate(zip(projs, shifts), start=1):
             weak_values[f"P{i}{suffix}"] = tsvf.weak_value(tsv, p)
             trial_stats[f"shift_path{i}{suffix}"] = shift

@@ -23,6 +23,7 @@ from .hilbert import Diagonal, Ket, OperatorForm
 EPS_OVERLAP = 1e-10    # near-orthogonal selections amplify rounding noise quadratically
 EPS_BRANCH = 1e-14
 ATOL_RESOLUTION = 1e-10  # how far a projector family's diagonals may miss the identity
+NOT_A_PROJECTOR = "outcome operator is not a projector (P^2 = P = P+ to 1e-12)"
 
 
 class TwoStateVector:
@@ -39,7 +40,7 @@ class TwoStateVector:
         if pre.space != post.space:
             raise DimensionMismatch("pre and post selections on different spaces")
         for name, k in (("pre", pre), ("post", post)):
-            if abs(k.norm() - 1.0) > 1e-10:
+            if not abs(k.norm() - 1.0) <= 1e-10:  # NaN fails too
                 raise ValueError(f"{name}-selected ket is not normalized (norm {k.norm()!r})")
         self.pre = pre
         self.post = post
@@ -73,7 +74,7 @@ def _project(state: Ket, projector: OperatorForm) -> tuple[np.ndarray, float]:
     if projector.space != state.space:
         raise DimensionMismatch("projector space differs from state space")
     if not projector.is_projector():
-        raise ValueError("outcome operator is not a projector (P^2 = P = P+ to 1e-12)")
+        raise ValueError(NOT_A_PROJECTOR)
     v = projector.act(state.amplitudes)
     return v, float(np.vdot(v, v).real)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tsvsim import cli, dsl, hilbert as hb
+from tsvsim import cli, dsl, hilbert as hb, pointer as pt
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -14,13 +14,18 @@ def test_tracer_patches_and_restores(monkeypatch, tmp_path, capsys):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
-    before = (cli.main, dsl.parse, hb.Operator.__dict__["projector"])
+    before = (cli.main, dsl.parse, hb.Operator.__dict__["projector"], pt.pointer_mean)
     sp = hb.space(("sys", ["lo", "hi"]))
     with spans.Tracer() as tracer:
         assert cli.main(["run", "three_boxes", "--out", str(tmp_path / "out.txt")]) == 0
         which = hb.Operator(sp, np.diag([1.0, 2.0]), tag="which")
+        assert cli.main(["run", "three_path_photon", "--option", "recombine_two",
+                         "--out", str(tmp_path / "photon.txt")]) == 0
     assert which.tag == "which"
-    assert {"cli.main", "cli.emit", "tsvf.weak_value"} <= {s[0] for s in tracer.spans}
+    names = [s[0] for s in tracer.spans]
+    assert {"cli.main", "cli.emit", "tsvf.weak_value"} <= set(names)
+    # three pointers coupled, all read from one projection per post-selection
+    assert (names.count("pointer.couple"), names.count("pointer.pointer_mean")) == (3, 2)
     assert tracer.counts["hilbert.operators"] >= 1
-    assert (cli.main, dsl.parse, hb.Operator.__dict__["projector"]) == before
+    assert (cli.main, dsl.parse, hb.Operator.__dict__["projector"], pt.pointer_mean) == before
     assert capsys.readouterr().out == ""

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tsvsim import cli, dsl
+from tsvsim import cli, dsl, scenarios as sc
 from tsvsim.scenarios import ScenarioResult
 
 
@@ -172,6 +172,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", "oblivion", "--g-sweep", "0.01:0.1:3")
         assert code == 2
         assert "sweep" in err
+
+    def test_sweep_refused_before_running(self, capsys, monkeypatch):
+        def must_not_run(**_):
+            raise AssertionError("four_mirror ran before the sweep was refused")
+
+        monkeypatch.setattr(sc, "run_four_mirror", must_not_run)
+        code, out, err = run_cli(capsys, "run", "four_mirror", "--g-sweep", "0.01:0.1:3")
+        assert (code, out) == (2, "")
+        assert err == "error: scenario 'four_mirror' has no pointer context to sweep\n"
 
     def test_bad_sweep_spec(self, capsys):
         code, _, _ = run_cli(capsys, "run", "hardy", "--g-sweep", "nope")

@@ -166,6 +166,11 @@ class TestTwoStateVector:
             tsvf.TwoStateVector(hb.Ket(sp, np.array([2.0, 0])),
                                 hb.basis_state(sp, "x"))
 
+    def test_nan_ket_rejected(self):
+        sp = hb.space(("a", ["x", "y"]))
+        with pytest.raises(ValueError, match=r"^pre-selected ket is not normalized \(norm nan\)$"):
+            tsvf.TwoStateVector(hb.Ket(sp, np.array([np.nan, 0])), hb.basis_state(sp, "x"))
+
     def test_selection_probability(self, boxes):
         _, tsv = boxes
         assert tsv.selection_probability() == pytest.approx(1 / 9, abs=1e-12)
