@@ -15,6 +15,7 @@ responsible line attached as a `diagnostic` attribute.
 
 from __future__ import annotations
 
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 from .. import hilbert as hb
 from .. import tsvf
 from ..errors import TsvsimError
-from ..hilbert import Ket, Operator
+from ..hilbert import Diagonal, Ket, Operator
 from ..scenarios import ScenarioResult
 from .parse import (Diagnostic, GateDecl, ScenarioSpec, ScenarioSyntaxError, parse,
                     selection_record)
@@ -110,9 +111,11 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
         try:
             tsv = tsvf.TwoStateVector(state, post_ket)
             for obs in spec.observables:
-                terms = [coeff * Operator.projector(sp, dict(constraints or ()))
-                         for coeff, constraints in obs.terms]
-                op = sum(terms[1:], terms[0])
+                # a left fold from the first term: sum() would start at 0,
+                # and 0 + -0.0 is +0.0
+                op = Diagonal(sp, reduce(np.add, (
+                    Operator.projector(sp, dict(constraints or ())).diagonal * coeff
+                    for coeff, constraints in obs.terms)))
                 weak_values[obs.name] = tsvf.weak_value(tsv, op)
         except TsvsimError as e:
             line = spec.postselect.line if spec.postselect is not None else 1

@@ -1,5 +1,5 @@
-"""Finite-dimensional labeled Hilbert spaces: kets, operators, tensor products,
-projectors, and Schmidt decomposition.
+"""Finite-dimensional labeled Hilbert spaces: kets, operators, projectors, and
+Schmidt decomposition.
 
 States live on a product of named factors (particle paths, detector flags,
 pointer bins, ...). Every factor carries a label table, so basis states are
@@ -7,7 +7,8 @@ addressed by label tuples such as ``("1''", "2'", "READY1")`` instead of raw
 indices. Kets are dense amplitude vectors. A label projector is a 0/1 mask
 (Diagonal), a detector flip or collision an index permutation (Permutation), a
 splitter a small matrix on its target factors (apply_to_factors); only general
-matrices are dense d x d arrays (Operator).
+matrices are dense d x d arrays (Operator). Operators have no arithmetic: a
+sum of scaled projectors is built as one Diagonal from their diagonals.
 
 All values are immutable after construction and safe to share between threads.
 """
@@ -110,14 +111,6 @@ class Space:
                 f.index(lab)  # raises the unknown-label KeyError
         return idx
 
-    def labels_of(self, index: int) -> tuple[str, ...]:
-        """Inverse of index_of."""
-        out = []
-        for d, f in zip(reversed(self.dims), reversed(self.factors)):
-            index, r = divmod(index, d)
-            out.append(f.labels[r])
-        return tuple(reversed(out))
-
 
 def space(*factors: tuple[str, Sequence[str]]) -> Space:
     """Shorthand: space(("photon", ["L_u", "L_d"]), ("det", ["READY", "CLICK"]))."""
@@ -187,12 +180,6 @@ def from_amplitudes(sp: Space, entries: Mapping[Sequence[str], complex]) -> Ket:
     return Ket(sp, amps)
 
 
-def tensor(a: Ket, b: Ket) -> Ket:
-    """Tensor product. Factor lists concatenate; amplitudes are the Kronecker product."""
-    joined = Space(a.space.factors + b.space.factors)
-    return Ket(joined, np.kron(a.amplitudes, b.amplitudes))
-
-
 def inner(bra: Ket, ket: Ket) -> complex:
     """<bra|ket>, conjugate-linear in the first argument."""
     if bra.space != ket.space:
@@ -202,24 +189,21 @@ def inner(bra: Ket, ket: Ket) -> complex:
 
 class OperatorForm:
     """Shared by Operator, Diagonal and Permutation: the `space` acted on, a
-    dense `matrix` built on request, and `act(t)`, which applies the operator
-    along axis 0 of an amplitude array.
+    dense `matrix` built on request, `act(t)`, which applies the operator
+    along axis 0 of an amplitude array, and `is_projector()`.
     """
 
     __slots__ = ("space",)
-
-    def _check_space(self, other: "OperatorForm") -> None:
-        if self.space != other.space:
-            raise DimensionMismatch("operators on different spaces")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.space!r})"
 
 
 class Operator(OperatorForm):
-    """Dense complex square matrix, with a free-form `tag`, for matrices
-    without structure to exploit (ket projectors, user matrices, observables).
-    Label projectors, the identity projector(sp, {}) among them, are Diagonal."""
+    """Dense complex square matrix, for matrices without structure to exploit
+    (ket projectors, user matrices, observables). Label projectors, the
+    identity projector(sp, {}) among them, are Diagonal. The free-form `tag`
+    is kept for perfbench's tracer, which passes it on; tsvsim never sets it."""
 
     __slots__ = ("matrix", "tag")
 
@@ -279,17 +263,6 @@ class Operator(OperatorForm):
         return bool(np.max(np.abs(m - m.conj().T)) <= ATOL_PROJECTOR
                     and np.max(np.abs(m @ m - m)) <= ATOL_PROJECTOR)
 
-    # algebra ---------------------------------------------------------------
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.matrix + other.matrix)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.space, self.matrix * scalar, tag=self.tag)
-
-    __rmul__ = __mul__
-
 
 class Diagonal(OperatorForm):
     """Operator diagonal in the product basis, stored as its diagonal: the 0/1
@@ -322,15 +295,6 @@ class Diagonal(OperatorForm):
         return bool(np.max(np.abs(d - d.conj())) <= ATOL_PROJECTOR
                     and np.max(np.abs(d * d - d)) <= ATOL_PROJECTOR)
 
-    def __add__(self, other: "Diagonal") -> "Diagonal":
-        self._check_space(other)
-        return Diagonal(self.space, self.diagonal + other.diagonal)
-
-    def __mul__(self, scalar: complex) -> "Diagonal":
-        return Diagonal(self.space, self.diagonal * scalar)
-
-    __rmul__ = __mul__
-
 
 class Permutation(OperatorForm):
     """Basis map stored as an index array, (P t)[i] = t[index[i]]; the array is
@@ -355,6 +319,10 @@ class Permutation(OperatorForm):
 
     def act(self, t: np.ndarray) -> np.ndarray:
         return t[self.index] + 0.0  # +0.0 as in Diagonal.act
+
+    def is_projector(self) -> bool:
+        """Only the identity map: no other permutation is idempotent."""
+        return bool(np.array_equal(self.index, np.arange(self.space.dim)))
 
 
 def apply(op: OperatorForm, k: Ket) -> Ket:

@@ -60,11 +60,19 @@ def _pointer_factor(name: str, n_bins: int, spacing: float) -> Factor:
 
 
 def grid_positions(factor: Factor) -> np.ndarray:
-    """Recover the position grid from a pointer factor's labels."""
-    try:
-        return np.array([float(lab[2:]) for lab in factor.labels])
-    except ValueError:
-        raise ValueError(f"factor {factor.name!r} is not a pointer factor") from None
+    """Recover the position grid from a pointer factor's labels, which must be
+    exactly the labels _pointer_factor writes for its name and bin count."""
+    dim, expected = factor.dim, None
+    if dim % 2:  # odd, so a centre bin exists
+        try:
+            # the bin right of centre sits at 1 x spacing; a 1-bin grid has none
+            spacing = float(factor.labels[(dim + 1) // 2][2:]) if dim > 1 else 1.0
+            expected = _pointer_factor(factor.name, dim, spacing).labels
+        except ValueError:  # not a number, or a zero or NaN spacing (duplicate labels)
+            pass
+    if expected != factor.labels:
+        raise ValueError(f"factor {factor.name!r} is not a pointer factor")
+    return np.array([float(lab[2:]) for lab in factor.labels])
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,3 +29,21 @@ def test_tracer_patches_and_restores(monkeypatch, tmp_path, capsys):
     assert tracer.counts["hilbert.operators"] >= 1
     assert (cli.main, dsl.parse, hb.Operator.__dict__["projector"], pt.pointer_mean) == before
     assert capsys.readouterr().out == ""
+
+
+def test_tracer_sees_each_scn_observable(monkeypatch, tmp_path):
+    # hilbert.projector.ms on scn_scaling times the observable builds, so each
+    # .scn observable must still reach Operator.projector and tsvf.weak_value
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    fixture = dsl.builtin_scenario_path("three_boxes")
+    with spans.Tracer() as tracer:
+        saved = list(tracer._saved)  # (owner, name, original) per patch
+        assert cli.main(["run", str(fixture), "--out", str(tmp_path / "out.txt")]) == 0
+    names = [s[0] for s in tracer.spans]
+    assert (names.count("hilbert.projector"), names.count("tsvf.weak_value")) == (3, 3)
+    assert saved
+    for owner, attr, original in saved:
+        now = owner[attr] if isinstance(owner, dict) else vars(owner)[attr]
+        assert now is original, f"{attr} not restored"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsvsim import dsl, hilbert as hb, scenarios as sc
+from tsvsim import dsl, hilbert as hb, scenarios as sc, tsvf
 from tsvsim.acceptance import FUZZ_PIECES
 from tsvsim.dsl import Diagnostic
 from tsvsim.dsl.parse import _Expr as TokenExpr, _eval as token_eval
@@ -353,6 +353,75 @@ class TestEvaluate:
                 "GATES\n  t1 projector_select a : x\n")
         res = dsl.evaluate(dsl.parse(text))
         assert res.probabilities["t1_a_x"] == pytest.approx(0.5, abs=1e-12)
+
+
+def _reference_observable(sp, terms):
+    """An observable as operator arithmetic built it: each projector's diagonal
+    times its coefficient, the products added left to right from the first."""
+    diagonals = [hb.Operator.projector(sp, dict(constraints or ())).diagonal * coeff
+                 for coeff, constraints in terms]
+    total = diagonals[0]
+    for d in diagonals[1:]:
+        total = total + d
+    return hb.Diagonal(sp, total)
+
+
+OBSERVABLE_COEFFS = ("", "-", "2*", "i*", "-i*", "1/3*", "(1,-2)*", "(0,-0.0)*",
+                     "-(0.3,-1)*")
+
+
+def three_box_observables_text(seed, count=40):
+    """The three-box selections with `count` seeded multi-term observables."""
+    rng = random.Random(seed)
+    terms = ("proj(box=box1)", "proj(box=box2)", "proj(box=box3)", "id")
+    lines = []
+    for k in range(count):
+        expr = " + ".join(rng.choice(OBSERVABLE_COEFFS) + rng.choice(terms)
+                          for _ in range(rng.randint(1, 4)))
+        lines.append(f"  O{k} = {expr}{' - id' if rng.random() < 0.3 else ''}\n")
+    return ("FACTORS\n  box: box1 box2 box3\n"
+            "INITIAL\n  box1 : 1\n  box2 : 1\n  box3 : 1\n"
+            "POSTSELECT\n  box1 : 1\n  box2 : 1\n  box3 : -1\n"
+            "OBSERVABLES\n  NEGATED = -proj(box=box1) - proj(box=box2)\n"
+            + "".join(lines))
+
+
+class TestObservableIsOneDiagonal:
+    """Each observable is one Diagonal, byte-equal to the per-term arithmetic,
+    so a -0.0 entry of the first term stays -0.0."""
+
+    @staticmethod
+    def assert_matches_reference(monkeypatch, spec):
+        seen = []
+        weak_value = tsvf.weak_value
+
+        def recording(tsv, op):
+            seen.append((tsv, op))
+            return weak_value(tsv, op)
+
+        monkeypatch.setattr(tsvf, "weak_value", recording)
+        res = dsl.evaluate(spec)
+        assert len(seen) == len(spec.observables)
+        for obs, (tsv, op) in zip(spec.observables, seen):
+            ref = _reference_observable(op.space, obs.terms)
+            assert isinstance(op, hb.Diagonal)
+            assert op.diagonal.dtype == ref.diagonal.dtype
+            assert op.diagonal.tobytes() == ref.diagonal.tobytes()
+            assert res.weak_values[obs.name] == weak_value(tsv, ref)
+
+    @pytest.mark.parametrize("scenario_id", FIXTURE_IDS)
+    def test_fixture_observables(self, monkeypatch, scenario_id):
+        self.assert_matches_reference(
+            monkeypatch, dsl.load_file(dsl.builtin_scenario_path(scenario_id)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_multi_term_observables(self, monkeypatch, seed):
+        spec = dsl.parse(three_box_observables_text(seed))
+        # the first observable's reference holds a -0.0 for sum() to lose
+        sp = hb.space(*((f.name, f.labels) for f in spec.factors))
+        first = _reference_observable(sp, spec.observables[0].terms).diagonal.view(float)
+        assert np.any((first == 0) & np.signbit(first))
+        self.assert_matches_reference(monkeypatch, spec)
 
 
 class TestFixtures:

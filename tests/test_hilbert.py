@@ -1,4 +1,6 @@
-"""Core Hilbert-space machinery: labels, tensor products, operators, Schmidt."""
+"""Core Hilbert-space machinery: labels, kets, operators, Schmidt."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -22,10 +24,9 @@ def split_state(sp):
 
 class TestSpaceAndLabels:
     def test_label_to_index_roundtrip(self):
-        sp = pair_space()
-        for i in range(sp.dim):
-            labels = sp.labels_of(i)
-            assert sp.index_of(labels) == i
+        sp = hb.space(("a", ["x", "y", "z"]), ("b", ["u", "v"]), ("c", ["p", "q"]))
+        labels = itertools.product(*(f.labels for f in sp.factors))
+        assert [sp.index_of(lab) for lab in labels] == list(range(sp.dim))
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -54,46 +55,6 @@ class TestSpaceAndLabels:
         assert repr(f) == "Factor(name='f', labels=('a', 'b'))"
         assert f == hb.Factor("f", ("a", "b"))
         assert hash(f) == hash(("f", ("a", "b")))
-
-
-class TestTensor:
-    def test_basis_state_product(self):
-        sp_e = hb.space(("electron", ["1'", "1''"]))
-        sp_p = hb.space(("positron", ["2'", "2''"]))
-        out = hb.tensor(hb.basis_state(sp_e, "1'"), hb.basis_state(sp_p, "2'"))
-        assert out.amplitude(("1'", "2'")) == 1.0
-        assert out.norm() == pytest.approx(1.0, abs=1e-15)
-
-    def test_split_pair_expands_to_four_equal_amplitudes(self):
-        # (|1'> + |1''>)(|2'> + |2''>)/2: every joint branch carries 1/2
-        sp_e = hb.space(("electron", ["1'", "1''"]))
-        sp_p = hb.space(("positron", ["2'", "2''"]))
-        e = hb.Ket(sp_e, np.array([1, 1]) / SQ2)
-        p = hb.Ket(sp_p, np.array([1, 1]) / SQ2)
-        joint = hb.tensor(e, p)
-        np.testing.assert_allclose(joint.amplitudes, 0.25 ** 0.5, atol=1e-15)
-
-    def test_norm_multiplicative_on_random_unnormalized_inputs(self):
-        rng = np.random.default_rng(7)
-        sp_a = hb.space(("a", ["x", "y", "z"]))
-        sp_b = hb.space(("b", ["u", "v"]))
-        for _ in range(25):
-            a = hb.Ket(sp_a, rng.normal(size=3) + 1j * rng.normal(size=3))
-            b = hb.Ket(sp_b, rng.normal(size=2) + 1j * rng.normal(size=2))
-            assert hb.tensor(a, b).norm() == pytest.approx(a.norm() * b.norm(),
-                                                           rel=1e-12)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(8)
-        kets = []
-        for name, dim in (("a", 2), ("b", 3), ("c", 2)):
-            sp = hb.space((name, [f"{name}{i}" for i in range(dim)]))
-            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            kets.append(hb.Ket(sp, v))
-        a, b, c = kets
-        left = hb.tensor(hb.tensor(a, b), c)
-        right = hb.tensor(a, hb.tensor(b, c))
-        np.testing.assert_allclose(left.amplitudes, right.amplitudes, atol=1e-14)
 
 
 class TestInner:

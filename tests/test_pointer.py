@@ -20,7 +20,7 @@ def boxes_context():
 
 def two_level():
     sp = hb.space(("sys", ["lo", "hi"]))
-    obs = hb.Operator(sp, np.diag([0.0, 1.0]), tag="which")
+    obs = hb.Operator(sp, np.diag([0.0, 1.0]))
     return sp, obs
 
 
@@ -266,20 +266,27 @@ class TestPointerMean:
             pt.pointer_mean(joint, hb.Operator.projector(other, {}))
 
     def test_trailing_factors_must_all_be_pointers(self):
-        sp = hb.space(("a", ["x", "y"]), ("b", ["u", "v"]))
-        joint = pt.couple(hb.basis_state(sp, "y", "u"), hb.Operator.projector(sp, {}),
-                          pt.PointerWavefunction.gaussian(), 0.1)
-        with pytest.raises(ValueError, match="^factor 'b' is not a pointer factor$"):
-            pt.pointer_mean(joint, hb.Operator.projector(hb.space(("a", ["x", "y"])), {}))
-        (mean,) = pt.pointer_mean(joint, hb.Operator.projector(sp, {}))
-        assert mean == pytest.approx(0.1, abs=1e-12)
+        # labels that parse as floats after two characters are still refused
+        # unless they are exactly a centred pointer grid's labels
+        for labels in (["u", "v"], ["n=0", "n=1"], ["ab1", "cd2"],
+                       ["x=0.0", "x=1.0", "x=2.0"]):
+            sp = hb.space(("a", ["x", "y"]), ("b", labels))
+            joint = pt.couple(hb.basis_state(sp, "y", labels[0]),
+                              hb.Operator.projector(sp, {}),
+                              pt.PointerWavefunction.gaussian(), 0.1)
+            with pytest.raises(ValueError, match="^factor 'b' is not a pointer factor$"):
+                pt.pointer_mean(joint,
+                                hb.Operator.projector(hb.space(("a", ["x", "y"])), {}))
+            (mean,) = pt.pointer_mean(joint, hb.Operator.projector(sp, {}))
+            assert mean == pytest.approx(0.1, abs=1e-12)
 
     def test_non_projector_rejected(self):
         sp, obs = two_level()
         joint = pt.couple(hb.basis_state(sp, "hi"), obs,
                           pt.PointerWavefunction.gaussian(), 0.1)
-        for bad in (5 * hb.Operator.projector(sp, {"sys": "hi"}),
-                    hb.Operator(sp, np.array([[0, 1], [0, 0]], dtype=complex))):
+        for bad in (hb.Diagonal(sp, 5 * hb.Operator.projector(sp, {"sys": "hi"}).diagonal),
+                    hb.Operator(sp, np.array([[0, 1], [0, 0]], dtype=complex)),
+                    hb.flag_flip(sp, {}, "sys", "lo", "hi")):
             with pytest.raises(ValueError, match="is not a projector"):
                 pt.pointer_mean(joint, bad)
 

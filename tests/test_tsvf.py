@@ -65,7 +65,8 @@ class TestWeakValue:
             b = hb.Operator(sp, rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
             alpha = complex(rng.normal(), rng.normal())
             beta = complex(rng.normal(), rng.normal())
-            lhs = tsvf.weak_value(tsv, alpha * a + beta * b)
+            combined = hb.Operator(sp, alpha * a.matrix + beta * b.matrix)
+            lhs = tsvf.weak_value(tsv, combined)
             rhs = alpha * tsvf.weak_value(tsv, a) + beta * tsvf.weak_value(tsv, b)
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(rhs)))
 
@@ -97,8 +98,9 @@ class TestPostSelect:
         # from the 1/sqrt3 state, removing the (1', 2') branch keeps 2/3
         sp, state = self.oblivion_state()
         _, mid = tsvf.post_select(state, hb.Operator.projector(sp, {"det": "READY"}))
-        proj = hb.Operator.projector(sp, {"electron": "1''"}) \
-            + hb.Operator.projector(sp, {"electron": "1'", "positron": "2''"})
+        first, second = (hb.Operator.projector(sp, c).diagonal
+                         for c in ({"electron": "1''"}, {"electron": "1'", "positron": "2''"}))
+        proj = hb.Diagonal(sp, first + second)
         p, final = tsvf.post_select(mid, proj)
         assert p == pytest.approx(2 / 3, abs=1e-14)
         assert final.amplitude(("1'", "2''", "READY")) == pytest.approx(1 / SQ2, abs=1e-12)
@@ -106,9 +108,11 @@ class TestPostSelect:
 
     def test_identity_projector(self):
         sp, state = self.oblivion_state()
-        p, same = tsvf.post_select(state, hb.Operator.projector(sp, {}))
-        assert p == pytest.approx(1.0, abs=1e-14)
-        np.testing.assert_allclose(same.amplitudes, state.amplitudes, atol=1e-15)
+        for identity in (hb.Operator.projector(sp, {}),
+                         hb.Permutation(sp, np.arange(sp.dim))):
+            p, same = tsvf.post_select(state, identity)
+            assert p == pytest.approx(1.0, abs=1e-14)
+            np.testing.assert_allclose(same.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_zero_probability_branch(self):
         sp = hb.space(("a", ["x", "y"]))
@@ -119,8 +123,9 @@ class TestPostSelect:
     def test_non_projector_rejected(self):
         sp = hb.space(("a", ["x", "y"]))
         for bad in (hb.Operator(sp, np.array([[0.5, 0], [0, 0.5]])),
-                    2 * hb.Operator.projector(sp, {"a": "x"})):
-            with pytest.raises(ValueError):
+                    hb.Diagonal(sp, 2 * hb.Operator.projector(sp, {"a": "x"}).diagonal),
+                    hb.flag_flip(sp, {}, "a", "x", "y")):
+            with pytest.raises(ValueError, match="is not a projector"):
                 tsvf.post_select(hb.basis_state(sp, "x"), bad)
 
     def test_complete_outcome_set_sums_to_one(self):
