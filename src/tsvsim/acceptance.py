@@ -141,7 +141,7 @@ def criterion_5_four_mirror() -> str:
            f"click fraction within 20 trips {stats['lu_click_fraction_within_20']}")
     _check(runtime < 5.0, f"runtime {runtime:.2f} s >= 5 s")
     return (f"silence {stats['first_silent_fraction']:.4f}; zero lonely clicks over "
-            f"100 trips; click fraction within 20 trips "
+            f"{sc.LONELY_TRIPS} trips; click fraction within 20 trips "
             f"{stats['lu_click_fraction_within_20']:.4f}; runtime {runtime:.2f} s")
 
 

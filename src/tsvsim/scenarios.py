@@ -149,26 +149,42 @@ def run_four_mirror(trials: int = 10_000, rng_seed: int = 42) -> ScenarioResult:
     )
 
 
-def _probe(states: np.ndarray, mode: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized presence probe at one mode: Born-sample, collapse in place.
+def _probe(rows: np.ndarray, of: np.ndarray, mode: int,
+           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized presence probe at one mode over trials that share states.
 
-    Equivalent to coupling a READY/CLICK flag and projecting it (checked
-    against the explicit detector pipeline in the tests); the photon is kept
-    either way because the loosened mirror only registers the impact.
-    Returns the boolean click mask."""
-    amps = states[:, mode]
+    Trial t holds the photon state rows[of[t]]. Each trial is Born-sampled;
+    each (row, outcome) pair some trial takes is collapsed once, and children
+    that come out byte-identical merge into one row. Equivalent to coupling a
+    READY/CLICK flag and projecting it (checked against the explicit detector
+    pipeline in the tests); the photon is kept either way because the
+    loosened mirror only registers the impact.
+    Returns the new (rows, of) and the boolean click mask over trials."""
+    amps = rows[:, mode]
     mag = np.abs(amps)
     p = mag ** 2
-    clicked = rng.random(len(states)) < p
-    # a clicked row keeps only its mode's phase, a silent row loses the mode
-    phase = np.divide(amps, mag, out=np.zeros_like(amps), where=clicked)
-    np.copyto(states, 0.0, where=clicked[:, None])
+    clicked = rng.random(len(of)) < p[of]
+    child = 2 * of + clicked  # row r's silent child is 2r, its clicked child 2r + 1
+    taken = np.zeros(2 * len(rows), dtype=bool)
+    taken[child] = True
+    kids = np.flatnonzero(taken)
+    parent, hit = kids // 2, kids % 2 == 1
+    states = rows[parent]
+    # a clicked child keeps only its mode's phase, a silent child loses the mode
+    phase = np.divide(amps[parent], mag[parent], out=np.zeros(len(kids), dtype=complex),
+                      where=hit)
+    np.copyto(states, 0.0, where=hit[:, None])
     states[:, mode] = phase
-    # a silent row has p <= draw < 1, a clicked one may have p > 1 by rounding:
-    # take the root for silent rows only, and divide clicked rows by 1.0 (exact)
-    keep = np.sqrt(1.0 - p, out=np.ones_like(p), where=~clicked)
+    # a silent child has p <= draw < 1, a clicked one may have p > 1 by rounding:
+    # take the root for silent children only, and divide clicked ones by 1.0 (exact)
+    keep = np.sqrt(1.0 - p[parent], out=np.ones(len(kids)), where=~hit)
     states /= np.where(keep > 1e-9, keep, 1.0)[:, None]
-    return clicked
+    # merge on bytes, not values: np.unique(axis=0) would merge -0.0 with +0.0
+    _, first, merged = np.unique(states.view(f"V{states.itemsize * 4}").ravel(),
+                                 return_index=True, return_inverse=True)
+    row_of = np.zeros(len(taken), dtype=np.intp)
+    row_of[kids] = merged
+    return states[first], row_of[child], clicked
 
 
 LONELY_TRIPS = 100  # round trips with only L_u armed, stage (b)
@@ -176,28 +192,28 @@ ARMED_TRIPS = 20    # round trips with both mirrors armed, stage (c)
 
 
 def _four_mirror_trials(trials: int, rng_seed: int) -> dict[str, float]:
+    """Stages (a)-(c) over `trials` photons, held as distinct states `rows`
+    (k x 4) and one row index per trial (`of`)."""
     rng = np.random.default_rng(rng_seed)
     bs_t = _four_mirror_static()[0].T  # right-multiplication by bs.T applies bs to each row
     l_u, r_u = 0, 2
 
-    states = np.zeros((trials, 4), dtype=complex)
-    states[:, 0] = states[:, 1] = 1 / SQ2
-    clicked = _probe(states, l_u, rng)
+    start = np.array([[1 / SQ2, 1 / SQ2, 0, 0]], dtype=complex)
+    rows, of, clicked = _probe(start, np.zeros(trials, dtype=np.intp), l_u, rng)
     silent = ~clicked
     stats: dict[str, float] = {"first_silent_fraction": float(silent.mean())}
 
     # (b) only L_u armed, 100 round trips from |L_d>
-    lone = states[silent]
+    lone_rows, lone = rows, of[silent]
     lonely_clicks = 0
     for _ in range(LONELY_TRIPS):
-        lone = lone @ bs_t
-        lone = lone @ bs_t
-        lonely_clicks += int(_probe(lone, l_u, rng).sum())
+        lone_rows = lone_rows @ bs_t @ bs_t
+        lone_rows, lone, clicked = _probe(lone_rows, lone, l_u, rng)
+        lonely_clicks += int(clicked.sum())
     stats["lonely_lu_clicks"] = float(lonely_clicks)
 
     # (c) R_u armed as well; keep the double-silence subset
-    armed = states[silent] @ bs_t
-    ru_clicked = _probe(armed, r_u, rng)
+    armed_rows, armed, ru_clicked = _probe(rows @ bs_t, of[silent], r_u, rng)
     armed = armed[~ru_clicked]
     stats["double_silence_fraction"] = float((~ru_clicked).mean()) if len(ru_clicked) else 0.0
     n_armed = len(armed)
@@ -205,14 +221,12 @@ def _four_mirror_trials(trials: int, rng_seed: int) -> dict[str, float]:
     exposures = 0
     clicks_seen = 0
     for trip in range(1, ARMED_TRIPS + 1):
-        armed = armed @ bs_t
-        lu = _probe(armed, l_u, rng)
+        armed_rows, armed, lu = _probe(armed_rows @ bs_t, armed, l_u, rng)
         exposures += n_armed
         clicks_seen += int(lu.sum())
         fresh = lu & (first_click == np.iinfo(np.int64).max)
         first_click[fresh] = trip
-        armed = armed @ bs_t
-        _probe(armed, r_u, rng)
+        armed_rows, armed, _ = _probe(armed_rows @ bs_t, armed, r_u, rng)
     for k in (1, 5, 10, 20):
         stats[f"lu_click_fraction_within_{k}"] = (
             float((first_click <= k).mean()) if n_armed else 0.0

@@ -157,6 +157,17 @@ class TestDeterminism:
             [l for l in exact2 if "seed=" not in l]
         assert stats1 != stats2
 
+    @pytest.mark.parametrize("seed,digest", [
+        ("42", "d7080b5389b28a8e7ccf1f0554e28e1bfe0927fc6fe379ac35c4e4e7f4e2e904"),
+        ("2024", "e58caaba342cea7fb43f5300029f3e8dcb0e5e0ff7be4b553c8d5fd5ffb360f0"),
+    ])
+    def test_four_mirror_jsonl_bytes_pinned(self, capsys, seed, digest):
+        # jsonl prints full-precision floats, so any change in a Monte Carlo bit shows
+        code, out, err = run_cli(capsys, "run", "four_mirror", "--trials", "10000",
+                                 "--seed", seed, "--format", "jsonl")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestExitCodes:
     def test_unknown_scenario(self, capsys):

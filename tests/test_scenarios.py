@@ -41,18 +41,81 @@ def _reference_probe(states, mode, rng):
     return clicked
 
 
-def _recorded_trials(monkeypatch, probe, trials, seed):
-    """trial_stats of the four-mirror run with `probe` in _probe's place, and
-    a digest of the click mask and the state bytes after every probe call."""
-    digests = []
+def _reference_trials(trials, rng_seed, probe):
+    """_four_mirror_trials as it was written over the full (trials, 4) batch,
+    with `probe(states, mode, rng) -> clicked` (_reference_probe) collapsing
+    the batch in place; kept to pin the distinct-state loop bit for bit."""
+    rng = np.random.default_rng(rng_seed)
+    bs_t = sc._four_mirror_static()[0].T
+    l_u, r_u = 0, 2
 
-    def recording(states, mode, rng):
-        clicked = probe(states, mode, rng)
-        digests.append(hashlib.sha256(clicked.tobytes() + states.tobytes()).digest())
-        return clicked
+    states = np.zeros((trials, 4), dtype=complex)
+    states[:, 0] = states[:, 1] = 1 / SQ2
+    clicked = probe(states, l_u, rng)
+    silent = ~clicked
+    stats = {"first_silent_fraction": float(silent.mean())}
+
+    lone = states[silent]
+    lonely_clicks = 0
+    for _ in range(sc.LONELY_TRIPS):
+        lone = lone @ bs_t
+        lone = lone @ bs_t
+        lonely_clicks += int(probe(lone, l_u, rng).sum())
+    stats["lonely_lu_clicks"] = float(lonely_clicks)
+
+    armed = states[silent] @ bs_t
+    ru_clicked = probe(armed, r_u, rng)
+    armed = armed[~ru_clicked]
+    stats["double_silence_fraction"] = float((~ru_clicked).mean()) if len(ru_clicked) else 0.0
+    n_armed = len(armed)
+    first_click = np.full(n_armed, np.iinfo(np.int64).max, dtype=np.int64)
+    exposures = 0
+    clicks_seen = 0
+    for trip in range(1, sc.ARMED_TRIPS + 1):
+        armed = armed @ bs_t
+        lu = probe(armed, l_u, rng)
+        exposures += n_armed
+        clicks_seen += int(lu.sum())
+        fresh = lu & (first_click == np.iinfo(np.int64).max)
+        first_click[fresh] = trip
+        armed = armed @ bs_t
+        probe(armed, r_u, rng)
+    for k in (1, 5, 10, 20):
+        stats[f"lu_click_fraction_within_{k}"] = (
+            float((first_click <= k).mean()) if n_armed else 0.0
+        )
+    stats["lu_click_per_trip_empirical"] = clicks_seen / exposures if exposures else 0.0
+    return stats
+
+
+def _recorded_trials(monkeypatch, trials, seed):
+    """trial_stats and every _probe return of the four-mirror run."""
+    returns = []
+    probe = sc._probe
+
+    def recording(rows, of, mode, rng):
+        returns.append(probe(rows, of, mode, rng))
+        return returns[-1]
 
     monkeypatch.setattr(sc, "_probe", recording)
-    return sc._four_mirror_trials(trials, seed), digests
+    return sc._four_mirror_trials(trials, seed), returns
+
+
+def _assert_matches_reference(monkeypatch, trials, seed):
+    """Same stats as the full-batch reference, and after every probe the same
+    click mask and the same state bytes once rows[of] is expanded per trial."""
+    stats, returns = _recorded_trials(monkeypatch, trials, seed)
+    ref_digests = []
+
+    def recording(states, mode, rng):
+        clicked = _reference_probe(states, mode, rng)
+        ref_digests.append(hashlib.sha256(clicked.tobytes() + states.tobytes()).digest())
+        return clicked
+
+    assert stats == _reference_trials(trials, seed, recording)
+    assert len(returns) == 142
+    assert [hashlib.sha256(clicked.tobytes() + rows[of].tobytes()).digest()
+            for rows, of, clicked in returns] == ref_digests
 
 
 class TestOblivion:
@@ -218,10 +281,10 @@ class TestFourMirror:
         # matching direct-collapse arithmetic used by the trial loop
         photon_batch = np.array([[1 / SQ2, 1 / SQ2, 0, 0]], dtype=complex)
         rng = np.random.default_rng(0)
-        clicked = sc._probe(photon_batch, 0, rng)  # seed 0 first draw ~ 0.64 > 0.5
-        assert not clicked[0]
+        rows, of, clicked = sc._probe(photon_batch, np.zeros(1, dtype=np.intp), 0, rng)
+        assert not clicked[0]  # seed 0 first draw ~ 0.64 > 0.5
         assert p_click == pytest.approx(0.5, abs=1e-14)
-        np.testing.assert_allclose(photon_batch[0], [0, 1, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(rows[of][0], [0, 1, 0, 0], atol=1e-12)
         assert collapsed.amplitude(("L_d", "READY_L", "READY_R")) == \
             pytest.approx(1.0, abs=1e-12)
 
@@ -232,20 +295,27 @@ class TestFourMirror:
     @pytest.mark.parametrize("trials", [1, 3, 200, 10_000])
     @pytest.mark.parametrize("seed", [0, 1, 7, 9, 42, 2024, 31337])
     def test_probe_bit_identical_to_reference(self, monkeypatch, seed, trials):
-        probe = sc._probe
-        stats, digests = _recorded_trials(monkeypatch, probe, trials, seed)
-        ref_stats, ref_digests = _recorded_trials(monkeypatch, _reference_probe, trials, seed)
-        assert stats == ref_stats
-        assert len(digests) == 142
-        assert digests == ref_digests
+        _assert_matches_reference(monkeypatch, trials, seed)
+
+    def test_probe_bit_identical_to_reference_30000_trials(self, monkeypatch):
+        _assert_matches_reference(monkeypatch, 30_000, 5150)
+
+    @pytest.mark.parametrize("trials", [10_000, 100_000])
+    def test_trials_share_few_distinct_rows(self, monkeypatch, trials):
+        _, returns = _recorded_trials(monkeypatch, trials, 42)
+        for rows, of, _ in returns:
+            assert len({row.tobytes() for row in rows}) == len(rows)  # pairwise byte-distinct
+            assert np.bincount(of, minlength=len(rows)).all()  # every row is some trial's
+        assert max(len(rows) for rows, _, _ in returns) <= 64  # 24 and 30 measured
 
     def test_probe_mixed_batch_matches_reference(self):
         rng = np.random.default_rng(5)
         batch = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
         batch /= np.linalg.norm(batch, axis=1)[:, None]
         ref = batch.copy()
-        clicked = sc._probe(batch, 1, np.random.default_rng(11))
+        rows, of, clicked = sc._probe(batch, np.arange(64), 1, np.random.default_rng(11))
         ref_clicked = _reference_probe(ref, 1, np.random.default_rng(11))
+        batch = rows[of]
         assert 0 < clicked.sum() < len(clicked)  # some rows click, some stay silent
         assert clicked.tobytes() == ref_clicked.tobytes()
         assert batch.tobytes() == ref.tobytes()
@@ -253,15 +323,25 @@ class TestFourMirror:
         assert not batch[~clicked, 1].any()
         np.testing.assert_allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-14)
 
+    def test_signed_zero_rows_stay_apart(self):
+        # -0.0 == 0.0 by value, but merging these rows would change trial 1's bytes
+        batch = np.array([[0.6, complex(0.0, -0.8), 0, 0], [0.6, complex(-0.0, -0.8), 0, 0]])
+        ref = batch.copy()
+        rows, of, clicked = sc._probe(batch, np.arange(2), 3, np.random.default_rng(0))
+        ref_clicked = _reference_probe(ref, 3, np.random.default_rng(0))
+        assert not clicked.any() and not ref_clicked.any()  # p = 0 at mode 3
+        assert len(rows) == 2
+        assert rows[of].tobytes() == ref.tobytes()
+
     def test_certain_click_warns_nothing(self):
         # |1.0000000000000002|^2 > 1: the row clicks, and no sqrt(1 - p) is taken for it
         batch = np.array([[1.0000000000000002, 0, 0, 0], [1 / SQ2, 1 / SQ2, 0, 0]],
                          dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            clicked = sc._probe(batch, 0, np.random.default_rng(0))
+            rows, of, clicked = sc._probe(batch, np.arange(2), 0, np.random.default_rng(0))
         assert clicked[0]
-        assert batch[0].tobytes() == np.array([1, 0, 0, 0], dtype=complex).tobytes()
+        assert rows[of][0].tobytes() == np.array([1, 0, 0, 0], dtype=complex).tobytes()
 
 
 class TestThreePathPhoton:
