@@ -151,13 +151,6 @@ class Ket:
     def probability(self, labels: Sequence[str]) -> float:
         return abs(self.amplitude(labels)) ** 2
 
-    def marginal_probability(self, factor_name: str, label: str) -> float:
-        """Born probability of finding the given factor in the given label."""
-        ax = self.space.factor_index(factor_name)
-        t = np.abs(self.amplitudes.reshape(self.space.dims)) ** 2
-        other = tuple(i for i in range(len(self.space.dims)) if i != ax)
-        return float(t.sum(axis=other)[self.space.factor(factor_name).index(label)])
-
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.space.dims)
 
@@ -468,6 +461,8 @@ def label_swap(sp: Space, factor_names: Sequence[str],
     if len(src) != len(factor_names) or len(dst) != len(factor_names):
         raise DimensionMismatch("src/dst must give one label per target factor")
     axes = [sp.factor_index(n) for n in factor_names]
+    if len(set(axes)) != len(axes):
+        raise ValueError("target factors must be distinct")
     fixed_src: dict[int, int] = {}
     fixed_dst: dict[int, int] = {}
     for ax, nm, s, d in zip(axes, factor_names, src, dst):

@@ -188,8 +188,12 @@ def _translate(amps: np.ndarray, bins: float) -> np.ndarray:
     return out
 
 
-def _check_shift(ptr: PointerWavefunction, g: float, lams: np.ndarray) -> None:
-    worst = g * float(np.max(np.abs(lams)))
+def _branches(observable: OperatorForm, ptr: PointerWavefunction,
+              g: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Eigenprojectors and g*lambda-shifted pointer profiles, shifts checked on the grid."""
+    gval = _g(g)
+    lams, projs = eigenbranches(observable)
+    worst = gval * float(np.max(np.abs(lams)))
     if worst > ptr.half_extent:
         raise ShiftOutOfGrid(
             f"shift g*|lambda| = {worst:g} exceeds half the grid extent {ptr.half_extent:g}"
@@ -199,12 +203,8 @@ def _check_shift(ptr: PointerWavefunction, g: float, lams: np.ndarray) -> None:
             f"shift g*|lambda| = {worst:g} is under {MIN_SHIFT_BINS:g} bins of width "
             f"{ptr.spacing:g}, below what the grid resolves"
         )
-
-
-def _branch_pointer_amps(ptr: PointerWavefunction, g: float,
-                         lams: np.ndarray) -> np.ndarray:
     base = ptr.ket_amplitudes()
-    return np.stack([_translate(base, g * lam / ptr.spacing) for lam in lams])
+    return projs, np.stack([_translate(base, gval * lam / ptr.spacing) for lam in lams])
 
 
 def _unique_pointer_name(sp: Space) -> str:
@@ -236,10 +236,7 @@ def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: f
         raise DimensionMismatch(
             "observable must act on the full system space or its leading factors"
         )
-    gval = _g(g)
-    lams, projs = eigenbranches(observable)
-    _check_shift(ptr, gval, lams)
-    shifted = _branch_pointer_amps(ptr, gval, lams)
+    projs, shifted = _branches(observable, ptr, g)
     obs_dim = observable.space.dim
     t = system.amplitudes.reshape(obs_dim, -1)
     joint = np.zeros((obs_dim, t.shape[1], ptr.n_bins), dtype=complex)
@@ -317,15 +314,12 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
         raise DimensionMismatch("observable space differs from system space")
     if ptr is None:
         ptr = PointerWavefunction.gaussian()
-    gval = _g(g)
-    lams, projs = eigenbranches(observable)
-    _check_shift(ptr, gval, lams)
     # Per-branch translated pointer profiles, their bin pmfs and cdfs. These
     # are fixed for the whole sequence; only the branch weights evolve.
-    branch_amps = _branch_pointer_amps(ptr, gval, lams)
+    projs, branch_amps = _branches(observable, ptr, g)
     cdf_rows = np.cumsum(np.abs(branch_amps) ** 2, axis=1).tolist()
     proj_stack = np.stack(projs)
-    last_branch, last_bin = len(lams) - 1, ptr.n_bins - 1
+    last_branch, last_bin = len(projs) - 1, ptr.n_bins - 1
     rng = np.random.default_rng(rng_seed)
     branch_draws, bin_draws = rng.random((steps, 2)).T.tolist()
     psi = system.amplitudes.copy()

@@ -313,8 +313,8 @@ def time_reversal_check(result: ScenarioResult, epoch: str = "t2") -> tuple[floa
     """
     s = hb.apply_to_factors(result.states_by_epoch[epoch], hb.SPLIT_REAL, ["electron"])
     s = hb.apply_to_factors(s, hb.SPLIT_REAL, ["positron"])
-    return (s.marginal_probability("electron", "1'"),
-            s.marginal_probability("positron", "2'"))
+    return (tsvf.born_probability(s, Operator.projector(s.space, {"electron": "1'"})),
+            tsvf.born_probability(s, Operator.projector(s.space, {"positron": "2'"})))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""The names perfbench's layer tracer patches: each must exist where the
-tracer looks it up, and come back unchanged when the trace ends."""
+"""The benchmark's contract with the program: the names perfbench's layer
+tracer patches must exist where the tracer looks them up and come back
+unchanged when the trace ends, and the outputs perfbench pins by digest must
+still be the recorded bytes."""
 
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tsvsim import cli, dsl, hilbert as hb, pointer as pt
 
@@ -47,3 +50,27 @@ def test_tracer_sees_each_scn_observable(monkeypatch, tmp_path):
     for owner, attr, original in saved:
         now = owner[attr] if isinstance(owner, dict) else vars(owner)[attr]
         assert now is original, f"{attr} not restored"
+
+
+@pytest.mark.parametrize("workload", ["builtin_mix", "scn_scaling", "weak_trajectories"])
+def test_outputs_match_benchmark_digests(workload, monkeypatch, tmp_path, capsys):
+    # perfbench/digests.json is the one record of the pinned output bytes: a
+    # change that moves them must re-record it (perfbench/record_digests.py)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from record_digests import RECORDED_BATCHES
+
+    runner = workloads.Runner(workload, workloads.DEFAULT_SEED, tmp_path,
+                              workloads.load_digests())
+    by_class = workloads.requests(workload, workloads.DEFAULT_SEED,
+                                  PERFBENCH.parent / "src", tmp_path)
+    for reqs in by_class.values():
+        if workload == "weak_trajectories":
+            reqs = [reqs[b] for b in range(RECORDED_BATCHES)]
+        for req in reqs:
+            runner.verify(req, runner.call(req))
+    assert runner.attempted == {"builtin_mix": 78, "scn_scaling": 14,
+                                "weak_trajectories": 12}[workload]
+    assert runner.failures == []
+    if workload == "builtin_mix":
+        assert capsys.readouterr().err == ""

@@ -1,6 +1,7 @@
 """Scenario-file format: parsing, diagnostics, round-trips, evaluation."""
 
 import cmath
+import json
 import math
 import random
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsvsim import dsl, hilbert as hb, scenarios as sc, tsvf
+from tsvsim import cli, dsl, hilbert as hb, scenarios as sc, tsvf
 from tsvsim.acceptance import FUZZ_PIECES
 from tsvsim.dsl import Diagnostic
 from tsvsim.dsl.parse import _Expr as TokenExpr, _eval as token_eval
@@ -68,6 +69,18 @@ class TestAmplitudeSugar:
         with pytest.raises(dsl.ScenarioSyntaxError) as err:
             dsl.parse("FACTORS\n  a: x\nINITIAL\n  x : 1/0\n")
         assert any("division by zero" in d.message for d in err.value.diagnostics)
+
+
+def _scn(*lines, factors=("a: x y", "b: u v"), initial=("x u : 1",)):
+    """Two factors and an INITIAL section, then the given lines verbatim."""
+    text = ["FACTORS", *(f"  {f}" for f in factors)]
+    if initial:
+        text += ["INITIAL", *(f"  {e}" for e in initial)]
+    return "\n".join(text + list(lines)) + "\n"
+
+
+def _gate(gate):
+    return _scn("GATES", f"  {gate}")
 
 
 class TestParserDiagnostics:
@@ -130,6 +143,65 @@ class TestParserDiagnostics:
         error = dsl.ScenarioSyntaxError if "token" in message else dsl.ScenarioValidationError
         assert (diag.line, diag.column, diag.message, type(err.value)) == (
             line, col, message, error)
+
+    @pytest.mark.parametrize("text,diagnostic,error", [
+        (_gate("t1 beamsplitter a b : x y -> x y"),
+         (7, 21, "beamsplitter takes exactly one target factor"), dsl.ScenarioSyntaxError),
+        (_gate("t1 beamsplitter a : x y x y"),
+         (7, 22, "expected 'in1 in2 -> out1 out2'"), dsl.ScenarioSyntaxError),
+        (_gate("t1 beamsplitter a : x y -> x as"),
+         (7, 32, "invalid label token 'as'"), dsl.ScenarioSyntaxError),
+        (_gate("t1 beamsplitter a : x z -> x y"),
+         (7, 25, "unknown label 'z' for factor 'a'"), dsl.ScenarioValidationError),
+        (_gate("t1 beamsplitter a : x x -> x y"),
+         (7, 25, "beamsplitter mode pairs must be distinct"), dsl.ScenarioValidationError),
+        (_gate("t1 swap_map a b : x u x v"),
+         (7, 20, "expected 'src... -> dst...'"), dsl.ScenarioSyntaxError),
+        (_gate("t1 swap_map a : x -> y -> x"),
+         (7, 26, "only one '->' allowed"), dsl.ScenarioSyntaxError),
+        (_gate("t1 swap_map a b : x -> y"),
+         (7, 20, "need 2 labels on each side of '->', one per target factor"),
+         dsl.ScenarioSyntaxError),
+        (_gate("t1 swap_map a : x -> proj"),
+         (7, 24, "invalid swap_map label token 'proj'"), dsl.ScenarioSyntaxError),
+        (_gate("t1 swap_map a b : * u -> x v"),
+         (7, 21, "wildcard '*' positions must match on both sides"), dsl.ScenarioSyntaxError),
+        (_gate("t1 projector_select a b : x"),
+         (7, 25, "projector_select takes exactly one target factor"), dsl.ScenarioSyntaxError),
+        (_gate("t1 projector_select a : x as n y"),
+         (7, 29, "'as NAME' must come last"), dsl.ScenarioSyntaxError),
+        (_gate("t1 projector_select a : x as id"),
+         (7, 32, "invalid name token 'id'"), dsl.ScenarioSyntaxError),
+        (_gate("t1 projector_select a : as n"),
+         (7, 26, "projector_select needs at least one label"), dsl.ScenarioSyntaxError),
+        (_gate("t1 projector_select a : x ->"),
+         (7, 29, "invalid label token '->'"), dsl.ScenarioSyntaxError),
+        (_gate("t1 projector_select a : x x"),
+         (7, 29, "duplicate labels in selection"), dsl.ScenarioSyntaxError),
+        (_gate("t1 swap_map a a : x x -> y y"),
+         (7, 17, "gate targets must be distinct factors"), dsl.ScenarioValidationError),
+        (_scn(factors=("a: x x", "b: u v")),
+         (2, 8, "duplicate labels in factor 'a'"), dsl.ScenarioValidationError),
+        (_scn(initial=("x u : 1", "x u : 1")),
+         (6, 3, "duplicate INITIAL entry for x u"), dsl.ScenarioValidationError),
+        (_scn("OBSERVABLES", "  O = proj(a=x, a=y)"),
+         (7, 17, "repeated factor inside one proj(...)"), dsl.ScenarioValidationError),
+        (_scn("OBSERVABLES", "  O = proj(c=x)"),
+         (7, 12, "unknown factor 'c'"), dsl.ScenarioValidationError),
+        (_scn("OBSERVABLES", "  O = proj(a=x)", "  O = proj(a=y)"),
+         (8, 3, "duplicate observable 'O'"), dsl.ScenarioValidationError),
+        (_scn(initial=()),
+         (1, 1, "INITIAL section is missing or empty"), dsl.ScenarioValidationError),
+    ], ids=["bs_targets", "bs_shape", "bs_token", "bs_label", "bs_pairs", "swap_no_arrow",
+            "swap_arrows", "swap_count", "swap_token", "swap_wildcard", "sel_targets",
+            "sel_as_last", "sel_name", "sel_no_label", "sel_token", "sel_duplicate",
+            "gate_targets", "factor_labels", "initial_entry", "proj_factor", "obs_factor",
+            "obs_duplicate", "no_initial"])
+    def test_each_reader_diagnostic(self, text, diagnostic, error):
+        with pytest.raises(dsl.ScenarioFileError) as err:
+            dsl.parse(text)
+        [diag] = err.value.diagnostics
+        assert ((diag.line, diag.column, diag.message), type(err.value)) == (diagnostic, error)
 
     def test_factors_may_follow_their_users(self):
         text = ("INITIAL\n  x : 1\nOBSERVABLES\n  O = proj(a=y)\n"
@@ -291,6 +363,29 @@ class TestEvaluate:
         res = dsl.evaluate(dsl.parse(text))
         assert res.weak_values["PX"] == pytest.approx(0.5, abs=1e-12)
         assert res.weak_values["Z"] == pytest.approx(0.0, abs=1e-12)
+
+    NEAR_UNITARY = "FACTORS\n  s: a b\nINITIAL\n  a : 1/sqrt(2)\n  b : 1/sqrt(2)\nGATES\n"
+
+    @pytest.mark.parametrize("rest,expected", [
+        ("  t1 custom_unitary s : [1, 5e-9; 0, 1]\nOBSERVABLES\n  A = proj(s=a)\n",
+         {"A": 0.5000000025}),
+        ("  t1 custom_unitary s : [1, 4e-9; 4e-9, 1]\n  t2 projector_select s : a b as all\n",
+         {"all": 1.0}),
+        ("  t1 custom_unitary s : [1, 5e-9; 0, 1]\nPOSTSELECT\n  a : 1\n"
+         "OBSERVABLES\n  A = proj(s=a)\n", {"postselect": 0.5000000025, "A": 1.0}),
+    ], ids=["observable", "selection", "postselect"])
+    def test_near_unitary_matrix_is_renormalized(self, tmp_path, capsys, rest, expected):
+        # the parser accepts a matrix unitary to 1e-8, which moves the norm by
+        # about that much: past the two-state vector's 1e-10 norm check and
+        # the 1e-12 range check on probabilities
+        path = tmp_path / "near.scn"
+        path.write_text(self.NEAR_UNITARY + rest, encoding="utf-8")
+        assert cli.main(["run", str(path), "--format", "jsonl"]) == 0
+        out, err = capsys.readouterr()
+        records = [r for r in map(json.loads, out.splitlines()) if r["kind"] != "meta"]
+        assert err == ""
+        assert {r["name"]: r["re"] for r in records} == pytest.approx(expected, abs=1e-12)
+        assert all(r["re"] <= 1 + 1e-12 for r in records if r["kind"] == "probability")
 
     def test_custom_unitary_applies(self):
         text = ("FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n"

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tsvsim import hilbert as hb
+from tsvsim import hilbert as hb, tsvf
 from tsvsim.errors import DimensionMismatch, InvalidBipartition
 
 SQ2 = np.sqrt(2.0)
@@ -288,6 +288,12 @@ class TestGateBuilders:
         out = hb.apply(op, hb.basis_state(sp, "a1", "b0"))
         assert out.amplitude(("a1", "b1")) == 1.0
 
+    def test_label_swap_repeated_factor(self):
+        # one fixed label per axis: a repeat would keep only its last pair
+        sp = hb.space(("a", ["x", "y", "z"]))
+        with pytest.raises(ValueError, match="target factors must be distinct"):
+            hb.label_swap(sp, ["a", "a"], ["x", "y"], ["y", "z"])
+
     def test_label_swap_mismatched_wildcards(self):
         sp = hb.space(("a", ["a0", "a1"]), ("b", ["b0", "b1"]))
         with pytest.raises(ValueError):
@@ -408,5 +414,7 @@ class TestKetValidation:
     def test_marginal_probability(self):
         sp = pair_space()
         state = hb.from_amplitudes(sp, {("1'", "2''"): 1 / SQ2, ("1''", "2''"): 1 / SQ2})
-        assert state.marginal_probability("positron", "2''") == pytest.approx(1.0)
-        assert state.marginal_probability("electron", "1'") == pytest.approx(0.5)
+        positron = hb.Operator.projector(sp, {"positron": "2''"})
+        electron = hb.Operator.projector(sp, {"electron": "1'"})
+        assert tsvf.born_probability(state, positron) == pytest.approx(1.0)
+        assert tsvf.born_probability(state, electron) == pytest.approx(0.5)

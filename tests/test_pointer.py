@@ -29,15 +29,12 @@ def _reference_weak_sequence(system, observable, g, steps, rng_seed, ptr=None):
     pin the lean loop's results bit for bit."""
     if ptr is None:
         ptr = pt.PointerWavefunction.gaussian()
-    gval = pt._g(g)
-    lams, projs = pt.eigenbranches(observable)
-    pt._check_shift(ptr, gval, lams)
-    branch_amps = pt._branch_pointer_amps(ptr, gval, lams)
+    projs, branch_amps = pt._branches(observable, ptr, g)
     cdf = np.cumsum(np.abs(branch_amps) ** 2, axis=1)
     cdf_last = cdf[:, -1]
     xs = ptr.positions
     proj_stack = np.stack(projs)
-    n_branches = len(lams)
+    n_branches = len(projs)
     n_bins = cdf.shape[1]
     rng = np.random.default_rng(rng_seed)
     draws = rng.random((steps, 2))
