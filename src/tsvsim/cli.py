@@ -14,6 +14,7 @@ format); the seed only moves Monte Carlo statistics, never exact fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -220,7 +221,10 @@ def _cmd_check(_: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The tsvsim argument parser, built once per process: parse_args reads it
+    and changes nothing, so main(argv) may be called repeatedly."""
     parser = argparse.ArgumentParser(
         prog="tsvsim",
         description="Simulate pre/post-selected quantum experiments: weak values, "

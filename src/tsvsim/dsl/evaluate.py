@@ -26,8 +26,8 @@ from .. import tsvf
 from ..errors import TsvsimError
 from ..hilbert import Diagonal, Ket, Operator
 from ..scenarios import ScenarioResult
-from .parse import (Diagnostic, GateDecl, ScenarioSpec, ScenarioSyntaxError, parse,
-                    selection_record)
+from .parse import (AmplitudeEntry, Diagnostic, GateDecl, ScenarioSpec, ScenarioSyntaxError,
+                    ScenarioValidationError, parse, selection_record)
 
 # A custom_unitary passes the parser at 1e-8 and can move the norm that far, past
 # later norm checks; rounding alone moves it under 1e-14, which is left as it is.
@@ -59,6 +59,18 @@ def _with_position(exc: TsvsimError, line: int) -> TsvsimError:
     return exc
 
 
+def _ket(sp: hb.Space, entries: tuple[AmplitudeEntry, ...], line: int) -> Ket:
+    """from_amplitudes, with numpy's refusal of the state array (too many
+    amplitudes to index, or no memory for them) reported at `line`."""
+    try:
+        return hb.from_amplitudes(sp, {e.labels: e.amplitude for e in entries})
+    except TsvsimError:
+        raise  # a label count that does not match the space, not the allocation
+    except (ValueError, MemoryError):
+        raise ScenarioValidationError([Diagnostic(
+            line, 1, f"state space of {sp.dim} amplitudes is too large to allocate")]) from None
+
+
 def _apply_gate(sp: hb.Space, g: GateDecl, state: Ket) -> Ket:
     """State after one unitary gate: swap_map as an index permutation,
     beamsplitter and custom_unitary as small matrices on their targets."""
@@ -83,7 +95,8 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
     <post|A|evolved> / <post|evolved>, come from one two-state vector.
     """
     sp = hb.space(*((f.name, f.labels) for f in spec.factors))
-    state = hb.from_amplitudes(sp, {e.labels: e.amplitude for e in spec.initial}).unit()
+    factors_line = spec.factors[0].line  # where an oversized state space is reported
+    state = _ket(sp, spec.initial, factors_line).unit()
     states: dict[str, Ket] = {"t0": state}
     probabilities: dict[str, float] = {}
 
@@ -102,8 +115,7 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
 
     post, weak_values = spec.postselect, {}
     if post is not None or spec.observables:
-        post_ket = state if post is None else hb.from_amplitudes(
-            sp, {e.labels: e.amplitude for e in post.entries}).unit()
+        post_ket = state if post is None else _ket(sp, post.entries, factors_line).unit()
         try:
             tsv = tsvf.TwoStateVector(state, post_ket)
             if post is not None:

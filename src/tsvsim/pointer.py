@@ -59,9 +59,18 @@ def _pointer_factor(name: str, n_bins: int, spacing: float) -> Factor:
     return Factor(name, labels)
 
 
+@lru_cache(maxsize=32)
+def _grid(n_bins: int, spacing: float) -> np.ndarray:
+    """Read-only positions of the centred grid, shared by every caller. Each
+    entry equals the float of its _pointer_factor label, since float(repr(x)) == x."""
+    xs = (np.arange(n_bins) - (n_bins - 1) // 2) * float(spacing)
+    xs.flags.writeable = False
+    return xs
+
+
 def grid_positions(factor: Factor) -> np.ndarray:
-    """Recover the position grid from a pointer factor's labels, which must be
-    exactly the labels _pointer_factor writes for its name and bin count."""
+    """The position grid of a pointer factor, whose labels must be exactly
+    the labels _pointer_factor writes for its name and bin count."""
     dim, expected = factor.dim, None
     if dim % 2:  # odd, so a centre bin exists
         try:
@@ -72,7 +81,7 @@ def grid_positions(factor: Factor) -> np.ndarray:
             pass
     if expected != factor.labels:
         raise ValueError(f"factor {factor.name!r} is not a pointer factor")
-    return np.array([float(lab[2:]) for lab in factor.labels])
+    return _grid(dim, spacing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +109,7 @@ class PointerWavefunction:
     def gaussian(cls, n_bins: int = DEFAULT_BINS, spacing: float = DEFAULT_SPACING,
                  sigma: float = DEFAULT_SIGMA) -> "PointerWavefunction":
         """Gaussian with position standard deviation sigma, centered on the grid."""
-        half = (n_bins - 1) // 2
-        x = (np.arange(n_bins) - half) * spacing
+        x = _grid(n_bins, spacing)
         amps = np.exp(-x ** 2 / (4.0 * sigma ** 2)).astype(complex)
         amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * spacing)
         return cls(spacing=spacing, sigma=sigma, amplitudes=amps)
@@ -112,8 +120,7 @@ class PointerWavefunction:
 
     @property
     def positions(self) -> np.ndarray:
-        half = (self.n_bins - 1) // 2
-        return (np.arange(self.n_bins) - half) * self.spacing
+        return _grid(self.n_bins, self.spacing)
 
     @property
     def half_extent(self) -> float:

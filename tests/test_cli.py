@@ -1,6 +1,10 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,25 @@ class TestDeterminism:
         assert stats1 != stats2
 
 
+class TestRepeatedCalls:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_later_call_matches_fresh_process(self, capsys):
+        # options given in one call must not reach the next through the shared parser
+        assert run_cli(capsys, "run", "three_path_photon", "--option", "recombine_two",
+                       "--g", "0.1")[0] == 0
+        assert run_cli(capsys, "run", "three_path_photon", "--format", "xml")[0] == 2
+        assert run_cli(capsys, "run", "hardy", "--g-sweep", "0.01:0.2:5")[0] == 0
+        argv = ["run", "three_path_photon", "--format", "csv"]
+        code, out, err = run_cli(capsys, *argv)
+        src = str(Path(cli.__file__).parents[1])
+        fresh = subprocess.run([sys.executable, "-m", "tsvsim.cli", *argv], capture_output=True,
+                               env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (code, err) == (fresh.returncode, fresh.stderr.decode()) == (0, "")
+        assert out.encode() == fresh.stdout
+
+
 class TestExitCodes:
     def test_unknown_scenario(self, capsys):
         code, _, err = run_cli(capsys, "run", "not_a_scenario")
@@ -216,6 +239,17 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "run", *argv)
         assert (code, out) == (3, "")
         assert "below what the grid resolves" in err
+
+    @pytest.mark.parametrize("n_factors", [62, 70])
+    def test_oversized_state_space_exit_3(self, capsys, tmp_path, n_factors):
+        # numpy refuses both sizes before allocating anything
+        scn = tmp_path / "huge.scn"
+        scn.write_text("FACTORS\n" + "".join(f"  q{i}: a b\n" for i in range(n_factors))
+                       + "INITIAL\n  " + " ".join(["a"] * n_factors) + " : 1\n")
+        code, out, err = run_cli(capsys, "run", str(scn))
+        assert (code, out) == (3, "")
+        assert err == (f"{scn}:line 2, col 1: state space of {2 ** n_factors} amplitudes "
+                       "is too large to allocate\n")
 
     def test_unwritable_output_exit_4(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "three_boxes", "--out",

@@ -16,7 +16,7 @@ from tsvsim import cli, dsl, hilbert as hb, scenarios as sc, tsvf
 from tsvsim.acceptance import FUZZ_PIECES
 from tsvsim.dsl import Diagnostic
 from tsvsim.dsl.parse import _Expr as TokenExpr, _eval as token_eval
-from tsvsim.errors import OrthogonalSelection, ZeroProbabilityBranch
+from tsvsim.errors import DimensionMismatch, OrthogonalSelection, ZeroProbabilityBranch
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FIXTURE_IDS = ("three_boxes", "oblivion", "elastic_collision", "hardy",
@@ -353,6 +353,41 @@ class TestEvaluateErrors:
         with pytest.raises(ZeroProbabilityBranch) as err:
             dsl.evaluate(spec)
         assert err.value.diagnostic.line == 6
+
+    @pytest.mark.parametrize("n_factors", [62, 70])
+    def test_oversized_state_space_is_positioned(self, n_factors):
+        # 2^62 complex amplitudes overflow numpy's byte count, 2^70 its index type
+        spec = dsl.parse("# huge\nFACTORS\n"
+                         + "".join(f"  q{i}: a b\n" for i in range(n_factors))
+                         + "INITIAL\n  " + " ".join(["a"] * n_factors) + " : 1\n")
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.evaluate(spec)
+        assert err.value.diagnostics == [Diagnostic(
+            3, 1, f"state space of {2 ** n_factors} amplitudes is too large to allocate")]
+
+    @pytest.mark.parametrize("failing_call", [1, 2])  # INITIAL, then POSTSELECT
+    @pytest.mark.parametrize("exc,expected", [
+        (MemoryError, dsl.ScenarioValidationError),
+        (ValueError, dsl.ScenarioValidationError),
+        (DimensionMismatch, DimensionMismatch),  # not an allocation failure
+    ])
+    def test_allocation_failure_is_positioned(self, monkeypatch, failing_call, exc, expected):
+        spec = dsl.parse("FACTORS\n  a: x y\nINITIAL\n  x : 1\nPOSTSELECT\n  x : 1\n")
+        calls = []
+        from_amplitudes = hb.from_amplitudes
+
+        def fail_once(sp, entries):
+            calls.append(sp)
+            if len(calls) == failing_call:
+                raise exc("refused")
+            return from_amplitudes(sp, entries)
+
+        monkeypatch.setattr(hb, "from_amplitudes", fail_once)
+        with pytest.raises(expected) as err:
+            dsl.evaluate(spec)
+        if expected is dsl.ScenarioValidationError:
+            assert err.value.diagnostics == [Diagnostic(
+                2, 1, "state space of 2 amplitudes is too large to allocate")]
 
 
 class TestEvaluate:

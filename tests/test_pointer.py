@@ -144,9 +144,16 @@ class TestPointerWavefunction:
             pt.PointerWavefunction(spacing=0.1, sigma=1.0, amplitudes=np.full(11, np.nan))
 
     def test_grid_positions_roundtrip(self):
-        ptr = pt.PointerWavefunction.gaussian(n_bins=41, spacing=0.25)
-        factor = ptr.factor("pointer")
-        np.testing.assert_array_equal(pt.grid_positions(factor), ptr.positions)
+        # default grid, the three-path grid, a single bin, and two inexact spacings
+        for n_bins, spacing in ((401, 0.05), (41, 0.25), (1, 0.05), (401, 0.1), (41, 0.3)):
+            ptr = pt.PointerWavefunction.gaussian(n_bins=n_bins, spacing=spacing)
+            factor = ptr.factor("pointer")
+            from_labels = np.array([float(lab[2:]) for lab in factor.labels])
+            xs = pt.grid_positions(factor)
+            assert xs.dtype == from_labels.dtype
+            assert xs.tobytes() == from_labels.tobytes()
+            assert ptr.positions.tobytes() == from_labels.tobytes()
+            assert not xs.flags.writeable and not ptr.positions.flags.writeable
 
     def test_coupling_strength_validation(self):
         sp, obs = two_level()
