@@ -149,7 +149,7 @@ def _weak_limit_error(pre: hb.Ket, obs: hb.OperatorForm, post_proj: hb.Operator,
                       g: float, want: float) -> float:
     # grid chosen so g = 0.05 and 0.025 shift by whole bins; translation
     # interpolation then drops out and the pure O(g^2) response remains
-    ptr = pt.PointerWavefunction.gaussian(n_bins=801, spacing=0.025, sigma=1.0)
+    ptr = pt.PointerWavefunction(n_bins=801, spacing=0.025)
     (shift,) = pt.pointer_mean(pt.couple(pre, obs, ptr, g), post_proj)
     return abs(shift / g - want)
 

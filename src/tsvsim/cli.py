@@ -44,7 +44,7 @@ def _sweep_rows(context: tuple[hb.Ket, hb.OperatorForm, hb.Operator],
         gs = np.geomspace(g_min, g_max, steps)
     else:
         gs = np.linspace(g_min, g_max, steps)
-    ptr = pt.PointerWavefunction.gaussian()
+    ptr = pt.PointerWavefunction()
     rows = []
     for g in gs:
         (shift,) = pt.pointer_mean(pt.couple(pre, obs, ptr, float(g)), post_proj)

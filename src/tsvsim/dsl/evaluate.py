@@ -122,11 +122,15 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
                 probabilities[post.name] = tsv.selection_probability()
             for obs in spec.observables:
                 # a left fold from the first term: sum() would start at 0,
-                # and 0 + -0.0 is +0.0
-                op = Diagonal(sp, reduce(np.add, (
-                    Operator.projector(sp, dict(constraints or ())).diagonal * coeff
-                    for coeff, constraints in obs.terms)))
-                weak_values[obs.name] = tsvf.weak_value(tsv, op)
+                # and 0 + -0.0 is +0.0; a sum past the float range is refused
+                with np.errstate(over="ignore"):
+                    diag = reduce(np.add, (
+                        Operator.projector(sp, dict(constraints or ())).diagonal * coeff
+                        for coeff, constraints in obs.terms))
+                if not np.isfinite(diag).all():
+                    raise ScenarioValidationError([Diagnostic(
+                        obs.line, 1, f"observable {obs.name!r} sums past the float range")])
+                weak_values[obs.name] = tsvf.weak_value(tsv, Diagonal(sp, diag))
         except TsvsimError as e:
             raise _with_position(e, 1 if post is None else post.line)
 

@@ -41,6 +41,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from ..hilbert import is_unitary
+from ..scenarios import EPOCH_ORDER
 
 NORM_WARN_TOL = 1e-9
 UNITARY_TOL = 1e-8
@@ -307,7 +308,10 @@ class _Expr:
             coeff = complex(1.0)
             _, num, word, op = self.toks[self.i]
             if num or op or word in ("i", "sqrt"):  # no name next: a coeff
+                k = self.i
                 coeff = self.parse_pair(self.parse_quot)
+                if not cmath.isfinite(coeff):  # render could not write it back
+                    self._fail("coefficient is not finite", k)
                 self.eat("*")
             terms.append((sign * coeff, self.parse_primary()))
             if self.toks[self.i][3] not in ("+", "-"):
@@ -426,6 +430,7 @@ class _Reader:
         self.entries: dict[str, dict] = {}  # section -> labels -> entry
         self.gates: list[GateDecl] = []
         self.epochs: set[str] = set()  # of the gates read so far
+        self.latest = 0  # EPOCH_ORDER index of the latest canonical epoch among them
         self.observables: dict[str, ObservableDecl] = {}
         # (line, text, offset, word index, name) of each record name, as _column takes them
         self.records: list[tuple[int, str, int, int, str]] = []
@@ -590,6 +595,13 @@ class _Reader:
         if epoch in self.epochs and epoch != self.gates[-1].epoch:
             self.invalid(_column(head, 0, 0),
                          f"epoch {epoch!r} revisited; epochs must be contiguous")
+        elif epoch in EPOCH_ORDER[1:] and epoch not in self.epochs:
+            rank = EPOCH_ORDER.index(epoch)
+            if rank < self.latest:
+                self.invalid(_column(head, 0, 0), f"epoch {epoch!r} after "
+                             f"{EPOCH_ORDER[self.latest]!r}; "
+                             f"{', '.join(EPOCH_ORDER[1:])} must come in that order")
+            self.latest = max(self.latest, rank)
         self.epochs.add(epoch)
         self.gates.append(GateDecl(epoch, kind, tuple(targets), params, line=self.line))
 

@@ -221,11 +221,6 @@ class Operator(OperatorForm):
         constraints maps factor name -> label (or collection of allowed labels);
         unconstrained factors are untouched. The result holds the 0/1 mask.
         """
-        return Diagonal(sp, Operator.basis_mask(sp, constraints).astype(float))
-
-    @staticmethod
-    def basis_mask(sp: Space, constraints: Mapping[str, str | Sequence[str]]) -> np.ndarray:
-        """Boolean mask over the product basis selecting the constrained labels."""
         mask = np.ones(sp.dims, dtype=bool)
         for name, allowed in constraints.items():
             f = sp.factor(name)
@@ -237,7 +232,7 @@ class Operator(OperatorForm):
             shape = [1] * len(sp.dims)
             shape[sp.factor_index(name)] = f.dim
             mask &= sel.reshape(shape)
-        return mask.reshape(sp.dim)
+        return Diagonal(sp, mask.reshape(sp.dim).astype(float))
 
     @classmethod
     def ket_projector(cls, k: Ket) -> "Operator":
@@ -297,8 +292,10 @@ class Permutation(OperatorForm):
 
     def __init__(self, space: Space, index: np.ndarray):
         idx = np.array(index, dtype=np.intp)
-        if idx.shape != (space.dim,) or not np.array_equal(np.sort(idx),
-                                                           np.arange(space.dim)):
+        hit = np.zeros(space.dim, dtype=bool)  # a bijection hits every state
+        if idx.shape == (space.dim,) and idx.min() >= 0 and idx.max() < space.dim:
+            hit[idx] = True
+        if not hit.all():
             raise ValueError(f"index array is not a permutation of {space.dim} states")
         idx.flags.writeable = False
         self.space = space
@@ -417,37 +414,27 @@ def mode_coupler(factor: Factor, in_pair: tuple[str, str], out_pair: tuple[str, 
     return u
 
 
-def _exchange(sp: Space, src: Mapping[int, int], dst: Mapping[int, int],
-              where: np.ndarray | bool = True) -> np.ndarray:
+def _exchange(sp: Space, src: Mapping[int, int], dst: Mapping[int, int]) -> np.ndarray:
     """Index array of the map exchanging the basis states whose axes carry the
     src label indices with those carrying the dst ones, every other axis
-    carried through. `where`, shaped like the carried-through axes, limits the
-    exchange to the positions it selects."""
+    carried through."""
     index = np.arange(sp.dim).reshape(sp.dims)
     at_src = tuple(src.get(a, slice(None)) for a in range(len(sp.dims)))
     at_dst = tuple(dst.get(a, slice(None)) for a in range(len(sp.dims)))
-    a, b = index[at_src].copy(), index[at_dst].copy()
-    index[at_src] = np.where(where, b, a)
-    index[at_dst] = np.where(where, a, b)
+    index[at_src], index[at_dst] = index[at_dst].copy(), index[at_src].copy()
     return index.reshape(sp.dim)
 
 
-def flag_flip(sp: Space, condition: Mapping[str, str | Sequence[str]],
-              flag_factor: str, ready: str, click: str) -> Permutation:
-    """Permutation toggling a flag factor on basis states matching condition.
+def flag_flip(sp: Space, condition: Mapping[str, str], flag_factor: str,
+              ready: str, click: str) -> Permutation:
+    """Permutation toggling a flag factor on basis states matching condition,
+    one label per conditioned factor; the condition may not name the flag.
 
     Models detectors and annihilation events as norm-preserving basis maps:
     |paths, READY> <-> |paths, CLICK> exactly on the triggering path states.
     """
-    mask = Operator.basis_mask(sp, condition).reshape(sp.dims)
-    ax = sp.factor_index(flag_factor)
-    f = sp.factor(flag_factor)
-    r_idx, c_idx = f.index(ready), f.index(click)
-    at_ready = np.take(mask, r_idx, axis=ax)
-    if np.any(at_ready & ~np.take(mask, c_idx, axis=ax)):
-        # condition must not depend on the flag itself
-        raise ValueError("flag_flip condition must be independent of the flag factor")
-    return Permutation(sp, _exchange(sp, {ax: r_idx}, {ax: c_idx}, at_ready))
+    return label_swap(sp, [*condition, flag_factor], [*condition.values(), ready],
+                      [*condition.values(), click])
 
 
 def label_swap(sp: Space, factor_names: Sequence[str],

@@ -32,11 +32,12 @@ from .tsvf import NOT_A_PROJECTOR
 HERMITICITY_TOL = 1e-10
 EIGENVALUE_CLUSTER_TOL = 1e-8
 
-# Weak-mode defaults: sigma much larger than typical g*lambda keeps the
+# Every pointer is a Gaussian of position standard deviation SIGMA. Weak-mode
+# default grid: SIGMA much larger than typical g*lambda keeps the
 # linear-response (weak) regime valid while the grid still resolves shifts.
+SIGMA = 1.0
 DEFAULT_BINS = 401
 DEFAULT_SPACING = 0.05
-DEFAULT_SIGMA = 1.0
 
 # Smallest nonzero shift, in grid bins, that a coupling may ask for. Rounding
 # noise in the interpolated profile (about 2e-16) reaches shift/g as that
@@ -84,39 +85,33 @@ def grid_positions(factor: Factor) -> np.ndarray:
     return _grid(dim, spacing)
 
 
-@dataclass(frozen=True, eq=False)
-class PointerWavefunction:
-    """Uniform 1D grid (center 0, odd bin count) holding a complex amplitude
-    profile, normalized with the grid measure: sum |a|^2 * spacing = 1."""
+@lru_cache(maxsize=32)
+def _profile(n_bins: int, spacing: float) -> np.ndarray:
+    """Read-only l2-normalized ket amplitudes of the centred Gaussian of
+    position standard deviation SIGMA: normalized with the grid measure
+    (sum |a|^2 * spacing = 1), then scaled by sqrt(spacing). That order fixes
+    the profile's bytes, which every printed pointer readout depends on."""
+    amps = np.exp(-_grid(n_bins, spacing) ** 2 / (4.0 * SIGMA ** 2)).astype(complex)
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * spacing)
+    amps = amps * np.sqrt(spacing)
+    amps.flags.writeable = False
+    return amps
 
-    spacing: float
-    sigma: float
-    amplitudes: np.ndarray
+
+@dataclass(frozen=True)
+class PointerWavefunction:
+    """Gaussian pointer of width SIGMA on a uniform 1D grid: n_bins points
+    (odd, so a centre bin sits at 0) spaced `spacing` apart."""
+
+    n_bins: int = DEFAULT_BINS
+    spacing: float = DEFAULT_SPACING
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        amps.flags.writeable = False
-        if self.n_bins % 2 == 0:
-            raise ValueError("bin count must be odd so a center bin exists")
-        if not self.spacing > 0:  # NaN fails too
-            raise ValueError("grid spacing must be positive")
-        total = float(np.sum(np.abs(amps) ** 2) * self.spacing)
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"pointer not normalized: sum |a|^2 dx = {total!r}")
-
-    @classmethod
-    def gaussian(cls, n_bins: int = DEFAULT_BINS, spacing: float = DEFAULT_SPACING,
-                 sigma: float = DEFAULT_SIGMA) -> "PointerWavefunction":
-        """Gaussian with position standard deviation sigma, centered on the grid."""
-        x = _grid(n_bins, spacing)
-        amps = np.exp(-x ** 2 / (4.0 * sigma ** 2)).astype(complex)
-        amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * spacing)
-        return cls(spacing=spacing, sigma=sigma, amplitudes=amps)
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.amplitudes)
+        if not (isinstance(self.n_bins, int) and self.n_bins > 0 and self.n_bins % 2):
+            raise ValueError(f"bin count must be an odd positive int, got {self.n_bins!r}")
+        if not 0 < self.spacing < math.inf:  # NaN fails too
+            raise ValueError(f"grid spacing must be finite and > 0, got {self.spacing!r}")
+        object.__setattr__(self, "spacing", float(self.spacing))
 
     @property
     def positions(self) -> np.ndarray:
@@ -127,8 +122,8 @@ class PointerWavefunction:
         return (self.n_bins - 1) / 2 * self.spacing
 
     def ket_amplitudes(self) -> np.ndarray:
-        """l2-normalized amplitudes for use as a tensor factor."""
-        return self.amplitudes * np.sqrt(self.spacing)
+        """l2-normalized amplitudes for use as a tensor factor, read-only."""
+        return _profile(self.n_bins, self.spacing)
 
     def factor(self, name: str = "pointer") -> Factor:
         return _pointer_factor(name, self.n_bins, self.spacing)
@@ -214,6 +209,12 @@ def _branches(observable: OperatorForm, ptr: PointerWavefunction,
     return projs, np.stack([_translate(base, gval * lam / ptr.spacing) for lam in lams])
 
 
+def _drawable(norm_sq: float) -> None:
+    """Refuse a system ket no outcome can be drawn from: zero, NaN or infinite."""
+    if not 0 < norm_sq < math.inf:  # NaN fails too
+        raise ZeroProbabilityBranch(f"cannot draw outcomes from a ket of squared norm {norm_sq!r}")
+
+
 def _unique_pointer_name(sp: Space) -> str:
     taken = {f.name for f in sp.factors}
     if "pointer" not in taken:
@@ -290,13 +291,16 @@ def strong_measure(system: Ket, observable: OperatorForm,
                    rng_seed: int) -> tuple[float, Ket]:
     """Projective measurement: Born-sample an eigenvalue and collapse.
 
-    Deterministic given the seed."""
+    Deterministic given the seed. A zero or NaN ket raises
+    ZeroProbabilityBranch before the draw."""
     if observable.space != system.space:
         raise DimensionMismatch("observable space differs from system space")
     lams, projs = eigenbranches(observable)
     comps = [p @ system.amplitudes for p in projs]
     weights = np.array([float(np.vdot(c, c).real) for c in comps])
-    weights = weights / weights.sum()
+    total = float(weights.sum())
+    _drawable(total)
+    weights = weights / total
     rng = np.random.default_rng(rng_seed)
     idx = int(np.searchsorted(np.cumsum(weights), rng.random()))
     idx = min(idx, len(lams) - 1)
@@ -313,14 +317,16 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     conditioned joint distribution, and projects the pointer onto the sampled
     bin; the induced Kraus map is the back-action on the system. Readouts
     drift like a biased random walk, and for long sequences the system is
-    driven into an eigenstate with Born-rule frequencies across seeds.
+    driven into an eigenstate with Born-rule frequencies across seeds. A zero
+    or NaN ket raises ZeroProbabilityBranch before any draw.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if observable.space != system.space:
         raise DimensionMismatch("observable space differs from system space")
+    _drawable(float(np.vdot(system.amplitudes, system.amplitudes).real))
     if ptr is None:
-        ptr = PointerWavefunction.gaussian()
+        ptr = PointerWavefunction()
     # Per-branch translated pointer profiles, their bin pmfs and cdfs. These
     # are fixed for the whole sequence; only the branch weights evolve.
     projs, branch_amps = _branches(observable, ptr, g)

@@ -520,7 +520,7 @@ def run_hardy() -> ScenarioResult:
 # Three-path photon with one weak pointer per path
 
 
-THREE_PATH_POINTER = dict(n_bins=41, spacing=0.25, sigma=1.0)  # three joint pointers
+THREE_PATH_POINTER = pt.PointerWavefunction(n_bins=41, spacing=0.25)  # three joint pointers
 
 
 def run_three_path_photon(option: str = "recombine_all",
@@ -545,11 +545,10 @@ def run_three_path_photon(option: str = "recombine_all",
     sp = pre.space
     path = sp.factor("path")
     projs = [Operator.projector(sp, {"path": lab}) for lab in path.labels]
-    ptr = pt.PointerWavefunction.gaussian(**THREE_PATH_POINTER)
 
     joint = pre
     for p in projs:
-        joint = pt.couple(joint, p, ptr, gval)
+        joint = pt.couple(joint, p, THREE_PATH_POINTER, gval)
 
     # key suffix -> (post-selected ket for the weak values, projector for the
     # pointer means on the joint state)

@@ -240,6 +240,32 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "below what the grid resolves" in err
 
+    @pytest.mark.parametrize("gates,line,epoch,latest", [
+        (("final", "t1"), 7, "t1", "final"),
+        (("t2", "mid", "t1"), 8, "t1", "t2"),
+    ])
+    def test_epochs_out_of_order_exit_3(self, capsys, tmp_path, gates, line, epoch, latest):
+        scn = tmp_path / "order.scn"
+        scn.write_text("FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n"
+                       + "".join(f"  {e} swap_map a : x -> y\n" for e in gates))
+        code, out, err = run_cli(capsys, "run", str(scn))
+        assert (code, out) == (3, "")
+        assert err == (f"{scn}:line {line}, col 3: epoch {epoch!r} after {latest!r}; "
+                       "t1, t2, final must come in that order\n")
+
+    @pytest.mark.parametrize("observable,col,message", [
+        ("1e400*proj(a=x)", 7, "coefficient is not finite"),
+        ("(1e200*1e200)*proj(a=x)", 7, "coefficient is not finite"),
+        ("1e308*proj(a=x) + 1e308*proj(a=x)", 1, "observable 'A' sums past the float range"),
+    ])
+    def test_non_finite_observable_exit_3(self, capsys, tmp_path, observable, col, message):
+        # no nan weak value, and no numpy warning (warnings fail the suite)
+        scn = tmp_path / "inf.scn"
+        scn.write_text(f"FACTORS\n  a: x y\nINITIAL\n  x : 1\nOBSERVABLES\n  A = {observable}\n")
+        code, out, err = run_cli(capsys, "run", str(scn), "--format", "jsonl")
+        assert (code, out) == (3, "")
+        assert err == f"{scn}:line 6, col {col}: {message}\n"
+
     @pytest.mark.parametrize("n_factors", [62, 70])
     def test_oversized_state_space_exit_3(self, capsys, tmp_path, n_factors):
         # numpy refuses both sizes before allocating anything

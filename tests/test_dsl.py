@@ -250,6 +250,18 @@ class TestParserDiagnostics:
             dsl.parse(text)
         assert any("revisited" in d.message for d in err.value.diagnostics)
 
+    def test_canonical_epochs_in_schedule_order(self):
+        # other epoch names may sit anywhere between t1, t2 and final
+        def text(*epochs):
+            return ("FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n"
+                    + "".join(f"  {e} swap_map a : x -> y\n" for e in epochs))
+
+        spec = dsl.parse(text("pre", "t1", "mid", "t2", "final", "post"))
+        assert [g.epoch for g in spec.gates] == ["pre", "t1", "mid", "t2", "final", "post"]
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.parse(text("final", "t1", "t2"))
+        assert [(d.line, d.column) for d in err.value.diagnostics] == [(7, 3), (8, 3)]
+
     def test_t0_epoch_reserved(self):
         text = ("FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n"
                 "  t0 beamsplitter a : x y -> x y\n")
@@ -715,9 +727,9 @@ def test_parser_never_crashes(text):
 # ---------------------------------------------------------------------------
 # the token-driven _Expr against the character-cursor _Expr it replaced
 
-# The character-cursor parser and its _eval, kept verbatim as the reference:
-# every rule must give the same value (compared by repr) or the same
-# Diagnostic.
+# The character-cursor parser and its _eval, kept verbatim as the reference
+# but for the finite-coefficient check both gained later: every rule must give
+# the same value (compared by repr) or the same Diagnostic.
 
 _NUM_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -886,7 +898,10 @@ class _Expr:
                 self.pos += 1
             coeff = complex(1.0)
             if self._word() in ("", "i", "sqrt") and self.peek():  # no name next: a coeff
+                col = self._col()
                 coeff = self.parse_pair(self.parse_quot)
+                if not cmath.isfinite(coeff):  # added with the same rule in parse.py
+                    raise _ExprError(col, "coefficient is not finite")
                 self.eat("*")
             terms.append((sign * coeff, self.parse_primary()))
             if not self._at("+-"):
@@ -975,6 +990,7 @@ class TestTokenExprMatchesReference:
         ("1,   (0,1)", 3, "re,im parts of a pair must be real"),  # just past the ','
         ("1 +", 4, "expected a number, 'i', 'sqrt(...)' or '(...)'"),  # one past the text
         ("1/ 0", 2, "division by zero"),
+        (" 1e400*proj(a=x)", 2, "coefficient is not finite"),
         ("proj(  a b =x)", 8, None),
         ("proj(a=\t )", 8, "empty factor or label in proj(...)"),  # just past the '='
         ("proj( a = x , b= y)* 2", 20, "unexpected trailing input"),

@@ -281,6 +281,13 @@ class TestGateBuilders:
         untouched = hb.apply(op, hb.basis_state(sp, "y", "READY"))
         assert untouched.amplitude(("y", "READY")) == 1.0
 
+    def test_permutation_rejects_non_bijections(self):
+        sp = hb.space(("a", ["x", "y", "z"]))
+        for index in ([0, 1], [0, 1, 2, 0], [0, 1, 3], [0, 1, -1], [-3, 1, 2], [0, 1, 1]):
+            with pytest.raises(ValueError, match="^index array is not a permutation of 3 states$"):
+                hb.Permutation(sp, np.array(index))
+        assert hb.Permutation(sp, np.array([2, 0, 1])).index.tolist() == [2, 0, 1]
+
     def test_label_swap_wildcard(self):
         sp = hb.space(("a", ["a0", "a1"]), ("b", ["b0", "b1"]))
         op = hb.label_swap(sp, ["a", "b"], ["*", "b0"], ["*", "b1"])
@@ -336,7 +343,7 @@ def reference_label_swap(sp, factor_names, src, dst):
 
 def reference_flag_flip(sp, condition, flag_factor, ready, click):
     """Dense flag_flip built with the per-basis-state loop."""
-    m = hb.Operator.basis_mask(sp, condition).reshape(sp.dims)
+    m = hb.Operator.projector(sp, condition).diagonal.astype(bool).reshape(sp.dims)
     ax = sp.factor_index(flag_factor)
     f = sp.factor(flag_factor)
     r_idx, c_idx = f.index(ready), f.index(click)
@@ -391,8 +398,7 @@ class TestBasisMapsAgainstDenseReference:
             condition = {}
             for f in sp.factors[1:]:
                 if rng.random() < 0.6:
-                    keep = rng.random(f.dim) < 0.5
-                    condition[f.name] = [lab for lab, kk in zip(f.labels, keep) if kk]
+                    condition[f.name] = f.labels[rng.integers(f.dim)]
             op = hb.flag_flip(sp, condition, flag.name, ready, click)
             assert np.array_equal(np.sort(op.index), np.arange(sp.dim))
             np.testing.assert_array_equal(

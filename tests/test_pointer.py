@@ -28,7 +28,7 @@ def _reference_weak_sequence(system, observable, g, steps, rng_seed, ptr=None):
     """weak_sequence's step loop as it was written with numpy arrays, kept to
     pin the lean loop's results bit for bit."""
     if ptr is None:
-        ptr = pt.PointerWavefunction.gaussian()
+        ptr = pt.PointerWavefunction()
     projs, branch_amps = pt._branches(observable, ptr, g)
     cdf = np.cumsum(np.abs(branch_amps) ** 2, axis=1)
     cdf_last = cdf[:, -1]
@@ -114,39 +114,44 @@ def _sequence_cases():
         ("complex-3x3", complex3, hb.Operator(sp3, herm), 0.3, None),
         ("g=0", even3, diag3, 0.0, None),
         ("small-pointer", half, obs2, 0.2,
-         pt.PointerWavefunction.gaussian(n_bins=41, spacing=0.25)),
+         pt.PointerWavefunction(n_bins=41, spacing=0.25)),
     ]
 
 
 class TestPointerWavefunction:
     def test_gaussian_is_measure_normalized(self):
-        ptr = pt.PointerWavefunction.gaussian()
-        total = np.sum(np.abs(ptr.amplitudes) ** 2) * ptr.spacing
-        assert total == pytest.approx(1.0, abs=1e-12)
+        ptr = pt.PointerWavefunction()
+        amps = ptr.ket_amplitudes()
+        assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
         assert ptr.n_bins % 2 == 1
         assert ptr.positions[ptr.n_bins // 2] == 0.0
+        # one read-only profile per grid, shared by equal pointers
+        assert not amps.flags.writeable
+        assert pt.PointerWavefunction(401, 0.05).ket_amplitudes() is amps
 
     def test_even_bin_count_rejected(self):
-        with pytest.raises(ValueError):
-            pt.PointerWavefunction.gaussian(n_bins=400)
+        with pytest.raises(ValueError, match="^bin count must be an odd positive int, got 400$"):
+            pt.PointerWavefunction(n_bins=400)
 
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            pt.PointerWavefunction(spacing=0.1, sigma=1.0,
-                                   amplitudes=np.ones(11, dtype=complex))
+    def test_grid_validation(self):
+        for n_bins in (0, -3, 5.0):
+            with pytest.raises(ValueError, match="^bin count must be an odd positive int"):
+                pt.PointerWavefunction(n_bins=n_bins)
+        for spacing in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^grid spacing must be finite and > 0"):
+                pt.PointerWavefunction(n_bins=11, spacing=spacing)
+        # an int spacing is stored as a float, so labels and grid read floats
+        assert pt.PointerWavefunction(3, 1).factor().labels == ("x=-1.0", "x=0.0", "x=1.0")
 
     def test_nan_rejected(self):
-        # NaN compares false with everything, so each check must fail on it
-        amps = pt.PointerWavefunction.gaussian(n_bins=11, spacing=0.1).amplitudes
-        with pytest.raises(ValueError, match="^grid spacing must be positive$"):
-            pt.PointerWavefunction(spacing=float("nan"), sigma=1.0, amplitudes=amps)
-        with pytest.raises(ValueError, match=r"^pointer not normalized: sum \|a\|\^2 dx = nan$"):
-            pt.PointerWavefunction(spacing=0.1, sigma=1.0, amplitudes=np.full(11, np.nan))
+        # NaN compares false with everything, so the spacing check must fail on it
+        with pytest.raises(ValueError, match="^grid spacing must be finite and > 0, got nan$"):
+            pt.PointerWavefunction(n_bins=11, spacing=float("nan"))
 
     def test_grid_positions_roundtrip(self):
         # default grid, the three-path grid, a single bin, and two inexact spacings
         for n_bins, spacing in ((401, 0.05), (41, 0.25), (1, 0.05), (401, 0.1), (41, 0.3)):
-            ptr = pt.PointerWavefunction.gaussian(n_bins=n_bins, spacing=spacing)
+            ptr = pt.PointerWavefunction(n_bins=n_bins, spacing=spacing)
             factor = ptr.factor("pointer")
             from_labels = np.array([float(lab[2:]) for lab in factor.labels])
             xs = pt.grid_positions(factor)
@@ -157,7 +162,7 @@ class TestPointerWavefunction:
 
     def test_coupling_strength_validation(self):
         sp, obs = two_level()
-        ptr = pt.PointerWavefunction.gaussian()
+        ptr = pt.PointerWavefunction()
         for g in (-0.1, float("nan")):  # NaN compares false with 0 as well
             with pytest.raises(ValueError, match=f"coupling strength must be >= 0, got {g}$"):
                 pt.couple(hb.basis_state(sp, "hi"), obs, ptr, g=g)
@@ -166,14 +171,14 @@ class TestPointerWavefunction:
 class TestCouple:
     def test_eigenstate_shift_recenters_pointer(self):
         sp, obs = two_level()
-        ptr = pt.PointerWavefunction.gaussian()
+        ptr = pt.PointerWavefunction()
         joint = pt.couple(hb.basis_state(sp, "hi"), obs, ptr, 2.0)
         (mean,) = pt.pointer_mean(joint, hb.Operator.projector(sp, {}))
         assert mean == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_coupling_is_exact_product(self):
         sp, obs = two_level()
-        ptr = pt.PointerWavefunction.gaussian(n_bins=101)
+        ptr = pt.PointerWavefunction(n_bins=101)
         system = hb.Ket(sp, np.array([1, 1j]) / SQ2)
         joint = pt.couple(system, obs, ptr, 0.0)
         expect = np.kron(system.amplitudes, ptr.ket_amplitudes())
@@ -181,28 +186,28 @@ class TestCouple:
 
     def test_three_boxes_conditioned_mean_tracks_negative_weak_value(self):
         sp, pre, post, p3 = boxes_context()
-        ptr = pt.PointerWavefunction.gaussian()
+        ptr = pt.PointerWavefunction()
         joint = pt.couple(pre, p3, ptr, 0.1)
         (mean,) = pt.pointer_mean(joint, hb.Operator.ket_projector(post))
         assert mean == pytest.approx(-0.1, abs=0.02)
 
     def test_norm_preserved_even_for_fractional_shifts(self):
         sp, pre, post, p3 = boxes_context()
-        ptr = pt.PointerWavefunction.gaussian()
+        ptr = pt.PointerWavefunction()
         for g in (0.025, 0.037, 0.08):  # non-integer bin shifts included
             joint = pt.couple(pre, p3, ptr, g)
             assert abs(joint.norm() - 1.0) <= 1e-9
 
     def test_shift_out_of_grid(self):
         sp, obs = two_level()
-        ptr = pt.PointerWavefunction.gaussian(n_bins=41, spacing=0.25)  # extent 5
+        ptr = pt.PointerWavefunction(n_bins=41, spacing=0.25)  # extent 5
         with pytest.raises(ShiftOutOfGrid):
             pt.couple(hb.basis_state(sp, "hi"), obs, ptr, 6.0)
 
     def test_shift_below_grid_resolution(self):
         # spacing 0.05 and |lambda| = 1: the floor is g = 1e-5 * 0.05
         sp, obs = two_level()
-        ptr = pt.PointerWavefunction.gaussian()
+        ptr = pt.PointerWavefunction()
         k = hb.basis_state(sp, "hi")
         for g in (1e-15, 1e-12, 4.9e-7):
             with pytest.raises(ShiftOutOfGrid, match="below what the grid resolves"):
@@ -216,11 +221,11 @@ class TestCouple:
         sp, _ = two_level()
         bad = hb.Operator(sp, np.array([[0, 1], [0, 0]], dtype=complex))
         with pytest.raises(ValueError):
-            pt.couple(hb.basis_state(sp, "hi"), bad, pt.PointerWavefunction.gaussian(), 0.1)
+            pt.couple(hb.basis_state(sp, "hi"), bad, pt.PointerWavefunction(), 0.1)
 
     def test_second_pointer_gets_fresh_factor_name(self):
         sp, pre, post, p3 = boxes_context()
-        ptr = pt.PointerWavefunction.gaussian(n_bins=21, spacing=0.5)
+        ptr = pt.PointerWavefunction(n_bins=21, spacing=0.5)
         joint = pt.couple(pre, p3, ptr, 0.1)
         joint2 = pt.couple(joint, p3, ptr, 0.1)
         names = [f.name for f in joint2.space.factors]
@@ -231,7 +236,7 @@ class TestPointerMean:
     def test_unconditioned_eigenstate_mean(self):
         sp = hb.space(("a", ["x", "y"]))
         obs = hb.Operator(sp, np.diag([0.0, 3.0]))
-        ptr = pt.PointerWavefunction.gaussian()
+        ptr = pt.PointerWavefunction()
         joint = pt.couple(hb.basis_state(sp, "y"), obs, ptr, 1.0)
         (mean,) = pt.pointer_mean(joint, hb.Operator.projector(sp, {}))
         assert abs(mean - 3.0) <= ptr.spacing
@@ -243,28 +248,28 @@ class TestPointerMean:
         post = hb.from_amplitudes(sp, {("O+", "O-"): 0.5, ("O+", "NO-"): -0.5,
                                        ("NO+", "O-"): -0.5, ("NO+", "NO-"): 0.5})
         pair = hb.Operator.projector(sp, {"positron": "NO+", "electron": "NO-"})
-        joint = pt.couple(pre, pair, pt.PointerWavefunction.gaussian(), 0.05)
+        joint = pt.couple(pre, pair, pt.PointerWavefunction(), 0.05)
         (mean,) = pt.pointer_mean(joint, hb.Operator.ket_projector(post))
         assert -1.15 <= mean / 0.05 <= -0.85
 
     def test_three_boxes_positive_weak_value(self):
         sp, pre, post, _ = boxes_context()
         p1 = hb.Operator.projector(sp, {"box": "box1"})
-        joint = pt.couple(pre, p1, pt.PointerWavefunction.gaussian(), 0.05)
+        joint = pt.couple(pre, p1, pt.PointerWavefunction(), 0.05)
         (mean,) = pt.pointer_mean(joint, hb.Operator.ket_projector(post))
         assert 0.85 <= mean / 0.05 <= 1.15
 
     def test_zero_probability_post_selection(self):
         sp, obs = two_level()
         joint = pt.couple(hb.basis_state(sp, "hi"), obs,
-                          pt.PointerWavefunction.gaussian(), 0.1)
+                          pt.PointerWavefunction(), 0.1)
         with pytest.raises(ZeroProbabilityBranch):
             pt.pointer_mean(joint, hb.Operator.projector(sp, {"sys": "lo"}))
 
     def test_projector_must_cover_leading_factors(self):
         sp, obs = two_level()
         joint = pt.couple(hb.basis_state(sp, "hi"), obs,
-                          pt.PointerWavefunction.gaussian(), 0.1)
+                          pt.PointerWavefunction(), 0.1)
         other = hb.space(("zzz", ["a", "b"]))
         with pytest.raises(DimensionMismatch):
             pt.pointer_mean(joint, hb.Operator.projector(other, {}))
@@ -277,7 +282,7 @@ class TestPointerMean:
             sp = hb.space(("a", ["x", "y"]), ("b", labels))
             joint = pt.couple(hb.basis_state(sp, "y", labels[0]),
                               hb.Operator.projector(sp, {}),
-                              pt.PointerWavefunction.gaussian(), 0.1)
+                              pt.PointerWavefunction(), 0.1)
             with pytest.raises(ValueError, match="^factor 'b' is not a pointer factor$"):
                 pt.pointer_mean(joint,
                                 hb.Operator.projector(hb.space(("a", ["x", "y"])), {}))
@@ -287,7 +292,7 @@ class TestPointerMean:
     def test_non_projector_rejected(self):
         sp, obs = two_level()
         joint = pt.couple(hb.basis_state(sp, "hi"), obs,
-                          pt.PointerWavefunction.gaussian(), 0.1)
+                          pt.PointerWavefunction(), 0.1)
         for bad in (hb.Diagonal(sp, 5 * hb.Operator.projector(sp, {"sys": "hi"}).diagonal),
                     hb.Operator(sp, np.array([[0, 1], [0, 0]], dtype=complex)),
                     hb.flag_flip(sp, {}, "sys", "lo", "hi")):
@@ -315,12 +320,12 @@ class TestPointerMean:
     @pytest.mark.parametrize("name", ["three_boxes", "hardy", "three_path_photon"])
     def test_sweep_context_mean_matches_reference(self, name):
         pre, obs, post_proj = sc.sweep_context(name)
-        joint = pt.couple(pre, obs, pt.PointerWavefunction.gaussian(), 0.05)
+        joint = pt.couple(pre, obs, pt.PointerWavefunction(), 0.05)
         _assert_matches_reference(joint, post_proj, pt.pointer_mean(joint, post_proj))
 
     def test_weak_limit_error_halves_quadratically(self):
         # halving g from 0.1 to 0.05 must shrink the error at least 2.5x
-        ptr = pt.PointerWavefunction.gaussian(n_bins=801, spacing=0.025)
+        ptr = pt.PointerWavefunction(n_bins=801, spacing=0.025)
         sp, pre, post, p3 = boxes_context()
         post_proj = hb.Operator.ket_projector(post)
         errs = []
@@ -342,11 +347,11 @@ class TestPointerMean:
         # a = <post|P3|pre> and b = <post|pre> - a; for the Gaussian phi of
         # width sigma, with e = exp(-g^2 / 8 sigma^2),
         # <x> = (|a|^2 g + Re(a b*) g e) / (|a|^2 + |b|^2 + 2 Re(a b*) e)
-        ptr = pt.PointerWavefunction.gaussian()
+        ptr = pt.PointerWavefunction()
         _, pre, post, p3 = boxes_context()
         a = np.vdot(post.amplitudes, p3.act(pre.amplitudes))
         b = np.vdot(post.amplitudes, pre.amplitudes) - a
-        e = np.exp(-g ** 2 / (8 * ptr.sigma ** 2))
+        e = np.exp(-g ** 2 / (8 * pt.SIGMA ** 2))
         cross = (a * np.conj(b)).real
         exact = (abs(a) ** 2 + cross * e) / (abs(a) ** 2 + abs(b) ** 2 + 2 * cross * e)
         joint = pt.couple(pre, p3, ptr, g)
@@ -354,19 +359,19 @@ class TestPointerMean:
         assert abs(mean / g - exact) <= 1e-12
 
     def test_strong_limit_multimodal_weights_match_born(self):
-        # separation 3 = 30 sigma: sample pointer readouts, classify by mode
+        # separation 30 = 30 sigma: sample pointer readouts, classify by mode
         rng = np.random.default_rng(17)
         sp, obs = two_level()
         amps = np.array([0.8, 0.6], dtype=complex)
         system = hb.Ket(sp, amps)
-        ptr = pt.PointerWavefunction.gaussian(sigma=0.1)
-        joint = pt.couple(system, obs, ptr, 3.0)
+        ptr = pt.PointerWavefunction(n_bins=1601, spacing=0.05)  # extent 40
+        joint = pt.couple(system, obs, ptr, 30.0)
         t = np.abs(joint.amplitudes.reshape(sp.dim, -1)) ** 2
         pmf = t.sum(axis=0)
         pmf /= pmf.sum()
         xs = ptr.positions
         draws = rng.choice(xs, size=10_000, p=pmf)
-        hi_fraction = float(np.mean(draws > 1.5))
+        hi_fraction = float(np.mean(draws > 15.0))
         assert hi_fraction == pytest.approx(0.36, abs=0.03)
 
 
@@ -401,6 +406,13 @@ class TestStrongMeasure:
         with pytest.raises(DimensionMismatch):
             pt.strong_measure(hb.basis_state(sp, "hi"), other, 1)
 
+    def test_zero_or_nan_ket_refused(self):
+        # refused before the draw, with no numpy warning (warnings are errors here)
+        sp, obs = two_level()
+        for amps in ([0.0, 0.0], [np.nan, 0.0]):
+            with pytest.raises(ZeroProbabilityBranch, match="^cannot draw outcomes"):
+                pt.strong_measure(hb.Ket(sp, amps), obs, 1)
+
     def test_collapse_renormalizes(self):
         sp, obs = two_level()
         system = hb.Ket(sp, np.array([0.6, 0.8]))
@@ -433,7 +445,7 @@ class TestWeakSequence:
         # joint distribution, project the pointer onto it, renormalize
         sp, obs = two_level()
         system = hb.Ket(sp, np.array([0.6, 0.8]))
-        ptr = pt.PointerWavefunction.gaussian(n_bins=41, spacing=0.25)
+        ptr = pt.PointerWavefunction(n_bins=41, spacing=0.25)
         g = 0.2
         traj = pt.weak_sequence(system, obs, g, 1, 5, ptr=ptr)
         bin_idx = int(np.where(ptr.positions == traj.readouts[0])[0][0])
@@ -454,6 +466,12 @@ class TestWeakSequence:
             wins += int(np.argmax(weights) == 0)
         assert wins / n == pytest.approx(0.5, abs=0.09)
 
+    def test_zero_or_nan_ket_refused(self):
+        sp, obs = two_level()
+        for amps in ([0.0, 0.0], [np.nan, 0.0]):
+            with pytest.raises(ZeroProbabilityBranch, match="^cannot draw outcomes"):
+                pt.weak_sequence(hb.Ket(sp, amps), obs, 0.2, 3, 1)
+
     def test_steps_validation(self):
         sp, obs = two_level()
         with pytest.raises(ValueError):
@@ -461,7 +479,7 @@ class TestWeakSequence:
 
     def test_shift_out_of_grid(self):
         sp, obs = two_level()
-        ptr = pt.PointerWavefunction.gaussian(n_bins=11, spacing=0.1)
+        ptr = pt.PointerWavefunction(n_bins=11, spacing=0.1)
         with pytest.raises(ShiftOutOfGrid):
             pt.weak_sequence(hb.basis_state(sp, "hi"), obs, 10.0, 5, 1, ptr=ptr)
 
