@@ -15,6 +15,7 @@ responsible line attached as a `diagnostic` attribute.
 
 from __future__ import annotations
 
+import cmath
 from functools import reduce
 from importlib import resources
 from pathlib import Path
@@ -130,7 +131,12 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
                 if not np.isfinite(diag).all():
                     raise ScenarioValidationError([Diagnostic(
                         obs.line, 1, f"observable {obs.name!r} sums past the float range")])
-                weak_values[obs.name] = tsvf.weak_value(tsv, Diagonal(sp, diag))
+                wv = tsvf.weak_value(tsv, Diagonal(sp, diag))
+                if not cmath.isfinite(wv):  # a small overlap can divide past the range
+                    raise ScenarioValidationError([Diagnostic(
+                        obs.line, 1, f"observable {obs.name!r} has a weak value that is "
+                        "not finite")])
+                weak_values[obs.name] = wv
         except TsvsimError as e:
             raise _with_position(e, 1 if post is None else post.line)
 

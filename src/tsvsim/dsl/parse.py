@@ -23,8 +23,9 @@ the grammar. Amplitudes accept sugar such as 1/sqrt(3), i, -0.5, 2/3, and an
 explicit re,im pair; a parenthesized (re,im) works anywhere a scalar does.
 `#` starts a comment, and a blank is any whitespace character. Parsing is
 total: malformed input produces diagnostics with line and column positions,
-never a crash. The parser normalizes INITIAL and POSTSELECT amplitude lists
-and records a warning when the written norm is off by more than 1e-9.
+never a crash. Each distinct amplitude text is evaluated once per parse. The
+parser normalizes INITIAL and POSTSELECT amplitude lists and records a warning
+when the written norm is off by more than 1e-9.
 
 render() is the canonical serializer: LF line endings, fixed section order,
 repr-exact re,im amplitudes. parse(render(spec)) reproduces spec exactly.
@@ -427,7 +428,11 @@ class _Reader:
         self.factors: list[FactorDecl] = []
         self.label_sets: list[frozenset[str]] = []  # of each factor, in order
         self.table: dict[str, frozenset[str]] = {}  # factors declared once, labels distinct
-        self.entries: dict[str, dict] = {}  # section -> labels -> entry
+        # section -> labels -> written amplitude, and -> line (a repeat keeps
+        # the first place in order and takes the later line)
+        self.amplitudes: dict[str, dict[tuple[str, ...], complex]] = {}
+        self.lines: dict[str, dict[tuple[str, ...], int]] = {}
+        self.values: dict[str, complex] = {}  # amplitude text -> value, successes only
         self.gates: list[GateDecl] = []
         self.epochs: set[str] = set()  # of the gates read so far
         self.latest = 0  # EPOCH_ORDER index of the latest canonical epoch among them
@@ -472,6 +477,7 @@ class _Reader:
                 self.observable(content)
             else:
                 self.amplitude(content, section)
+        self.values.clear()  # no later step reads an amplitude text
         if deferred and self.syntax:
             self.syntax.sort(key=attrgetter("line", "column"))
         # sorted: the POSTSELECT header was read before the deferred lines
@@ -549,9 +555,12 @@ class _Reader:
         known = len(labels) == need and all(map(frozenset.__contains__, self.label_sets, labels))
         if not (known or self.names_ok(head, 0, labels, "label")):
             return
-        amp = _eval(_Expr.parse_pair, tail, self.line, len(head) + 1, self.syntax)
+        amp = self.values.get(tail)
         if amp is None:
-            return
+            amp = _eval(_Expr.parse_pair, tail, self.line, len(head) + 1, self.syntax)
+            if amp is None:
+                return
+            self.values[tail] = amp
         if len(labels) != need:
             self.invalid(_column(head, 0, need) if len(labels) > need else len(head) + 1,
                          f"{section} line gives {len(labels)} labels, need one per factor ({need})")
@@ -560,10 +569,11 @@ class _Reader:
                 if lab not in labs:
                     self.invalid(_column(head, 0, k),
                                  f"unknown label {lab!r} for factor {f.name!r}")
-        entries = self.entries.setdefault(section, {})
-        if labels in entries:
+        amplitudes = self.amplitudes.setdefault(section, {})
+        if labels in amplitudes:
             self.invalid(_column(head, 0, 0), f"duplicate {section} entry for {' '.join(labels)}")
-        entries[labels] = AmplitudeEntry(labels, amp, line=self.line)
+        amplitudes[labels] = amp
+        self.lines.setdefault(section, {})[labels] = self.line
 
     def gate(self, content: str) -> None:
         head, colon, tail = content.partition(":")
@@ -746,26 +756,33 @@ class _Reader:
     def _normalized(self, section: str, warnings: list[Diagnostic]
                     ) -> tuple[AmplitudeEntry, ...]:
         """The section's entries scaled to norm 1, with a warning if that changed them."""
-        entries = tuple(self.entries.get(section, {}).values())
+        amplitudes = self.amplitudes.get(section, {})
+        lines = self.lines.get(section, {})
+        values = amplitudes.values()
         try:
-            norm = sum(abs(e.amplitude) ** 2 for e in entries) ** 0.5
+            norm = sum(abs(a) ** 2 for a in values) ** 0.5
         except OverflowError:  # a square past the float range
             norm = inf
-        if not entries:
+        if norm == 0.0 and any(values):  # every square fell below the float range
+            big = max(map(abs, values))
+            norm = big * sum((abs(a) / big) ** 2 for a in values) ** 0.5
+        # section diagnostics sit on the line of the entry that comes first
+        line = next(iter(lines.values()), 0)
+        if not amplitudes:
             self.semantic.append(Diagnostic(self.sections.get(section, 1), 1,
                                             f"{section} section is missing or empty"))
         elif norm == 0.0:
             self.semantic.append(Diagnostic(
-                entries[0].line, 1, f"{section} state has zero norm and cannot be normalized"))
+                line, 1, f"{section} state has zero norm and cannot be normalized"))
         elif not isfinite(norm):
             self.semantic.append(Diagnostic(
-                entries[0].line, 1, f"{section} state norm is not finite and cannot be normalized"))
+                line, 1, f"{section} state norm is not finite and cannot be normalized"))
         elif abs(norm - 1.0) > NORM_WARN_TOL:
             warnings.append(Diagnostic(
-                entries[0].line, 1, f"{section} amplitudes had norm {norm:.12g}; normalized to 1"))
-            entries = tuple(
-                AmplitudeEntry(e.labels, e.amplitude / norm, line=e.line) for e in entries)
-        return entries
+                line, 1, f"{section} amplitudes had norm {norm:.12g}; normalized to 1"))
+            values = [a / norm for a in values]
+        return tuple([AmplitudeEntry(labels, a, line=n)
+                      for labels, a, n in zip(amplitudes, values, lines.values())])
 
 
 # looked up here, not with getattr(), whose type cache keeps each word it is given

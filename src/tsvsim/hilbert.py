@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -77,6 +78,14 @@ class Space:
         self.dims: tuple[int, ...] = tuple(f.dim for f in self.factors)
         self.dim: int = prod(self.dims)
         self._by_name = {f.name: i for i, f in enumerate(self.factors)}
+        # {label: index * stride} per factor, so that a flat index is one sum;
+        # the last factor's stride is 1 and its table is its own index
+        stride, offsets = 1, []
+        for f in reversed(self.factors):
+            offsets.append({lab: i * stride for lab, i in f._index.items()}
+                           if stride > 1 else f._index)
+            stride *= f.dim
+        self._offsets: tuple[dict[str, int], ...] = tuple(offsets[::-1])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Space) and self.factors == other.factors
@@ -103,13 +112,12 @@ class Space:
             raise DimensionMismatch(
                 f"expected {len(self.factors)} labels, got {len(labels)}"
             )
-        idx = 0
-        for f, d, lab in zip(self.factors, self.dims, labels):
-            try:
-                idx = idx * d + f._index[lab]
-            except KeyError:
+        try:
+            return sum(map(getitem, self._offsets, labels))
+        except KeyError:
+            for f, lab in zip(self.factors, labels):
                 f.index(lab)  # raises the unknown-label KeyError
-        return idx
+            raise
 
 
 def space(*factors: tuple[str, Sequence[str]]) -> Space:
@@ -168,8 +176,16 @@ def basis_state(sp: Space, *labels: str) -> Ket:
 def from_amplitudes(sp: Space, entries: Mapping[Sequence[str], complex]) -> Ket:
     """Build a ket from a {label tuple: amplitude} mapping; unlisted entries are 0."""
     amps = np.zeros(sp.dim, dtype=complex)
-    for labels, a in entries.items():
-        amps[sp.index_of(labels)] = a
+    offsets = sp._offsets
+    try:
+        for labels, a in entries.items():
+            if len(labels) != len(offsets):
+                raise KeyError  # map() would stop at the shorter of the two
+            amps[sum(map(getitem, offsets, labels))] = a
+    except KeyError:
+        for labels in entries:
+            sp.index_of(labels)  # raises the error of the first bad entry
+        raise
     return Ket(sp, amps)
 
 

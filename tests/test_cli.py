@@ -266,6 +266,17 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == f"{scn}:line 6, col {col}: {message}\n"
 
+    def test_non_finite_weak_value_exit_3(self, capsys, tmp_path):
+        # jsonl would print it as Infinity, which is not JSON
+        scn = tmp_path / "inf.scn"
+        scn.write_text("FACTORS\n  a: x y\nINITIAL\n  x : 1\n  y : 1\n"
+                       "POSTSELECT\n  x : 1\n  y : -0.99999999\n"
+                       "OBSERVABLES\n  A = 1e308*proj(a=x)\n")
+        code, out, err = run_cli(capsys, "run", str(scn), "--format", "jsonl")
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1] == (
+            f"{scn}:line 10, col 1: observable 'A' has a weak value that is not finite")
+
     @pytest.mark.parametrize("n_factors", [62, 70])
     def test_oversized_state_space_exit_3(self, capsys, tmp_path, n_factors):
         # numpy refuses both sizes before allocating anything

@@ -1,6 +1,8 @@
 """Scenario-file format: parsing, diagnostics, round-trips, evaluation."""
 
 import cmath
+import collections
+import importlib
 import json
 import math
 import random
@@ -19,6 +21,7 @@ from tsvsim.dsl.parse import _Expr as TokenExpr, _eval as token_eval
 from tsvsim.errors import DimensionMismatch, OrthogonalSelection, ZeroProbabilityBranch
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 FIXTURE_IDS = ("three_boxes", "oblivion", "elastic_collision", "hardy",
                "four_mirror", "three_path_photon")
 
@@ -223,6 +226,14 @@ class TestParserDiagnostics:
         with pytest.raises(dsl.ScenarioSyntaxError):
             dsl.parse("FACTORS\n  a: x\nFACTORS\nINITIAL\n  x : 1\n")
 
+    def test_section_diagnostic_follows_a_repeated_first_entry(self):
+        # the first entry in order keeps its place and takes its repeat's line
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.parse("FACTORS\n  a: x y\nINITIAL\n  x : 0\n  y : 0\n  x : 0\n")
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+            (6, 1, "INITIAL state has zero norm and cannot be normalized"),
+            (6, 3, "duplicate INITIAL entry for x")]
+
     def test_zero_norm_state(self):
         with pytest.raises(dsl.ScenarioValidationError) as err:
             dsl.parse("FACTORS\n  a: x y\nINITIAL\n  x : 0\n")
@@ -401,8 +412,41 @@ class TestEvaluateErrors:
             assert err.value.diagnostics == [Diagnostic(
                 2, 1, "state space of 2 amplitudes is too large to allocate")]
 
+    def test_non_finite_weak_value_is_positioned(self):
+        # the overlap (5e-9) passes the 1e-10 floor, and dividing by it
+        # takes a finite observable's weak value past the float range
+        text = ("FACTORS\n  a: x y\nINITIAL\n  x : 1\n  y : 1\n"
+                "POSTSELECT\n  x : 1\n  y : -0.99999999\n"
+                "OBSERVABLES\n  B = proj(a=x)\n  A = 1e308*proj(a=x)\n")
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.evaluate(dsl.parse(text))
+        assert err.value.diagnostics == [
+            Diagnostic(11, 1, "observable 'A' has a weak value that is not finite")]
+
 
 class TestEvaluate:
+    @pytest.mark.parametrize("tiny", ["1e-200", "1e-170"])
+    def test_tiny_amplitudes_are_normalized(self, tiny):
+        # each |a|^2 underflows to 0, so the norm is taken on a / max|a|
+        def text(a):
+            return (f"FACTORS\n  a: x y\nINITIAL\n  x : {a}\n  y : {a}\n"
+                    "POSTSELECT\n  x : 1\n  y : -0.5\nOBSERVABLES\n  A = proj(a=x)\n")
+
+        spec = dsl.parse(text(tiny))
+        assert [(w.line, w.column, w.message) for w in spec.warnings] == [
+            (4, 1, f"INITIAL amplitudes had norm {2 ** 0.5 * float(tiny):.12g}; normalized to 1"),
+            (7, 1, "POSTSELECT amplitudes had norm 1.11803398875; normalized to 1")]
+        got = dsl.evaluate(spec).weak_values["A"]
+        want = dsl.evaluate(dsl.parse(text(1))).weak_values["A"]
+        assert want == pytest.approx(2.0, abs=1e-14)
+        assert abs(got - want) <= 1e-15
+
+    def test_zero_amplitudes_still_have_zero_norm(self):
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.parse("FACTORS\n  a: x y\nINITIAL\n  x : 0\n  y : 0\n")
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+            (4, 1, "INITIAL state has zero norm and cannot be normalized")]
+
     def test_observables_without_postselect_are_expectations(self):
         text = ("FACTORS\n  a: x y\n"
                 "INITIAL\n  x : 1/sqrt(2)\n  y : 1/sqrt(2)\n"
@@ -564,6 +608,57 @@ class TestObservableIsOneDiagonal:
         first = _reference_observable(sp, spec.observables[0].terms).diagonal.view(float)
         assert np.any((first == 0) & np.signbit(first))
         self.assert_matches_reference(monkeypatch, spec)
+
+
+class TestAmplitudeMemo:
+    """Each distinct amplitude text is evaluated once per parse."""
+
+    @pytest.fixture
+    def evals(self, monkeypatch):
+        counts = collections.Counter()
+        parse_module = importlib.import_module("tsvsim.dsl.parse")  # not dsl.parse, the function
+        real = parse_module._eval
+
+        def counted(rule, text, *args):
+            if rule is TokenExpr.parse_pair:
+                counts[text] += 1
+            return real(rule, text, *args)
+
+        monkeypatch.setattr(parse_module, "_eval", counted)
+        return counts
+
+    def test_each_distinct_text_once_per_parse(self, evals):
+        text = ("FACTORS\n  a: x y\n  b: u v\nINITIAL\n  x u : 1/sqrt(2)\n"
+                "  y v : 1/sqrt(2)\n  x v :  1/sqrt(2)\nPOSTSELECT\n  x u : 1/sqrt(2)\n"
+                "  y u : -1/2\n  y v : -1/2\n")
+        spec = dsl.parse(text)
+        assert evals == {" 1/sqrt(2)": 1, "  1/sqrt(2)": 1, " -1/2": 1}
+        assert [e.amplitude for e in spec.postselect.entries][1:] == [-0.5, -0.5]
+        dsl.parse(text)
+        assert evals == {" 1/sqrt(2)": 2, "  1/sqrt(2)": 2, " -1/2": 2}
+
+    def test_generated_file(self, evals, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import gen
+
+        text = gen.scn_text(0, "mid", 0)
+        dsl.parse(text)
+        section, tails = None, []
+        for line in text.splitlines():
+            if line[:1].strip():  # a header or comment at column 1
+                section = line.split()[0]
+            elif section in ("INITIAL", "POSTSELECT") and line.strip():
+                tails.append(line.partition(":")[2])
+        assert len(tails) == 4 + 256 > len(set(tails))
+        assert evals == collections.Counter(set(tails))
+
+    def test_failing_text_diagnosed_at_each_line(self, evals):
+        text = "FACTORS\n  a: x y\nINITIAL\n  x : 1/0\n    y : 1/0\n"
+        with pytest.raises(dsl.ScenarioSyntaxError) as err:
+            dsl.parse(text)
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+            (4, 8, "division by zero"), (5, 10, "division by zero")]
+        assert evals == {" 1/0": 2}
 
 
 class TestFixtures:

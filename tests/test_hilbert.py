@@ -1,13 +1,15 @@
 """Core Hilbert-space machinery: labels, kets, operators, Schmidt."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsvsim import hilbert as hb, tsvf
+from tsvsim import dsl, hilbert as hb, scenarios as sc, tsvf
 from tsvsim.errors import DimensionMismatch, InvalidBipartition
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
 
@@ -55,6 +57,66 @@ class TestSpaceAndLabels:
         assert repr(f) == "Factor(name='f', labels=('a', 'b'))"
         assert f == hb.Factor("f", ("a", "b"))
         assert hash(f) == hash(("f", ("a", "b")))
+
+
+def _reference_from_amplitudes(sp, entries):
+    """The per-entry fill from_amplitudes replaced: one Horner-rule flat
+    index per entry, each label looked up in its factor."""
+    amps = np.zeros(sp.dim, dtype=complex)
+    for labels, a in entries.items():
+        if len(labels) != len(sp.factors):
+            raise DimensionMismatch(f"expected {len(sp.factors)} labels, got {len(labels)}")
+        idx = 0
+        for f, lab in zip(sp.factors, labels):
+            idx = idx * f.dim + f.index(lab)
+        amps[idx] = a
+    return hb.Ket(sp, amps)
+
+
+def _scn_sections():
+    """(space, {labels: amplitude}) of every INITIAL and POSTSELECT section of
+    the six fixtures and of the benchmark's .scn files for seeds 0-3."""
+    import gen
+    texts = [dsl.builtin_scenario_path(s).read_text(encoding="utf-8") for s in sc.SCENARIOS]
+    texts += [t for seed in range(4) for ts in gen.scn_corpus(seed).values() for t in ts]
+    for text in texts:
+        spec = dsl.parse(text)
+        sp = hb.space(*((f.name, f.labels) for f in spec.factors))
+        for entries in (spec.initial, spec.postselect.entries if spec.postselect else ()):
+            if entries:
+                yield sp, {e.labels: e.amplitude for e in entries}
+
+
+class TestFromAmplitudes:
+    @pytest.fixture(autouse=True)
+    def _perfbench_on_path(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+
+    def test_matches_reference_fill_bytes(self):
+        n = 0
+        for sp, entries in _scn_sections():
+            got = hb.from_amplitudes(sp, entries).amplitudes
+            assert got.tobytes() == _reference_from_amplitudes(sp, entries).amplitudes.tobytes()
+            n += 1
+        assert n == 9 + 4 * 14 * 2  # 9 in the fixtures, 2 in each generated file
+
+    @pytest.mark.parametrize("bad", [("1'",), ("1'", "2'", "2''"), ("1'", "nope"),
+                                     ("nope", "2'")])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_same_error_as_reference(self, bad, where):
+        sp = pair_space()
+        good = [("1'", "2'"), ("1'", "2''"), ("1''", "2'")]
+        at = {"first": 0, "middle": 1, "last": 3}[where]
+        keys = good[:at] + [bad] + good[at:]
+        if where != "last":  # a later bad entry of the other kind must not win
+            keys.append(("1''", "zz") if len(bad) != 2 else ("1''",))
+        entries = dict.fromkeys(keys, 0.5)
+        with pytest.raises(Exception) as want:
+            _reference_from_amplitudes(sp, entries)
+        with pytest.raises(type(want.value)) as got:
+            hb.from_amplitudes(sp, entries)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestInner:
