@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from math import inf, isfinite, prod
 from operator import attrgetter
+from sys import float_info
 from typing import Sequence
 
 from ..hilbert import is_unitary
@@ -760,10 +761,12 @@ class _Reader:
         lines = self.lines.get(section, {})
         values = amplitudes.values()
         try:
-            norm = sum(abs(a) ** 2 for a in values) ** 0.5
+            squares = sum(abs(a) ** 2 for a in values)
         except OverflowError:  # a square past the float range
-            norm = inf
-        if norm == 0.0 and any(values):  # every square fell below the float range
+            squares = inf
+        norm = squares ** 0.5
+        # a subnormal or zero sum of nonzero squares keeps few bits: scale first
+        if squares < float_info.min and any(values):
             big = max(map(abs, values))
             norm = big * sum((abs(a) / big) ** 2 for a in values) ** 0.5
         # section diagnostics sit on the line of the entry that comes first

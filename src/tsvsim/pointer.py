@@ -149,6 +149,9 @@ def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, list[np.ndarray
     matrix, so it is meant for the small system spaces pointers couple to.
     """
     mat = observable.matrix
+    # NaN would pass the Hermiticity test below, and inf - inf warns in it
+    if not np.isfinite(mat).all():
+        raise ValueError(f"observable {observable!r} has a non-finite entry")
     if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
         raise ValueError("observable is not Hermitian to 1e-10")
     evals, evecs = np.linalg.eigh(mat)
@@ -190,9 +193,10 @@ def _translate(amps: np.ndarray, bins: float) -> np.ndarray:
     return out
 
 
-def _branches(observable: OperatorForm, ptr: PointerWavefunction,
-              g: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Eigenprojectors and g*lambda-shifted pointer profiles, shifts checked on the grid."""
+def _spectrum(observable: OperatorForm, ptr: PointerWavefunction,
+              g: float) -> tuple[tuple, list[np.ndarray]]:
+    """Eigenprojectors, and the key (eigenvalues, bins, spacing, g) of their
+    shifted-profile tables, with every shift checked on the grid."""
     gval = _g(g)
     lams, projs = eigenbranches(observable)
     worst = gval * float(np.max(np.abs(lams)))
@@ -205,8 +209,51 @@ def _branches(observable: OperatorForm, ptr: PointerWavefunction,
             f"shift g*|lambda| = {worst:g} is under {MIN_SHIFT_BINS:g} bins of width "
             f"{ptr.spacing:g}, below what the grid resolves"
         )
-    base = ptr.ket_amplitudes()
-    return projs, np.stack([_translate(base, gval * lam / ptr.spacing) for lam in lams])
+    return (tuple(lams.tolist()), ptr.n_bins, ptr.spacing, gval), projs
+
+
+@lru_cache(maxsize=32)
+def _shifted(lams: tuple[float, ...], n_bins: int, spacing: float,
+             g: float) -> tuple[np.ndarray, tuple[tuple[float, ...], ...]]:
+    """Read-only g*lambda-shifted pointer profiles, one row per eigenvalue,
+    and each row's cdf of |amplitude|^2 as a tuple of floats for bisect."""
+    base = _profile(n_bins, spacing)
+    rows = np.stack([_translate(base, g * lam / spacing) for lam in lams])
+    rows.flags.writeable = False
+    cdfs = np.cumsum(np.abs(rows) ** 2, axis=1).tolist()
+    return rows, tuple(map(tuple, cdfs))
+
+
+@lru_cache(maxsize=32)
+def _amp_rows(lams: tuple[float, ...], n_bins: int, spacing: float, g: float,
+              owner: tuple[int, ...]) -> np.ndarray:
+    """Read-only (bins, dim) table whose entry [bin, i] is the shifted profile
+    of basis index i's branch at that bin: the Kraus factor of a readout.
+    When branch i owns index i, as for diag(1, 2, 3), it is a view of the
+    profiles and takes no memory of its own."""
+    rows = _shifted(lams, n_bins, spacing, g)[0]
+    if owner != tuple(range(len(rows))):
+        rows = rows[list(owner)]
+        rows.flags.writeable = False
+    return rows.T
+
+
+def _owner(proj_stack: np.ndarray) -> tuple[int, ...] | None:
+    """The branch of each basis index when every stacked projector is an
+    exact 0/1 diagonal and each index belongs to exactly one of them, else None."""
+    hits = proj_stack.diagonal(axis1=1, axis2=2) == 1
+    # n nonzero entries in all, each a diagonal 1 of a different index
+    if (np.count_nonzero(proj_stack) == proj_stack.shape[1]
+            and (hits.sum(axis=0) == 1).all()):
+        return tuple(hits.argmax(axis=0).tolist())
+    return None
+
+
+def _branches(observable: OperatorForm, ptr: PointerWavefunction,
+              g: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Eigenprojectors and g*lambda-shifted pointer profiles, shifts checked on the grid."""
+    key, projs = _spectrum(observable, ptr, g)
+    return projs, _shifted(*key)[0]
 
 
 def _drawable(norm_sq: float) -> None:
@@ -327,24 +374,39 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     _drawable(float(np.vdot(system.amplitudes, system.amplitudes).real))
     if ptr is None:
         ptr = PointerWavefunction()
-    # Per-branch translated pointer profiles, their bin pmfs and cdfs. These
-    # are fixed for the whole sequence; only the branch weights evolve.
-    projs, branch_amps = _branches(observable, ptr, g)
-    cdf_rows = np.cumsum(np.abs(branch_amps) ** 2, axis=1).tolist()
+    # Per-branch translated pointer profiles and their cdfs, shared read-only
+    # by every call on the same (eigenvalues, grid, g); only psi evolves.
+    key, projs = _spectrum(observable, ptr, g)
+    branch_amps, cdf_rows = _shifted(*key)
     proj_stack = np.stack(projs)
+    owner = _owner(proj_stack)
+    masks = owner is not None
+    if masks:  # P_b psi is psi on the indices branch b owns
+        amp_rows = _amp_rows(*key, owner)
+    else:  # weights run branch-major over comps = proj_stack @ psi
+        owner = [b for b in range(len(projs)) for _ in range(system.space.dim)]
     last_branch, last_bin = len(projs) - 1, ptr.n_bins - 1
     rng = np.random.default_rng(rng_seed)
     branch_draws, bin_draws = rng.random((steps, 2)).T.tolist()
-    psi = system.amplitudes.copy()
+    psi = system.amplitudes.copy()  # updated in place, so its views stay live
+    re, im = psi.real, psi.imag
     bins = []
     # Sampling runs on Python floats, which skips numpy's per-call overhead on
-    # 2- and 3-entry vectors. Each step stays bit-identical to np.cumsum,
-    # np.searchsorted(side="left") and np.linalg.norm: accumulate adds in
-    # cumsum's order, bisect_left is searchsorted's rule, and the norm is
-    # computed as np.linalg.norm does for a complex vector.
+    # 2- and 3-entry vectors. Each step stays bit-identical to the all-numpy
+    # loop: the weights add |z|^2 in einsum's order from 0.0, accumulate adds
+    # in cumsum's order, bisect_left is searchsorted's rule, and the norm is
+    # computed as np.linalg.norm does for a complex vector. For a diagonal
+    # observable the projections and the Kraus product act entry by entry, so
+    # they drop the projector and profile matmuls and give the same numbers.
     for branch_draw, bin_draw in zip(branch_draws, bin_draws):
-        comps = proj_stack @ psi
-        w = np.einsum("bi,bi->b", comps.conj(), comps).real.tolist()
+        if masks:
+            values = psi.tolist()
+        else:
+            comps = proj_stack @ psi
+            values = comps.ravel().tolist()
+        w = [0.0] * (last_branch + 1)
+        for k, z in zip(owner, values):
+            w[k] += z.real * z.real + z.imag * z.imag
         # sample the readout bin from the mixture sum_b w_b pmf_b
         cw = list(accumulate(w))
         b = min(bisect_left(cw, branch_draw * cw[-1]), last_branch)
@@ -352,7 +414,9 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
         bin_idx = min(bisect_left(cdf, bin_draw * cdf[-1]), last_bin)
         bins.append(bin_idx)
         # Kraus back-action: project the pointer onto the sampled bin
-        psi = branch_amps[:, bin_idx] @ comps
-        re, im = psi.real, psi.imag
+        if masks:
+            psi *= amp_rows[bin_idx]
+        else:
+            np.matmul(branch_amps[:, bin_idx], comps, out=psi)
         psi /= math.sqrt(re.dot(re) + im.dot(im))
     return Trajectory(readouts=ptr.positions[bins], final_state=Ket(system.space, psi))

@@ -441,6 +441,15 @@ class TestEvaluate:
         assert want == pytest.approx(2.0, abs=1e-14)
         assert abs(got - want) <= 1e-15
 
+    def test_subnormal_squares_are_normalized_exactly(self):
+        # 1e-160 ** 2 = 1e-320 is subnormal: its few bits must not set the norm
+        spec = dsl.parse("FACTORS\n  a: x y\nINITIAL\n  x : 1e-160\n  y : 1e-160\n")
+        assert [w.message for w in spec.warnings] == [
+            "INITIAL amplitudes had norm 1.41421356237e-160; normalized to 1"]
+        half = 0.5 ** 0.5
+        for entry in spec.initial:
+            assert abs(entry.amplitude - half) <= 2 * math.ulp(half)
+
     def test_zero_amplitudes_still_have_zero_norm(self):
         with pytest.raises(dsl.ScenarioValidationError) as err:
             dsl.parse("FACTORS\n  a: x y\nINITIAL\n  x : 0\n  y : 0\n")

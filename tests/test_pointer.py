@@ -1,5 +1,7 @@
 """Pointer model: coupling, conditioned means, projective limit, sequences."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,8 @@ def _assert_matches_reference(joint, post_proj, means):
 
 def _sequence_cases():
     """(id, system, observable, g, pointer) covering diagonal, non-diagonal
-    and complex observables, g = 0 and a small pointer grid."""
+    and complex observables, g = 0, a small pointer grid, a degenerate
+    diagonal, a label projector and starts holding signed zeros."""
     sp2, obs2 = two_level()
     half = hb.Ket(sp2, np.array([1, 1]) / SQ2)
     sp3 = hb.space(("box", ["box1", "box2", "box3"]))
@@ -115,6 +118,13 @@ def _sequence_cases():
         ("g=0", even3, diag3, 0.0, None),
         ("small-pointer", half, obs2, 0.2,
          pt.PointerWavefunction(n_bins=41, spacing=0.25)),
+        ("degenerate", hb.Ket(sp3, np.array([0.6, 0.48j, -0.64])),
+         hb.Operator(sp3, np.diag([1.0, 1.0, 2.0])), 0.2, None),
+        ("label-projector", complex3,
+         hb.Operator.projector(sp3, {"box": ["box1", "box3"]}), 0.3, None),
+        ("signed-zeros", hb.Ket(sp3, np.array([0.0, complex(-0.0, -0.8), 0.6])),
+         diag3, 0.2, None),
+        ("negative-zero", hb.Ket(sp2, np.array([-0.0, 1.0])), obs2, 0.2, None),
     ]
 
 
@@ -504,6 +514,57 @@ class TestWeakSequence:
             assert traj.readouts.tobytes() == readouts.tobytes()
             assert traj.final_state.amplitudes.tobytes() == psi.tobytes()
 
+    def test_diagonal_observables_take_the_mask_path(self, monkeypatch):
+        # criterion 7's observables and a label projector run on index masks;
+        # a non-diagonal observable must fall back to projector matmuls
+        sp2 = hb.space(("sys", ["1", "2"]))
+        sp3 = hb.space(("box", ["box1", "box2", "box3"]))
+        cases = {case[0]: case[1:] for case in _sequence_cases()}
+        expect = [
+            (hb.Ket(sp2, np.array([1, 1]) / SQ2), hb.Operator(sp2, np.diag([1.0, 2.0])),
+             (0, 1)),
+            (hb.Ket(sp3, np.ones(3) / SQ3), hb.Operator(sp3, np.diag([1.0, 2.0, 3.0])),
+             (0, 1, 2)),
+            (cases["degenerate"][0], cases["degenerate"][1], (0, 0, 1)),
+            (cases["label-projector"][0], cases["label-projector"][1], (1, 0, 1)),
+            (cases["sigma-x"][0], cases["sigma-x"][1], None),
+            (cases["complex-3x3"][0], cases["complex-3x3"][1], None),
+        ]
+        seen = []
+        amp_rows = pt._amp_rows
+
+        def recording(*key):
+            seen.append(key[-1])
+            return amp_rows(*key)
+
+        monkeypatch.setattr(pt, "_amp_rows", recording)
+        for system, obs, owner in expect:
+            seen.clear()
+            pt.weak_sequence(system, obs, 0.2, 3, 1)
+            assert seen == ([] if owner is None else [owner])
+
+    def test_cached_tables_are_read_only_and_unchanged(self):
+        sp3 = hb.space(("box", ["box1", "box2", "box3"]))
+        system = hb.Ket(sp3, np.array([0.6, 0.48j, -0.64]))
+        ptr = pt.PointerWavefunction()
+        for obs in (hb.Operator(sp3, np.diag([1.0, 2.0, 3.0])),
+                    hb.Operator(sp3, np.diag([1.0, 1.0, 2.0]))):
+            key, projs = pt._spectrum(obs, ptr, 0.2)
+            rows, cdfs = pt._shifted(*key)
+            amps = pt._amp_rows(*key, pt._owner(np.stack(projs)))
+            before = (rows.tobytes(), amps.tobytes(), cdfs)
+            for table in (rows, amps):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = 0.0
+            assert isinstance(cdfs, tuple) and all(isinstance(c, tuple) for c in cdfs)
+            pt.weak_sequence(system, obs, 0.2, 400, 5, ptr=ptr)
+            pt.couple(system, obs, ptr, 0.2)
+            # later calls share the same objects, bytes untouched
+            assert pt._shifted(*key)[0] is rows and pt._shifted(*key)[1] is cdfs
+            assert pt._amp_rows(*key, pt._owner(np.stack(projs))) is amps
+            assert (rows.tobytes(), amps.tobytes(), cdfs) == before
+
 
 class TestEigenbranches:
     def test_degenerate_levels_merge(self):
@@ -520,3 +581,24 @@ class TestEigenbranches:
         np.testing.assert_allclose(lams, [-1.0, 1.0], atol=1e-12)
         total = projs[0] + projs[1]
         np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda sp: hb.Operator(sp, np.diag([np.nan, 1.0])),
+        lambda sp: hb.Operator(sp, np.array([[1, np.nan], [np.nan, 2]])),
+        lambda sp: hb.Operator(sp, np.diag([np.inf, 1.0])),
+        lambda sp: hb.Diagonal(sp, np.array([np.nan, 1.0])),
+    ], ids=["nan-diagonal", "nan-off-diagonal", "inf", "nan-Diagonal"])
+    def test_non_finite_observable_refused(self, make):
+        # NaN passes a max|M - M^dagger| test, and inf - inf warns; both are
+        # refused first, at every entry point (warnings are errors here)
+        sp = hb.space(("a", ["x", "y"]))
+        obs = make(sp)
+        ket = hb.Ket(sp, np.array([0.6, 0.8]))
+        msg = f"^observable {re.escape(repr(obs))} has a non-finite entry$"
+        calls = [lambda: pt.eigenbranches(obs),
+                 lambda: pt.strong_measure(ket, obs, 1),
+                 lambda: pt.weak_sequence(ket, obs, 0.2, 5, 1),
+                 lambda: pt.couple(ket, obs, pt.PointerWavefunction(), 0.2)]
+        for call in calls:
+            with pytest.raises(ValueError, match=msg):
+                call()
