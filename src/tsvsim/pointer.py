@@ -224,20 +224,6 @@ def _shifted(lams: tuple[float, ...], n_bins: int, spacing: float,
     return rows, tuple(map(tuple, cdfs))
 
 
-@lru_cache(maxsize=32)
-def _amp_rows(lams: tuple[float, ...], n_bins: int, spacing: float, g: float,
-              owner: tuple[int, ...]) -> np.ndarray:
-    """Read-only (bins, dim) table whose entry [bin, i] is the shifted profile
-    of basis index i's branch at that bin: the Kraus factor of a readout.
-    When branch i owns index i, as for diag(1, 2, 3), it is a view of the
-    profiles and takes no memory of its own."""
-    rows = _shifted(lams, n_bins, spacing, g)[0]
-    if owner != tuple(range(len(rows))):
-        rows = rows[list(owner)]
-        rows.flags.writeable = False
-    return rows.T
-
-
 def _owner(proj_stack: np.ndarray) -> tuple[int, ...] | None:
     """The branch of each basis index when every stacked projector is an
     exact 0/1 diagonal and each index belongs to exactly one of them, else None."""
@@ -382,7 +368,10 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     owner = _owner(proj_stack)
     masks = owner is not None
     if masks:  # P_b psi is psi on the indices branch b owns
-        amp_rows = _amp_rows(*key, owner)
+        # amp_rows[bin, i] is index i's Kraus factor at that bin: a view of the
+        # profiles when branch i owns index i, as for diag(1, 2, 3)
+        amp_rows = (branch_amps.T if owner == tuple(range(len(projs)))
+                    else branch_amps[list(owner)].T)
     else:  # weights run branch-major over comps = proj_stack @ psi
         owner = [b for b in range(len(projs)) for _ in range(system.space.dim)]
     last_branch, last_bin = len(projs) - 1, ptr.n_bins - 1

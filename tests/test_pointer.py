@@ -531,17 +531,17 @@ class TestWeakSequence:
             (cases["complex-3x3"][0], cases["complex-3x3"][1], None),
         ]
         seen = []
-        amp_rows = pt._amp_rows
+        owner_of = pt._owner
 
-        def recording(*key):
-            seen.append(key[-1])
-            return amp_rows(*key)
+        def recording(proj_stack):
+            seen.append(owner_of(proj_stack))
+            return seen[-1]
 
-        monkeypatch.setattr(pt, "_amp_rows", recording)
+        monkeypatch.setattr(pt, "_owner", recording)
         for system, obs, owner in expect:
             seen.clear()
             pt.weak_sequence(system, obs, 0.2, 3, 1)
-            assert seen == ([] if owner is None else [owner])
+            assert seen == [owner]
 
     def test_cached_tables_are_read_only_and_unchanged(self):
         sp3 = hb.space(("box", ["box1", "box2", "box3"]))
@@ -549,21 +549,18 @@ class TestWeakSequence:
         ptr = pt.PointerWavefunction()
         for obs in (hb.Operator(sp3, np.diag([1.0, 2.0, 3.0])),
                     hb.Operator(sp3, np.diag([1.0, 1.0, 2.0]))):
-            key, projs = pt._spectrum(obs, ptr, 0.2)
+            key, _ = pt._spectrum(obs, ptr, 0.2)
             rows, cdfs = pt._shifted(*key)
-            amps = pt._amp_rows(*key, pt._owner(np.stack(projs)))
-            before = (rows.tobytes(), amps.tobytes(), cdfs)
-            for table in (rows, amps):
-                assert not table.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    table[0, 0] = 0.0
+            before = (rows.tobytes(), cdfs)
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 0.0
             assert isinstance(cdfs, tuple) and all(isinstance(c, tuple) for c in cdfs)
             pt.weak_sequence(system, obs, 0.2, 400, 5, ptr=ptr)
             pt.couple(system, obs, ptr, 0.2)
             # later calls share the same objects, bytes untouched
             assert pt._shifted(*key)[0] is rows and pt._shifted(*key)[1] is cdfs
-            assert pt._amp_rows(*key, pt._owner(np.stack(projs))) is amps
-            assert (rows.tobytes(), amps.tobytes(), cdfs) == before
+            assert (rows.tobytes(), cdfs) == before
 
 
 class TestEigenbranches:
