@@ -170,7 +170,7 @@ def criterion_6_weak_limit() -> str:
     return "; ".join(details) + f"; runtime {runtime:.2f} s"
 
 
-def _collapse_frequencies(system: hb.Ket, observable: hb.Operator, n_seeds: int,
+def _collapse_frequencies(system: hb.Ket, observable: hb.OperatorForm, n_seeds: int,
                           base_seed: int) -> np.ndarray:
     dim = system.space.dim
     counts = np.zeros(dim)
@@ -187,7 +187,7 @@ def criterion_7_continuum() -> str:
     n_seeds = 2000
     sp2 = hb.space(("sys", ["1", "2"]))
     psi2 = hb.Ket(sp2, np.array([1, 1]) / SQ2)
-    obs2 = hb.Operator(sp2, np.diag([1.0, 2.0]))
+    obs2 = hb.Diagonal(sp2, np.array([1.0, 2.0]))
     freqs2 = _collapse_frequencies(psi2, obs2, n_seeds, base_seed=7000)
     # independent oracle: projective Born statistics over the same seed count
     oracle = np.zeros(2)
@@ -201,7 +201,7 @@ def criterion_7_continuum() -> str:
 
     sp3 = hb.space(("box", ["box1", "box2", "box3"]))
     psi3 = hb.Ket(sp3, np.ones(3) / SQ3)
-    obs3 = hb.Operator(sp3, np.diag([1.0, 2.0, 3.0]))
+    obs3 = hb.Diagonal(sp3, np.array([1.0, 2.0, 3.0]))
     freqs3 = _collapse_frequencies(psi3, obs3, n_seeds, base_seed=11_000)
     for k, f in enumerate(freqs3, start=1):
         _check(abs(f - 1 / 3) <= 0.03, f"box{k} frequency {f}, want 1/3 +- 0.03")

@@ -26,7 +26,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DimensionMismatch, ShiftOutOfGrid, ZeroProbabilityBranch
-from .hilbert import Factor, Ket, OperatorForm, Space
+from .hilbert import Diagonal, Factor, Ket, Operator, OperatorForm, Space
 from .tsvf import NOT_A_PROJECTOR
 
 HERMITICITY_TOL = 1e-10
@@ -141,20 +141,32 @@ class Trajectory:
 # internals
 
 
-def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, list[np.ndarray]]:
+def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, list[OperatorForm]]:
     """Cluster the spectral decomposition of a Hermitian observable.
 
-    Returns (eigenvalues, projector matrices), one entry per distinct
-    eigenvalue (degenerate levels merged). Works on the observable's dense
-    matrix, so it is meant for the small system spaces pointers couple to.
+    Returns (eigenvalues, projectors), one entry per distinct eigenvalue
+    (degenerate levels merged). A diagonal observable, a Diagonal or a dense
+    matrix whose off-diagonal entries are all zero, gives Diagonal 0/1 masks
+    in O(d): its eigenvalues are its stably sorted real diagonal, which is
+    what eigh returns bit for bit. Any other observable gets dense Operator
+    projectors from eigh, meant for the small spaces pointers couple to.
     """
-    mat = observable.matrix
-    # NaN would pass the Hermiticity test below, and inf - inf warns in it
-    if not np.isfinite(mat).all():
+    # a diagonal is promoted to complex as .matrix is, so every dtype reads alike
+    v = (observable.diagonal.astype(complex) if isinstance(observable, Diagonal)
+         else observable.matrix)
+    # NaN would pass the Hermiticity test below, and inf - inf warns in it;
+    # on a 1-D diagonal .T is a no-op, so the test reads its imaginary parts
+    if not np.isfinite(v).all():
         raise ValueError(f"observable {observable!r} has a non-finite entry")
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
+    if np.max(np.abs(v - v.conj().T)) > HERMITICITY_TOL:
         raise ValueError("observable is not Hermitian to 1e-10")
-    evals, evecs = np.linalg.eigh(mat)
+    if v.ndim == 2 and np.count_nonzero(v) == np.count_nonzero(v.diagonal()):
+        v = v.diagonal()
+    if v.ndim == 1:
+        order = np.argsort(v.real, kind="stable")
+        evals = v.real[order]
+    else:
+        evals, evecs = np.linalg.eigh(v)
     groups: list[list[int]] = [[0]]
     for i in range(1, len(evals)):
         if evals[i] - evals[groups[-1][-1]] <= EIGENVALUE_CLUSTER_TOL:
@@ -162,10 +174,14 @@ def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, list[np.ndarray
         else:
             groups.append([i])
     lams = np.array([float(np.mean(evals[g])) for g in groups])
-    projs = []
+    projs: list[OperatorForm] = []
     for g in groups:
-        v = evecs[:, g]
-        projs.append(v @ v.conj().T)
+        if v.ndim == 1:
+            mask = np.zeros(len(v))
+            mask[order[g]] = 1.0
+            projs.append(Diagonal(observable.space, mask))
+        else:
+            projs.append(Operator(observable.space, evecs[:, g] @ evecs[:, g].conj().T))
     return lams, projs
 
 
@@ -194,7 +210,7 @@ def _translate(amps: np.ndarray, bins: float) -> np.ndarray:
 
 
 def _spectrum(observable: OperatorForm, ptr: PointerWavefunction,
-              g: float) -> tuple[tuple, list[np.ndarray]]:
+              g: float) -> tuple[tuple, list[OperatorForm]]:
     """Eigenprojectors, and the key (eigenvalues, bins, spacing, g) of their
     shifted-profile tables, with every shift checked on the grid."""
     gval = _g(g)
@@ -224,19 +240,8 @@ def _shifted(lams: tuple[float, ...], n_bins: int, spacing: float,
     return rows, tuple(map(tuple, cdfs))
 
 
-def _owner(proj_stack: np.ndarray) -> tuple[int, ...] | None:
-    """The branch of each basis index when every stacked projector is an
-    exact 0/1 diagonal and each index belongs to exactly one of them, else None."""
-    hits = proj_stack.diagonal(axis1=1, axis2=2) == 1
-    # n nonzero entries in all, each a diagonal 1 of a different index
-    if (np.count_nonzero(proj_stack) == proj_stack.shape[1]
-            and (hits.sum(axis=0) == 1).all()):
-        return tuple(hits.argmax(axis=0).tolist())
-    return None
-
-
 def _branches(observable: OperatorForm, ptr: PointerWavefunction,
-              g: float) -> tuple[list[np.ndarray], np.ndarray]:
+              g: float) -> tuple[list[OperatorForm], np.ndarray]:
     """Eigenprojectors and g*lambda-shifted pointer profiles, shifts checked on the grid."""
     key, projs = _spectrum(observable, ptr, g)
     return projs, _shifted(*key)[0]
@@ -282,7 +287,7 @@ def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: f
     t = system.amplitudes.reshape(obs_dim, -1)
     joint = np.zeros((obs_dim, t.shape[1], ptr.n_bins), dtype=complex)
     for proj, row in zip(projs, shifted):
-        comp = proj @ t
+        comp = proj.act(t)
         joint += comp[:, :, None] * row[None, None, :]
     factor = ptr.factor(_unique_pointer_name(system.space))
     joined = Space(system.space.factors + (factor,))
@@ -329,7 +334,7 @@ def strong_measure(system: Ket, observable: OperatorForm,
     if observable.space != system.space:
         raise DimensionMismatch("observable space differs from system space")
     lams, projs = eigenbranches(observable)
-    comps = [p @ system.amplitudes for p in projs]
+    comps = [p.act(system.amplitudes) for p in projs]
     weights = np.array([float(np.vdot(c, c).real) for c in comps])
     total = float(weights.sum())
     _drawable(total)
@@ -364,15 +369,15 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     # by every call on the same (eigenvalues, grid, g); only psi evolves.
     key, projs = _spectrum(observable, ptr, g)
     branch_amps, cdf_rows = _shifted(*key)
-    proj_stack = np.stack(projs)
-    owner = _owner(proj_stack)
-    masks = owner is not None
+    masks = all(isinstance(p, Diagonal) for p in projs)
     if masks:  # P_b psi is psi on the indices branch b owns
+        owner = tuple(np.stack([p.diagonal for p in projs]).argmax(axis=0).tolist())
         # amp_rows[bin, i] is index i's Kraus factor at that bin: a view of the
         # profiles when branch i owns index i, as for diag(1, 2, 3)
         amp_rows = (branch_amps.T if owner == tuple(range(len(projs)))
                     else branch_amps[list(owner)].T)
     else:  # weights run branch-major over comps = proj_stack @ psi
+        proj_stack = np.stack([p.matrix for p in projs])
         owner = [b for b in range(len(projs)) for _ in range(system.space.dim)]
     last_branch, last_bin = len(projs) - 1, ptr.n_bins - 1
     rng = np.random.default_rng(rng_seed)

@@ -26,6 +26,25 @@ def two_level():
     return sp, obs
 
 
+def _reference_eigenbranches(observable):
+    """eigenbranches as it was written on the dense matrix with eigh, kept to
+    pin the diagonal masks' eigenvalues and projectors."""
+    mat = observable.matrix
+    evals, evecs = np.linalg.eigh(mat)
+    groups = [[0]]
+    for i in range(1, len(evals)):
+        if evals[i] - evals[groups[-1][-1]] <= pt.EIGENVALUE_CLUSTER_TOL:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    lams = np.array([float(np.mean(evals[g])) for g in groups])
+    projs = []
+    for g in groups:
+        v = evecs[:, g]
+        projs.append(v @ v.conj().T)
+    return lams, projs
+
+
 def _reference_weak_sequence(system, observable, g, steps, rng_seed, ptr=None):
     """weak_sequence's step loop as it was written with numpy arrays, kept to
     pin the lean loop's results bit for bit."""
@@ -35,7 +54,7 @@ def _reference_weak_sequence(system, observable, g, steps, rng_seed, ptr=None):
     cdf = np.cumsum(np.abs(branch_amps) ** 2, axis=1)
     cdf_last = cdf[:, -1]
     xs = ptr.positions
-    proj_stack = np.stack(projs)
+    proj_stack = np.stack([p.matrix for p in projs])
     n_branches = len(projs)
     n_bins = cdf.shape[1]
     rng = np.random.default_rng(rng_seed)
@@ -515,8 +534,9 @@ class TestWeakSequence:
             assert traj.final_state.amplitudes.tobytes() == psi.tobytes()
 
     def test_diagonal_observables_take_the_mask_path(self, monkeypatch):
-        # criterion 7's observables and a label projector run on index masks;
-        # a non-diagonal observable must fall back to projector matmuls
+        # criterion 7's observables and a label projector give Diagonal masks,
+        # walked without a dense matrix; a non-diagonal observable gives dense
+        # Operator projectors and falls back to projector matmuls
         sp2 = hb.space(("sys", ["1", "2"]))
         sp3 = hb.space(("box", ["box1", "box2", "box3"]))
         cases = {case[0]: case[1:] for case in _sequence_cases()}
@@ -531,17 +551,27 @@ class TestWeakSequence:
             (cases["complex-3x3"][0], cases["complex-3x3"][1], None),
         ]
         seen = []
-        owner_of = pt._owner
+        eigenbranches = pt.eigenbranches
 
-        def recording(proj_stack):
-            seen.append(owner_of(proj_stack))
+        def recording(observable):
+            seen.append(eigenbranches(observable))
             return seen[-1]
 
-        monkeypatch.setattr(pt, "_owner", recording)
+        def no_matrix(self):
+            raise AssertionError("a Diagonal projector was made dense")
+
+        monkeypatch.setattr(pt, "eigenbranches", recording)
+        monkeypatch.setattr(hb.Diagonal, "matrix", property(no_matrix))
         for system, obs, owner in expect:
             seen.clear()
             pt.weak_sequence(system, obs, 0.2, 3, 1)
-            assert seen == [owner]
+            ((_, projs),) = seen
+            if owner is None:
+                assert all(type(p) is hb.Operator for p in projs)
+            else:
+                assert all(type(p) is hb.Diagonal for p in projs)
+                stack = np.stack([p.diagonal for p in projs])
+                assert tuple(stack.argmax(axis=0).tolist()) == owner
 
     def test_cached_tables_are_read_only_and_unchanged(self):
         sp3 = hb.space(("box", ["box1", "box2", "box3"]))
@@ -563,20 +593,83 @@ class TestWeakSequence:
             assert (rows.tobytes(), cdfs) == before
 
 
+def _eigenbranch_cases():
+    """(id, observable) pairs: diagonal ones in both forms, degenerate and
+    clustering levels, signed zeros, a complex Diagonal as dsl.evaluate builds
+    from complex coefficients, bool and float32 Diagonals, the sweep and
+    three-path label projectors, and the non-diagonal sigma-x and complex-3x3."""
+    sp2 = hb.space(("sys", ["1", "2"]))
+    sp3 = hb.space(("box", ["box1", "box2", "box3"]))
+    cases = {case[0]: case[2] for case in _sequence_cases()}
+    out = []
+    for sp, diag in ((sp2, [1.0, 2.0]), (sp3, [1.0, 2.0, 3.0])):
+        out += [(f"dense-diag{len(diag)}", hb.Operator(sp, np.diag(diag))),
+                (f"Diagonal-diag{len(diag)}", hb.Diagonal(sp, np.array(diag)))]
+    out += [
+        ("degenerate", hb.Operator(sp3, np.diag([1.0, 1.0, 2.0]))),
+        ("near-degenerate", hb.Diagonal(sp3, np.array([1.0, 1.0 + 5e-9, 2.0]))),
+        ("negative", hb.Diagonal(sp3, np.array([-2.5, 0.0, -1e-3]))),
+        ("negative-zero", hb.Diagonal(sp3, np.array([-0.0, 1.0, -0.0]))),
+        ("lone-negative-zero", hb.Operator(sp2, np.diag([-0.0, 1.0]))),
+        ("complex-Diagonal", hb.Diagonal(sp3, np.array([1.0 + 1e-11j, -0.5 - 1e-11j,
+                                                         1.0 - 1e-11j]))),
+        # read as their complex .matrix is: a bool mask, and float32 levels
+        # whose mean differs in float32 arithmetic
+        ("bool-Diagonal", hb.Diagonal(sp3, np.array([True, False, True]))),
+        ("float32-Diagonal", hb.Diagonal(sp3, np.full(3, 0.9, dtype=np.float32))),
+    ]
+    out += [(f"sweep-{name}", sc.sweep_context(name)[1])
+            for name in ("three_boxes", "hardy", "three_path_photon")]
+    pre, _ = sc.three_boxes_selections("path")
+    out += [(f"three-path-{lab}", hb.Operator.projector(pre.space, {"path": lab}))
+            for lab in pre.space.factor("path").labels]
+    out += [("sigma-x", cases["sigma-x"]), ("complex-3x3", cases["complex-3x3"])]
+    return out
+
+
 class TestEigenbranches:
+    @pytest.mark.parametrize("case", _eigenbranch_cases(), ids=lambda c: c[0])
+    def test_matches_dense_reference(self, case):
+        # bit-equal eigenvalues (the _shifted cache key) and equal projectors
+        name, obs = case
+        lams, projs = pt.eigenbranches(obs)
+        ref_lams, ref_projs = _reference_eigenbranches(obs)
+        assert lams.tobytes() == ref_lams.tobytes()
+        assert len(projs) == len(ref_projs)
+        for proj, ref in zip(projs, ref_projs):
+            assert np.array_equal(proj.matrix, ref)
+        form = hb.Operator if name in ("sigma-x", "complex-3x3") else hb.Diagonal
+        assert all(type(p) is form for p in projs)
+
+    def test_diagonal_costs_order_d(self, monkeypatch):
+        # d = 2048 with three levels: masks, with no dense matrix and no eigh
+        sp = hb.space(*((f"q{i}", ["0", "1"]) for i in range(11)))
+        diag = np.random.default_rng(3).choice([-1.5, 0.25, 2.0], size=sp.dim)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense work on a diagonal observable")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(hb.Diagonal, "matrix", property(refuse))
+        lams, projs = pt.eigenbranches(hb.Diagonal(sp, diag))
+        assert lams.tolist() == [-1.5, 0.25, 2.0]
+        assert all(type(p) is hb.Diagonal for p in projs)
+        for lam, proj in zip(lams, projs):
+            assert np.array_equal(proj.diagonal, (diag == lam).astype(float))
+
     def test_degenerate_levels_merge(self):
         sp = hb.space(("a", ["x", "y", "z"]))
         obs = hb.Operator(sp, np.diag([1.0, 1.0, 2.0]))
         lams, projs = pt.eigenbranches(obs)
         assert list(lams) == [1.0, 2.0]
-        assert np.trace(projs[0]).real == pytest.approx(2.0)
+        assert np.trace(projs[0].matrix).real == pytest.approx(2.0)
 
     def test_non_diagonal_observable(self):
         sp = hb.space(("a", ["x", "y"]))
         obs = hb.Operator(sp, np.array([[0, 1], [1, 0]], dtype=complex))
         lams, projs = pt.eigenbranches(obs)
         np.testing.assert_allclose(lams, [-1.0, 1.0], atol=1e-12)
-        total = projs[0] + projs[1]
+        total = projs[0].matrix + projs[1].matrix
         np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("make", [
@@ -598,4 +691,17 @@ class TestEigenbranches:
                  lambda: pt.couple(ket, obs, pt.PointerWavefunction(), 0.2)]
         for call in calls:
             with pytest.raises(ValueError, match=msg):
+                call()
+
+    def test_complex_diagonal_not_hermitian_refused(self):
+        # an imaginary part of 6e-11 puts max|v - v*| at 1.2e-10, over the tolerance
+        sp = hb.space(("a", ["x", "y"]))
+        obs = hb.Diagonal(sp, np.array([1.0 + 6e-11j, 2.0]))
+        ket = hb.Ket(sp, np.array([0.6, 0.8]))
+        calls = [lambda: pt.eigenbranches(obs),
+                 lambda: pt.strong_measure(ket, obs, 1),
+                 lambda: pt.weak_sequence(ket, obs, 0.2, 5, 1),
+                 lambda: pt.couple(ket, obs, pt.PointerWavefunction(), 0.2)]
+        for call in calls:
+            with pytest.raises(ValueError, match="^observable is not Hermitian to 1e-10$"):
                 call()
