@@ -247,6 +247,14 @@ def _branches(observable: OperatorForm, ptr: PointerWavefunction,
     return projs, _shifted(*key)[0]
 
 
+def _owner(projs: list[OperatorForm]) -> np.ndarray | None:
+    """Each basis index's branch when every projector is a Diagonal mask, of
+    which eigenbranches puts each index in exactly one; None otherwise."""
+    if not all(isinstance(p, Diagonal) for p in projs):
+        return None
+    return np.stack([p.diagonal for p in projs]).argmax(axis=0)
+
+
 def _drawable(norm_sq: float) -> None:
     """Refuse a system ket no outcome can be drawn from: zero, NaN or infinite."""
     if not 0 < norm_sq < math.inf:  # NaN fails too
@@ -285,10 +293,17 @@ def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: f
     projs, shifted = _branches(observable, ptr, g)
     obs_dim = observable.space.dim
     t = system.amplitudes.reshape(obs_dim, -1)
-    joint = np.zeros((obs_dim, t.shape[1], ptr.n_bins), dtype=complex)
-    for proj, row in zip(projs, shifted):
-        comp = proj.act(t)
-        joint += comp[:, :, None] * row[None, None, :]
+    owner = _owner(projs)
+    if owner is not None:
+        # index i rides on its own branch's profile alone, so each amplitude
+        # is one product; + 0.0 turns -0.0 into +0.0 as the sum below does
+        joint = t[:, :, None] * shifted[owner][:, None, :]
+        joint += 0.0
+    else:
+        joint = np.zeros((obs_dim, t.shape[1], ptr.n_bins), dtype=complex)
+        for proj, row in zip(projs, shifted):
+            comp = proj.act(t)
+            joint += comp[:, :, None] * row[None, None, :]
     factor = ptr.factor(_unique_pointer_name(system.space))
     joined = Space(system.space.factors + (factor,))
     return Ket(joined, joint.reshape(-1))
@@ -369,13 +384,14 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     # by every call on the same (eigenvalues, grid, g); only psi evolves.
     key, projs = _spectrum(observable, ptr, g)
     branch_amps, cdf_rows = _shifted(*key)
-    masks = all(isinstance(p, Diagonal) for p in projs)
+    owner = _owner(projs)
+    masks = owner is not None
     if masks:  # P_b psi is psi on the indices branch b owns
-        owner = tuple(np.stack([p.diagonal for p in projs]).argmax(axis=0).tolist())
+        owner = owner.tolist()
         # amp_rows[bin, i] is index i's Kraus factor at that bin: a view of the
         # profiles when branch i owns index i, as for diag(1, 2, 3)
-        amp_rows = (branch_amps.T if owner == tuple(range(len(projs)))
-                    else branch_amps[list(owner)].T)
+        amp_rows = (branch_amps.T if owner == list(range(len(projs)))
+                    else branch_amps[owner].T)
     else:  # weights run branch-major over comps = proj_stack @ psi
         proj_stack = np.stack([p.matrix for p in projs])
         owner = [b for b in range(len(projs)) for _ in range(system.space.dim)]

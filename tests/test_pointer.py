@@ -79,6 +79,63 @@ def _reference_weak_sequence(system, observable, g, steps, rng_seed, ptr=None):
     return readouts, psi
 
 
+def _reference_couple(system, observable, ptr, g):
+    """couple as it was written, zeros plus one proj.act(t) product per branch,
+    kept to pin the mask product's joint kets bit for bit."""
+    projs, shifted = pt._branches(observable, ptr, g)
+    obs_dim = observable.space.dim
+    t = system.amplitudes.reshape(obs_dim, -1)
+    joint = np.zeros((obs_dim, t.shape[1], ptr.n_bins), dtype=complex)
+    for proj, row in zip(projs, shifted):
+        comp = proj.act(t)
+        joint += comp[:, :, None] * row[None, None, :]
+    factor = ptr.factor(pt._unique_pointer_name(system.space))
+    return hb.Ket(hb.Space(system.space.factors + (factor,)), joint.reshape(-1))
+
+
+def _three_path_chain(g, couple=pt.couple):
+    """The three-path scenario's joint state: a pointer on each path in turn."""
+    pre, post = sc.three_boxes_selections("path")
+    joint = pre
+    for lab in pre.space.factor("path").labels:
+        proj = hb.Operator.projector(pre.space, {"path": lab})
+        joint = couple(joint, proj, sc.THREE_PATH_POINTER, g)
+    return joint, hb.Operator.ket_projector(post)
+
+
+def _couple_cases():
+    """(id, system, observable, g, pointer, owner) for couple: signed and exact
+    zeros, shifts of whole bins whose profile rows hold exact zeros, degenerate
+    and label-projector owners, negative eigenvalues, an observable on the
+    leading factor of a larger space, and the dense sigma-x and complex-3x3."""
+    seq = {case[0]: case[1:] for case in _sequence_cases()}
+    sp2, obs2 = two_level()
+    sp3 = hb.space(("box", ["box1", "box2", "box3"]))
+    diag3 = hb.Operator(sp3, np.diag([1.0, 2.0, 3.0]))
+    small = pt.PointerWavefunction(n_bins=41, spacing=0.25)
+    zeros3 = hb.Ket(sp3, np.array([complex(-0.0, 0.0), complex(0.0, -0.0),
+                                   complex(-0.0, -0.6)]))
+    wide = hb.space(("a", ["x", "y"]), ("b", ["u", "v", "w"]))
+    rng = np.random.default_rng(11)
+    wide_ket = hb.Ket(wide, rng.normal(size=6) + 1j * rng.normal(size=6))
+    return [
+        ("signed-zeros", seq["signed-zeros"][0], diag3, 0.2, None, (0, 1, 2)),
+        ("negative-zero", seq["negative-zero"][0], obs2, 0.2, None, (0, 1)),
+        ("all-zero-parts", zeros3, diag3, 0.5, small, (0, 1, 2)),
+        ("whole-bins", seq["three-level"][0], diag3, 0.5, small, (0, 1, 2)),
+        ("whole-bins-zeros", seq["signed-zeros"][0], diag3, 0.25, small, (0, 1, 2)),
+        ("degenerate", *seq["degenerate"][:2], 0.2, None, (0, 0, 1)),
+        ("label-projector", *seq["label-projector"][:2], 0.3, None, (1, 0, 1)),
+        ("negative", seq["complex-3x3"][0],
+         hb.Diagonal(sp3, np.array([0.5, -2.0, -1.0])), 0.25, small, (2, 0, 1)),
+        ("leading-factor", wide_ket,
+         hb.Diagonal(hb.space(("a", ["x", "y"])), np.array([-1.0, 1.0])), 0.5, small,
+         (0, 1)),
+        ("sigma-x", *seq["sigma-x"][:2], 0.2, None, None),
+        ("complex-3x3", *seq["complex-3x3"][:2], 0.3, None, None),
+    ]
+
+
 def _reference_pointer_mean(joint, post_projector, pointer=None):
     """pointer_mean as it was written to read one pointer per call, kept to
     pin the one-projection means bit for bit."""
@@ -259,6 +316,55 @@ class TestCouple:
         joint2 = pt.couple(joint, p3, ptr, 0.1)
         names = [f.name for f in joint2.space.factors]
         assert names == ["box", "pointer", "pointer_2"]
+
+    @pytest.mark.parametrize("g", [0.0, 0.05, 0.1, 0.13, 0.2])
+    def test_three_path_chain_matches_reference_loop(self, g):
+        got, _ = _three_path_chain(g)
+        ref, _ = _three_path_chain(g, couple=_reference_couple)
+        assert got.space == ref.space
+        assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("case", _couple_cases(), ids=lambda c: c[0])
+    def test_joint_matches_reference_loop(self, case):
+        _, system, obs, g, ptr, owner = case
+        ptr = ptr or pt.PointerWavefunction()
+        projs, shifted = pt._branches(obs, ptr, g)
+        found = pt._owner(projs)
+        assert owner == (None if found is None else tuple(found.tolist()))
+        if "bins" in case[0]:  # the premise: vacated bins hold exact zeros
+            assert (shifted == 0).any()
+        ref = _reference_couple(system, obs, ptr, g)
+        got = pt.couple(system, obs, ptr, g)
+        assert got.space == ref.space
+        assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
+        # a second pointer on the joint: the observable's leading factors again
+        ref2 = _reference_couple(ref, obs, ptr, g)
+        got2 = pt.couple(ref, obs, ptr, g)
+        assert got2.amplitudes.tobytes() == ref2.amplitudes.tobytes()
+
+    def test_masks_couple_without_act(self, monkeypatch):
+        # Diagonal masks take the one-product path: act is never called there
+        def refuse(self, t):
+            raise AssertionError("a mask projector was applied with act")
+
+        contexts = [sc.sweep_context(name)
+                    for name in ("three_boxes", "hardy", "three_path_photon")]
+        sp2 = hb.space(("sys", ["1", "2"]))
+        sigma_x = hb.Operator(sp2, np.array([[0, 1], [1, 0]], dtype=complex))
+        half = hb.Ket(sp2, np.array([0.6, 0.8j]))
+        monkeypatch.setattr(hb.Diagonal, "act", refuse)
+        chain, chain_post = _three_path_chain(0.13)
+        joints = [pt.couple(pre, obs, pt.PointerWavefunction(), 0.05)
+                  for pre, obs, _ in contexts]
+        dense = pt.couple(half, sigma_x, pt.PointerWavefunction(), 0.2)
+        monkeypatch.undo()
+        ref_chain, _ = _three_path_chain(0.13, couple=_reference_couple)
+        assert pt.pointer_mean(chain, chain_post) == pt.pointer_mean(ref_chain, chain_post)
+        for joint, (pre, obs, post_proj) in zip(joints, contexts):
+            ref = _reference_couple(pre, obs, pt.PointerWavefunction(), 0.05)
+            assert pt.pointer_mean(joint, post_proj) == pt.pointer_mean(ref, post_proj)
+        ref = _reference_couple(half, sigma_x, pt.PointerWavefunction(), 0.2)
+        assert dense.amplitudes.tobytes() == ref.amplitudes.tobytes()
 
 
 class TestPointerMean:

@@ -57,6 +57,17 @@ class TestWeakValue:
             tsv = tsvf.TwoStateVector(k, k)
             assert tsvf.weak_value(tsv, obs) == lam
 
+    @pytest.mark.parametrize("label, expect", [("x", (1 - 1j) / 2), ("y", (1 + 1j) / 2)])
+    def test_complex_weak_value_by_hand(self, label, expect):
+        # pre = (1, i)/sqrt2 and post = (1, 1)/sqrt2 give <post|pre> = (1 + i)/2,
+        # <post|P_x|pre> = 1/2 and <post|P_y|pre> = i/2; swapping pre and post
+        # anywhere conjugates a value or flips its sign
+        sp = hb.space(("a", ["x", "y"]))
+        tsv = tsvf.TwoStateVector(hb.Ket(sp, np.array([1, 1j]) / SQ2),
+                                  hb.Ket(sp, np.array([1, 1]) / SQ2))
+        wv = tsvf.weak_value(tsv, hb.Operator.projector(sp, {"a": label}))
+        assert wv == pytest.approx(expect, abs=1e-15)
+
     def test_linearity_on_random_operators(self, boxes):
         sp, tsv = boxes
         rng = np.random.default_rng(21)
