@@ -176,16 +176,8 @@ def basis_state(sp: Space, *labels: str) -> Ket:
 def from_amplitudes(sp: Space, entries: Mapping[Sequence[str], complex]) -> Ket:
     """Build a ket from a {label tuple: amplitude} mapping; unlisted entries are 0."""
     amps = np.zeros(sp.dim, dtype=complex)
-    offsets = sp._offsets
-    try:
-        for labels, a in entries.items():
-            if len(labels) != len(offsets):
-                raise KeyError  # map() would stop at the shorter of the two
-            amps[sum(map(getitem, offsets, labels))] = a
-    except KeyError:
-        for labels in entries:
-            sp.index_of(labels)  # raises the error of the first bad entry
-        raise
+    for labels, a in entries.items():
+        amps[sp.index_of(labels)] = a
     return Ket(sp, amps)
 
 

@@ -173,7 +173,7 @@ def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, list[OperatorFo
             groups[-1].append(i)
         else:
             groups.append([i])
-    lams = np.array([float(np.mean(evals[g])) for g in groups])
+    lams = np.array([evals[g].sum() / len(g) for g in groups])
     projs: list[OperatorForm] = []
     for g in groups:
         if v.ndim == 1:
@@ -209,25 +209,6 @@ def _translate(amps: np.ndarray, bins: float) -> np.ndarray:
     return out
 
 
-def _spectrum(observable: OperatorForm, ptr: PointerWavefunction,
-              g: float) -> tuple[tuple, list[OperatorForm]]:
-    """Eigenprojectors, and the key (eigenvalues, bins, spacing, g) of their
-    shifted-profile tables, with every shift checked on the grid."""
-    gval = _g(g)
-    lams, projs = eigenbranches(observable)
-    worst = gval * float(np.max(np.abs(lams)))
-    if worst > ptr.half_extent:
-        raise ShiftOutOfGrid(
-            f"shift g*|lambda| = {worst:g} exceeds half the grid extent {ptr.half_extent:g}"
-        )
-    if 0 < worst < MIN_SHIFT_BINS * ptr.spacing:
-        raise ShiftOutOfGrid(
-            f"shift g*|lambda| = {worst:g} is under {MIN_SHIFT_BINS:g} bins of width "
-            f"{ptr.spacing:g}, below what the grid resolves"
-        )
-    return (tuple(lams.tolist()), ptr.n_bins, ptr.spacing, gval), projs
-
-
 @lru_cache(maxsize=32)
 def _shifted(lams: tuple[float, ...], n_bins: int, spacing: float,
              g: float) -> tuple[np.ndarray, tuple[tuple[float, ...], ...]]:
@@ -240,19 +221,30 @@ def _shifted(lams: tuple[float, ...], n_bins: int, spacing: float,
     return rows, tuple(map(tuple, cdfs))
 
 
-def _branches(observable: OperatorForm, ptr: PointerWavefunction,
-              g: float) -> tuple[list[OperatorForm], np.ndarray]:
-    """Eigenprojectors and g*lambda-shifted pointer profiles, shifts checked on the grid."""
-    key, projs = _spectrum(observable, ptr, g)
-    return projs, _shifted(*key)[0]
-
-
-def _owner(projs: list[OperatorForm]) -> np.ndarray | None:
-    """Each basis index's branch when every projector is a Diagonal mask, of
-    which eigenbranches puts each index in exactly one; None otherwise."""
-    if not all(isinstance(p, Diagonal) for p in projs):
-        return None
-    return np.stack([p.diagonal for p in projs]).argmax(axis=0)
+def _branch_table(observable: OperatorForm, ptr: PointerWavefunction, g: float
+                  ) -> tuple[list[OperatorForm], np.ndarray | None, np.ndarray,
+                             tuple[tuple[float, ...], ...]]:
+    """A coupling's branch table (projs, owner, rows, cdfs): the
+    eigenprojectors; owner[i], the branch of basis index i, when every
+    projector is a Diagonal mask (eigenbranches puts each index in exactly
+    one), else None; and _shifted's profiles and cdfs, one row per branch,
+    shared read-only by every call on the same (eigenvalues, grid, g). Every
+    shift is checked on the grid."""
+    gval = _g(g)
+    lams, projs = eigenbranches(observable)
+    worst = gval * float(np.max(np.abs(lams)))
+    if worst > ptr.half_extent:
+        raise ShiftOutOfGrid(
+            f"shift g*|lambda| = {worst:g} exceeds half the grid extent {ptr.half_extent:g}"
+        )
+    if 0 < worst < MIN_SHIFT_BINS * ptr.spacing:
+        raise ShiftOutOfGrid(
+            f"shift g*|lambda| = {worst:g} is under {MIN_SHIFT_BINS:g} bins of width "
+            f"{ptr.spacing:g}, below what the grid resolves"
+        )
+    owner = (np.stack([p.diagonal for p in projs]).argmax(axis=0)
+             if all(isinstance(p, Diagonal) for p in projs) else None)
+    return (projs, owner) + _shifted(tuple(lams.tolist()), ptr.n_bins, ptr.spacing, gval)
 
 
 def _drawable(norm_sq: float) -> None:
@@ -290,10 +282,9 @@ def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: f
         raise DimensionMismatch(
             "observable must act on the full system space or its leading factors"
         )
-    projs, shifted = _branches(observable, ptr, g)
+    projs, owner, shifted, _ = _branch_table(observable, ptr, g)
     obs_dim = observable.space.dim
     t = system.amplitudes.reshape(obs_dim, -1)
-    owner = _owner(projs)
     if owner is not None:
         # index i rides on its own branch's profile alone, so each amplitude
         # is one product; + 0.0 turns -0.0 into +0.0 as the sum below does
@@ -380,11 +371,7 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     _drawable(float(np.vdot(system.amplitudes, system.amplitudes).real))
     if ptr is None:
         ptr = PointerWavefunction()
-    # Per-branch translated pointer profiles and their cdfs, shared read-only
-    # by every call on the same (eigenvalues, grid, g); only psi evolves.
-    key, projs = _spectrum(observable, ptr, g)
-    branch_amps, cdf_rows = _shifted(*key)
-    owner = _owner(projs)
+    projs, owner, branch_amps, cdf_rows = _branch_table(observable, ptr, g)
     masks = owner is not None
     if masks:  # P_b psi is psi on the indices branch b owns
         owner = owner.tolist()

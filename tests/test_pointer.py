@@ -50,7 +50,7 @@ def _reference_weak_sequence(system, observable, g, steps, rng_seed, ptr=None):
     pin the lean loop's results bit for bit."""
     if ptr is None:
         ptr = pt.PointerWavefunction()
-    projs, branch_amps = pt._branches(observable, ptr, g)
+    projs, _, branch_amps, _ = pt._branch_table(observable, ptr, g)
     cdf = np.cumsum(np.abs(branch_amps) ** 2, axis=1)
     cdf_last = cdf[:, -1]
     xs = ptr.positions
@@ -82,7 +82,7 @@ def _reference_weak_sequence(system, observable, g, steps, rng_seed, ptr=None):
 def _reference_couple(system, observable, ptr, g):
     """couple as it was written, zeros plus one proj.act(t) product per branch,
     kept to pin the mask product's joint kets bit for bit."""
-    projs, shifted = pt._branches(observable, ptr, g)
+    projs, _, shifted, _ = pt._branch_table(observable, ptr, g)
     obs_dim = observable.space.dim
     t = system.amplitudes.reshape(obs_dim, -1)
     joint = np.zeros((obs_dim, t.shape[1], ptr.n_bins), dtype=complex)
@@ -328,8 +328,7 @@ class TestCouple:
     def test_joint_matches_reference_loop(self, case):
         _, system, obs, g, ptr, owner = case
         ptr = ptr or pt.PointerWavefunction()
-        projs, shifted = pt._branches(obs, ptr, g)
-        found = pt._owner(projs)
+        _, found, shifted, _ = pt._branch_table(obs, ptr, g)
         assert owner == (None if found is None else tuple(found.tolist()))
         if "bins" in case[0]:  # the premise: vacated bins hold exact zeros
             assert (shifted == 0).any()
@@ -685,8 +684,7 @@ class TestWeakSequence:
         ptr = pt.PointerWavefunction()
         for obs in (hb.Operator(sp3, np.diag([1.0, 2.0, 3.0])),
                     hb.Operator(sp3, np.diag([1.0, 1.0, 2.0]))):
-            key, _ = pt._spectrum(obs, ptr, 0.2)
-            rows, cdfs = pt._shifted(*key)
+            _, _, rows, cdfs = pt._branch_table(obs, ptr, 0.2)
             before = (rows.tobytes(), cdfs)
             assert not rows.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -695,8 +693,47 @@ class TestWeakSequence:
             pt.weak_sequence(system, obs, 0.2, 400, 5, ptr=ptr)
             pt.couple(system, obs, ptr, 0.2)
             # later calls share the same objects, bytes untouched
-            assert pt._shifted(*key)[0] is rows and pt._shifted(*key)[1] is cdfs
+            _, _, later_rows, later_cdfs = pt._branch_table(obs, ptr, 0.2)
+            assert later_rows is rows and later_cdfs is cdfs
             assert (rows.tobytes(), cdfs) == before
+
+
+class TestBranchTable:
+    """One weak-measurement step is a proper measurement, checked exactly by
+    enumerating the bins of each branch table (no sampling): the Kraus set is
+    complete, the sampler's bin law is the Born law, and on a diagonal
+    observable each population is a martingale. Companion to criterion 7."""
+
+    SP3 = hb.space(("box", ["box1", "box2", "box3"]))
+    PSI = np.array([0.6, 0.48j, -0.64])  # unit norm
+
+    @pytest.mark.parametrize("grid", [(401, 0.05), (41, 0.25), (801, 0.025)])
+    @pytest.mark.parametrize("g", [0.025, 0.05, 0.13, 0.2])
+    @pytest.mark.parametrize("obs", [
+        hb.Operator(SP3, np.diag([1.0, 2.0, 3.0])),
+        hb.Operator(SP3, np.diag([1.0, 1.0, 2.0])),
+        hb.Operator.projector(SP3, {"box": ["box1", "box3"]}),
+    ], ids=["diag123", "diag112", "label-projector"])
+    def test_step_is_a_complete_measurement(self, grid, g, obs):
+        ptr = pt.PointerWavefunction(*grid)
+        projs, owner, rows, cdfs = pt._branch_table(obs, ptr, g)
+        cdfs = np.array(cdfs)
+        born = np.abs(rows) ** 2  # born[b, x] = |phi_b(x)|^2
+        # Kraus completeness: each branch's pointer profile has unit norm
+        np.testing.assert_allclose(born.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+        # the sampler draws branch b with weight w_b, then bin x from the cdf
+        # differences of row b over its last entry
+        w = np.array([np.sum(np.abs(p.act(self.PSI)) ** 2) for p in projs])
+        pmf = np.diff(cdfs, axis=1, prepend=0.0) / cdfs[:, -1:]
+        law = w @ pmf / w.sum()
+        np.testing.assert_allclose(law, w @ born / w.sum(), rtol=0, atol=1e-14)
+        # martingale: bin x leaves phi_owner(i)(x) psi_i, renormalised; the
+        # populations' expectation over the sampler's law is the start's
+        kraus = rows[owner].T * self.PSI  # kraus[x, i]
+        norm_sq = (np.abs(kraus) ** 2).sum(axis=1)
+        hit = norm_sq > 0
+        after = law[hit] @ ((np.abs(kraus[hit]) ** 2) / norm_sq[hit, None])
+        np.testing.assert_allclose(after, np.abs(self.PSI) ** 2, rtol=0, atol=1e-14)
 
 
 def _eigenbranch_cases():
