@@ -6,6 +6,13 @@ observable the pointer is translated by g times the eigenvalue,
 
     |psi> |ptr>  ->  sum_l  P_l |psi> (x) T_{g l} |ptr>
 
+Observables are diagonal in the product basis, as every path, box and pair
+occupation is, so each P_l is a 0/1 mask over basis indices: the coupling, the
+weak-measurement walk and the projective collapse act index by index. Any
+other observable is refused. To measure A = U diag(l) U^dagger, rotate the
+pre- and post-selected states by U^dagger (hilbert.apply_to_factors) and
+couple diag(l): <post|U Q_l U^dagger|pre> = <post|P_l|pre> for every branch.
+
 Translations land between grid points in general; they are realized by linear
 interpolation followed by per-branch renormalization, so branch weights (and
 the joint norm) are preserved exactly and the interpolation error shows up
@@ -26,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DimensionMismatch, ShiftOutOfGrid, ZeroProbabilityBranch
-from .hilbert import Diagonal, Factor, Ket, Operator, OperatorForm, Space
+from .hilbert import Diagonal, Factor, Ket, OperatorForm, Space
 from .tsvf import NOT_A_PROJECTOR
 
 HERMITICITY_TOL = 1e-10
@@ -141,15 +148,15 @@ class Trajectory:
 # internals
 
 
-def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, list[OperatorForm]]:
-    """Cluster the spectral decomposition of a Hermitian observable.
+def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, list[Diagonal]]:
+    """Cluster the spectrum of an observable diagonal in the product basis.
 
     Returns (eigenvalues, projectors), one entry per distinct eigenvalue
-    (degenerate levels merged). A diagonal observable, a Diagonal or a dense
-    matrix whose off-diagonal entries are all zero, gives Diagonal 0/1 masks
-    in O(d): its eigenvalues are its stably sorted real diagonal, which is
-    what eigh returns bit for bit. Any other observable gets dense Operator
-    projectors from eigh, meant for the small spaces pointers couple to.
+    (degenerate levels merged), each projector a Diagonal 0/1 mask, in O(d).
+    The observable is a Diagonal or a dense matrix whose off-diagonal entries
+    are all zero; its eigenvalues are its stably sorted real diagonal, the
+    same bits a dense Hermitian eigensolver returns. Any other observable is
+    refused; the module docstring says how to measure one by rotation.
     """
     # a diagonal is promoted to complex as .matrix is, so every dtype reads alike
     v = (observable.diagonal.astype(complex) if isinstance(observable, Diagonal)
@@ -160,28 +167,23 @@ def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, list[OperatorFo
         raise ValueError(f"observable {observable!r} has a non-finite entry")
     if np.max(np.abs(v - v.conj().T)) > HERMITICITY_TOL:
         raise ValueError("observable is not Hermitian to 1e-10")
-    if v.ndim == 2 and np.count_nonzero(v) == np.count_nonzero(v.diagonal()):
+    if v.ndim == 2:
+        if np.count_nonzero(v) != np.count_nonzero(v.diagonal()):
+            raise ValueError("observable is not diagonal in the product basis")
         v = v.diagonal()
-    if v.ndim == 1:
-        order = np.argsort(v.real, kind="stable")
-        evals = v.real[order]
-    else:
-        evals, evecs = np.linalg.eigh(v)
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(evals)):
-        if evals[i] - evals[groups[-1][-1]] <= EIGENVALUE_CLUSTER_TOL:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    lams = np.array([evals[g].sum() / len(g) for g in groups])
-    projs: list[OperatorForm] = []
-    for g in groups:
-        if v.ndim == 1:
-            mask = np.zeros(len(v))
-            mask[order[g]] = 1.0
-            projs.append(Diagonal(observable.space, mask))
-        else:
-            projs.append(Operator(observable.space, evecs[:, g] @ evecs[:, g].conj().T))
+    order = np.argsort(v.real, kind="stable")
+    evals = v.real[order]
+    # a level within the tolerance of the one below it joins that level's
+    # group; the steps are np.diff(evals), spelled out to skip its call overhead
+    steps = evals[1:] - evals[:-1]
+    cuts = [i + 1 for i in (steps > EIGENVALUE_CLUSTER_TOL).nonzero()[0].tolist()]
+    bounds = list(zip([0, *cuts], [*cuts, len(evals)]))
+    lams = np.array([evals[a:b].sum() / (b - a) for a, b in bounds])
+    projs = []
+    for a, b in bounds:
+        mask = np.zeros(len(v))
+        mask[order[a:b]] = 1.0
+        projs.append(Diagonal(observable.space, mask))
     return lams, projs
 
 
@@ -222,14 +224,13 @@ def _shifted(lams: tuple[float, ...], n_bins: int, spacing: float,
 
 
 def _branch_table(observable: OperatorForm, ptr: PointerWavefunction, g: float
-                  ) -> tuple[list[OperatorForm], np.ndarray | None, np.ndarray,
+                  ) -> tuple[list[Diagonal], np.ndarray, np.ndarray,
                              tuple[tuple[float, ...], ...]]:
-    """A coupling's branch table (projs, owner, rows, cdfs): the
-    eigenprojectors; owner[i], the branch of basis index i, when every
-    projector is a Diagonal mask (eigenbranches puts each index in exactly
-    one), else None; and _shifted's profiles and cdfs, one row per branch,
-    shared read-only by every call on the same (eigenvalues, grid, g). Every
-    shift is checked on the grid."""
+    """A coupling's branch table (projs, owner, rows, cdfs): the eigenprojector
+    masks; owner[i], the branch of basis index i (eigenbranches puts each
+    index in exactly one mask); and _shifted's profiles and cdfs, one row per
+    branch, shared read-only by every call on the same (eigenvalues, grid, g).
+    Every shift is checked on the grid."""
     gval = _g(g)
     lams, projs = eigenbranches(observable)
     worst = gval * float(np.max(np.abs(lams)))
@@ -242,8 +243,7 @@ def _branch_table(observable: OperatorForm, ptr: PointerWavefunction, g: float
             f"shift g*|lambda| = {worst:g} is under {MIN_SHIFT_BINS:g} bins of width "
             f"{ptr.spacing:g}, below what the grid resolves"
         )
-    owner = (np.stack([p.diagonal for p in projs]).argmax(axis=0)
-             if all(isinstance(p, Diagonal) for p in projs) else None)
+    owner = np.stack([p.diagonal for p in projs]).argmax(axis=0)
     return (projs, owner) + _shifted(tuple(lams.tolist()), ptr.n_bins, ptr.spacing, gval)
 
 
@@ -282,19 +282,13 @@ def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: f
         raise DimensionMismatch(
             "observable must act on the full system space or its leading factors"
         )
-    projs, owner, shifted, _ = _branch_table(observable, ptr, g)
-    obs_dim = observable.space.dim
-    t = system.amplitudes.reshape(obs_dim, -1)
-    if owner is not None:
-        # index i rides on its own branch's profile alone, so each amplitude
-        # is one product; + 0.0 turns -0.0 into +0.0 as the sum below does
-        joint = t[:, :, None] * shifted[owner][:, None, :]
-        joint += 0.0
-    else:
-        joint = np.zeros((obs_dim, t.shape[1], ptr.n_bins), dtype=complex)
-        for proj, row in zip(projs, shifted):
-            comp = proj.act(t)
-            joint += comp[:, :, None] * row[None, None, :]
+    _, owner, shifted, _ = _branch_table(observable, ptr, g)
+    t = system.amplitudes.reshape(observable.space.dim, -1)
+    # index i rides on its own branch's profile alone, so each amplitude is
+    # one product; + 0.0 turns -0.0 into +0.0, as the sum over branches of
+    # (P_b t) (x) row_b would, which keeps the joint's bytes those of that sum
+    joint = t[:, :, None] * shifted[owner][:, None, :]
+    joint += 0.0
     factor = ptr.factor(_unique_pointer_name(system.space))
     joined = Space(system.space.factors + (factor,))
     return Ket(joined, joint.reshape(-1))
@@ -371,18 +365,14 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     _drawable(float(np.vdot(system.amplitudes, system.amplitudes).real))
     if ptr is None:
         ptr = PointerWavefunction()
-    projs, owner, branch_amps, cdf_rows = _branch_table(observable, ptr, g)
-    masks = owner is not None
-    if masks:  # P_b psi is psi on the indices branch b owns
-        owner = owner.tolist()
-        # amp_rows[bin, i] is index i's Kraus factor at that bin: a view of the
-        # profiles when branch i owns index i, as for diag(1, 2, 3)
-        amp_rows = (branch_amps.T if owner == list(range(len(projs)))
-                    else branch_amps[owner].T)
-    else:  # weights run branch-major over comps = proj_stack @ psi
-        proj_stack = np.stack([p.matrix for p in projs])
-        owner = [b for b in range(len(projs)) for _ in range(system.space.dim)]
-    last_branch, last_bin = len(projs) - 1, ptr.n_bins - 1
+    _, owner, branch_amps, cdf_rows = _branch_table(observable, ptr, g)
+    # P_b psi is psi on the indices branch b owns
+    owner = owner.tolist()
+    # amp_rows[bin, i] is index i's Kraus factor at that bin: a view of the
+    # profiles when branch i owns index i, as for diag(1, 2, 3)
+    amp_rows = (branch_amps.T if owner == list(range(len(branch_amps)))
+                else branch_amps[owner].T)
+    last_branch, last_bin = len(branch_amps) - 1, ptr.n_bins - 1
     rng = np.random.default_rng(rng_seed)
     branch_draws, bin_draws = rng.random((steps, 2)).T.tolist()
     psi = system.amplitudes.copy()  # updated in place, so its views stay live
@@ -392,17 +382,12 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     # 2- and 3-entry vectors. Each step stays bit-identical to the all-numpy
     # loop: the weights add |z|^2 in einsum's order from 0.0, accumulate adds
     # in cumsum's order, bisect_left is searchsorted's rule, and the norm is
-    # computed as np.linalg.norm does for a complex vector. For a diagonal
-    # observable the projections and the Kraus product act entry by entry, so
-    # they drop the projector and profile matmuls and give the same numbers.
+    # computed as np.linalg.norm does for a complex vector. On masks the
+    # projections and the Kraus product act entry by entry, so they need no
+    # projector or profile matmuls and give the same numbers.
     for branch_draw, bin_draw in zip(branch_draws, bin_draws):
-        if masks:
-            values = psi.tolist()
-        else:
-            comps = proj_stack @ psi
-            values = comps.ravel().tolist()
         w = [0.0] * (last_branch + 1)
-        for k, z in zip(owner, values):
+        for k, z in zip(owner, psi.tolist()):
             w[k] += z.real * z.real + z.imag * z.imag
         # sample the readout bin from the mixture sum_b w_b pmf_b
         cw = list(accumulate(w))
@@ -411,9 +396,6 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
         bin_idx = min(bisect_left(cdf, bin_draw * cdf[-1]), last_bin)
         bins.append(bin_idx)
         # Kraus back-action: project the pointer onto the sampled bin
-        if masks:
-            psi *= amp_rows[bin_idx]
-        else:
-            np.matmul(branch_amps[:, bin_idx], comps, out=psi)
+        psi *= amp_rows[bin_idx]
         psi /= math.sqrt(re.dot(re) + im.dot(im))
     return Trajectory(readouts=ptr.positions[bins], final_state=Ket(system.space, psi))
