@@ -863,6 +863,22 @@ class TestEigenbranches:
             with pytest.raises(ValueError, match="^observable is not Hermitian to 1e-10$"):
                 call()
 
+    def test_non_diagonal_observable(self):
+        # sigma-x is refused as it stands; rotated by its eigenvectors U it is
+        # diag(1, -1), whose branches U Q_b U^dagger are sigma-x's own projectors
+        sp = hb.space(("a", ["x", "y"]))
+        obs = hb.Operator(sp, np.array([[0, 1], [1, 0]], dtype=complex))
+        with pytest.raises(ValueError,
+                           match="^observable is not diagonal in the product basis$"):
+            pt.eigenbranches(obs)
+        u = hb.SPLIT_REAL
+        lams, projs = pt.eigenbranches(hb.Diagonal(sp, np.array([1.0, -1.0])))
+        np.testing.assert_allclose(lams, [-1.0, 1.0], atol=1e-12)
+        rotated = [u @ p.matrix @ u.conj().T for p in projs]
+        np.testing.assert_allclose(rotated[0] + rotated[1], np.eye(2), atol=1e-12)
+        for lam, proj in zip(lams, rotated):
+            np.testing.assert_allclose(obs.matrix @ proj, lam * proj, atol=1e-12)
+
     @pytest.mark.parametrize("case", _non_diagonal_cases(), ids=lambda c: c[0])
     def test_non_diagonal_observable_refused(self, case):
         # after the finiteness and Hermiticity checks, at every entry point
