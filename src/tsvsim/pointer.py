@@ -7,8 +7,9 @@ observable the pointer is translated by g times the eigenvalue,
     |psi> |ptr>  ->  sum_l  P_l |psi> (x) T_{g l} |ptr>
 
 Observables are diagonal in the product basis, as every path, box and pair
-occupation is, so each P_l is a 0/1 mask over basis indices: the coupling, the
-weak-measurement walk and the projective collapse act index by index. Any
+occupation is, so the branches are one index map, owner[i] = the level of
+index i: the coupling, the weak-measurement walk and the projective collapse
+act index by index, and both measurements Born-draw with one sampler. Any
 other observable is refused. To measure A = U diag(l) U^dagger, rotate the
 pre- and post-selected states by U^dagger (hilbert.apply_to_factors) and
 couple diag(l): <post|U Q_l U^dagger|pre> = <post|P_l|pre> for every branch.
@@ -148,14 +149,15 @@ class Trajectory:
 # internals
 
 
-def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, list[Diagonal]]:
+def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, np.ndarray]:
     """Cluster the spectrum of an observable diagonal in the product basis.
 
-    Returns (eigenvalues, projectors), one entry per distinct eigenvalue
-    (degenerate levels merged), each projector a Diagonal 0/1 mask, in O(d).
-    The observable is a Diagonal or a dense matrix whose off-diagonal entries
-    are all zero; its eigenvalues are its stably sorted real diagonal, the
-    same bits a dense Hermitian eigensolver returns. Any other observable is
+    Returns (eigenvalues, owner) in O(d): one eigenvalue per distinct level
+    (degenerate levels merged), and owner[i], read-only, the level of basis
+    index i, so the projector onto level k is the 0/1 mask owner == k. The
+    observable is a Diagonal or a dense matrix whose off-diagonal entries are
+    all zero; its eigenvalues are its stably sorted real diagonal, the same
+    bits a dense Hermitian eigensolver returns. Any other observable is
     refused; the module docstring says how to measure one by rotation.
     """
     # a diagonal is promoted to complex as .matrix is, so every dtype reads alike
@@ -179,12 +181,11 @@ def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, list[Diagonal]]
     cuts = [i + 1 for i in (steps > EIGENVALUE_CLUSTER_TOL).nonzero()[0].tolist()]
     bounds = list(zip([0, *cuts], [*cuts, len(evals)]))
     lams = np.array([evals[a:b].sum() / (b - a) for a, b in bounds])
-    projs = []
-    for a, b in bounds:
-        mask = np.zeros(len(v))
-        mask[order[a:b]] = 1.0
-        projs.append(Diagonal(observable.space, mask))
-    return lams, projs
+    owner = np.empty(len(v), dtype=np.intp)
+    for k, (a, b) in enumerate(bounds):
+        owner[order[a:b]] = k
+    owner.flags.writeable = False
+    return lams, owner
 
 
 def _translate(amps: np.ndarray, bins: float) -> np.ndarray:
@@ -224,15 +225,13 @@ def _shifted(lams: tuple[float, ...], n_bins: int, spacing: float,
 
 
 def _branch_table(observable: OperatorForm, ptr: PointerWavefunction, g: float
-                  ) -> tuple[list[Diagonal], np.ndarray, np.ndarray,
-                             tuple[tuple[float, ...], ...]]:
-    """A coupling's branch table (projs, owner, rows, cdfs): the eigenprojector
-    masks; owner[i], the branch of basis index i (eigenbranches puts each
-    index in exactly one mask); and _shifted's profiles and cdfs, one row per
-    branch, shared read-only by every call on the same (eigenvalues, grid, g).
-    Every shift is checked on the grid."""
+                  ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[float, ...], ...]]:
+    """A coupling's branch table (owner, rows, cdfs): eigenbranches' owner,
+    the branch of each basis index, and _shifted's profiles and cdfs, one row
+    per branch, shared read-only by every call on the same (eigenvalues,
+    grid, g). Every shift is checked on the grid."""
     gval = _g(g)
-    lams, projs = eigenbranches(observable)
+    lams, owner = eigenbranches(observable)
     worst = gval * float(np.max(np.abs(lams)))
     if worst > ptr.half_extent:
         raise ShiftOutOfGrid(
@@ -243,8 +242,21 @@ def _branch_table(observable: OperatorForm, ptr: PointerWavefunction, g: float
             f"shift g*|lambda| = {worst:g} is under {MIN_SHIFT_BINS:g} bins of width "
             f"{ptr.spacing:g}, below what the grid resolves"
         )
-    owner = np.stack([p.diagonal for p in projs]).argmax(axis=0)
-    return (projs, owner) + _shifted(tuple(lams.tolist()), ptr.n_bins, ptr.spacing, gval)
+    return (owner,) + _shifted(tuple(lams.tolist()), ptr.n_bins, ptr.spacing, gval)
+
+
+def _draw_branch(owner: list[int], amps: list[complex], n: int, draw: float) -> int:
+    """Born-draw one of n branches for a uniform draw in [0, 1), branch b
+    weighing sum |amps[i]|^2 over the indices i with owner[i] == b. Python
+    floats skip numpy's per-call overhead on 2- and 3-entry vectors, and the
+    draw stays bit-identical to the all-numpy one: the weights add |z|^2 in
+    einsum's order from 0.0, accumulate adds in cumsum's order, and
+    bisect_left is searchsorted's rule."""
+    w = [0.0] * n
+    for k, z in zip(owner, amps):
+        w[k] += z.real * z.real + z.imag * z.imag
+    cw = list(accumulate(w))
+    return min(bisect_left(cw, draw * cw[-1]), n - 1)
 
 
 def _drawable(norm_sq: float) -> None:
@@ -282,7 +294,7 @@ def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: f
         raise DimensionMismatch(
             "observable must act on the full system space or its leading factors"
         )
-    _, owner, shifted, _ = _branch_table(observable, ptr, g)
+    owner, shifted, _ = _branch_table(observable, ptr, g)
     t = system.amplitudes.reshape(observable.space.dim, -1)
     # index i rides on its own branch's profile alone, so each amplitude is
     # one product; + 0.0 turns -0.0 into +0.0, as the sum over branches of
@@ -316,7 +328,7 @@ def pointer_mean(joint: Ket, post_projector: OperatorForm) -> tuple[float, ...]:
     t = post_projector.act(joint.amplitudes.reshape(sys_dim, -1))
     prob = (np.abs(t) ** 2).reshape([sys_dim] + [len(xs) for xs in grids])
     total = float(prob.sum())
-    if total < 1e-12:
+    if not 1e-12 <= total < math.inf:  # NaN fails too
         raise ZeroProbabilityBranch(f"post-selection probability {total:.3e} < 1e-12")
     means = []
     for keep, xs in enumerate(grids, start=1):
@@ -327,23 +339,19 @@ def pointer_mean(joint: Ket, post_projector: OperatorForm) -> tuple[float, ...]:
 
 def strong_measure(system: Ket, observable: OperatorForm,
                    rng_seed: int) -> tuple[float, Ket]:
-    """Projective measurement: Born-sample an eigenvalue and collapse.
-
-    Deterministic given the seed. A zero or NaN ket raises
-    ZeroProbabilityBranch before the draw."""
+    """Projective measurement: Born-sample an eigenvalue with the weak walk's
+    branch draw, and collapse. Deterministic given the seed; a zero or NaN
+    ket raises ZeroProbabilityBranch before the draw."""
     if observable.space != system.space:
         raise DimensionMismatch("observable space differs from system space")
-    lams, projs = eigenbranches(observable)
-    comps = [p.act(system.amplitudes) for p in projs]
-    weights = np.array([float(np.vdot(c, c).real) for c in comps])
-    total = float(weights.sum())
-    _drawable(total)
-    weights = weights / total
-    rng = np.random.default_rng(rng_seed)
-    idx = int(np.searchsorted(np.cumsum(weights), rng.random()))
-    idx = min(idx, len(lams) - 1)
-    collapsed = comps[idx] / np.linalg.norm(comps[idx])
-    return float(lams[idx]), Ket(system.space, collapsed)
+    psi = system.amplitudes
+    _drawable(float(np.vdot(psi, psi).real))
+    lams, owner = eigenbranches(observable)
+    draw = np.random.default_rng(rng_seed).random()
+    idx = _draw_branch(owner.tolist(), psi.tolist(), len(lams), draw)
+    # P_idx psi, with Diagonal.act's bits: + 0.0 turns -0.0 into +0.0
+    collapsed = (owner == idx) * psi + 0.0
+    return float(lams[idx]), Ket(system.space, collapsed / np.linalg.norm(collapsed))
 
 
 def weak_sequence(system: Ket, observable: OperatorForm, g: float,
@@ -365,34 +373,25 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     _drawable(float(np.vdot(system.amplitudes, system.amplitudes).real))
     if ptr is None:
         ptr = PointerWavefunction()
-    _, owner, branch_amps, cdf_rows = _branch_table(observable, ptr, g)
+    owner, branch_amps, cdf_rows = _branch_table(observable, ptr, g)
     # P_b psi is psi on the indices branch b owns
     owner = owner.tolist()
     # amp_rows[bin, i] is index i's Kraus factor at that bin: a view of the
     # profiles when branch i owns index i, as for diag(1, 2, 3)
     amp_rows = (branch_amps.T if owner == list(range(len(branch_amps)))
                 else branch_amps[owner].T)
-    last_branch, last_bin = len(branch_amps) - 1, ptr.n_bins - 1
+    n_branches, last_bin = len(branch_amps), ptr.n_bins - 1
     rng = np.random.default_rng(rng_seed)
     branch_draws, bin_draws = rng.random((steps, 2)).T.tolist()
     psi = system.amplitudes.copy()  # updated in place, so its views stay live
     re, im = psi.real, psi.imag
     bins = []
-    # Sampling runs on Python floats, which skips numpy's per-call overhead on
-    # 2- and 3-entry vectors. Each step stays bit-identical to the all-numpy
-    # loop: the weights add |z|^2 in einsum's order from 0.0, accumulate adds
-    # in cumsum's order, bisect_left is searchsorted's rule, and the norm is
-    # computed as np.linalg.norm does for a complex vector. On masks the
-    # projections and the Kraus product act entry by entry, so they need no
-    # projector or profile matmuls and give the same numbers.
+    # Each step stays bit-identical to the all-numpy loop: the draws as
+    # _draw_branch says, and the norm computed as np.linalg.norm does for a
+    # complex vector. On masks the Kraus product acts entry by entry.
     for branch_draw, bin_draw in zip(branch_draws, bin_draws):
-        w = [0.0] * (last_branch + 1)
-        for k, z in zip(owner, psi.tolist()):
-            w[k] += z.real * z.real + z.imag * z.imag
         # sample the readout bin from the mixture sum_b w_b pmf_b
-        cw = list(accumulate(w))
-        b = min(bisect_left(cw, branch_draw * cw[-1]), last_branch)
-        cdf = cdf_rows[b]
+        cdf = cdf_rows[_draw_branch(owner, psi.tolist(), n_branches, branch_draw)]
         bin_idx = min(bisect_left(cdf, bin_draw * cdf[-1]), last_bin)
         bins.append(bin_idx)
         # Kraus back-action: project the pointer onto the sampled bin

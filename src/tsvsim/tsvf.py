@@ -87,11 +87,11 @@ def born_probability(state: Ket, outcome_projector: OperatorForm) -> float:
 def post_select(state: Ket, outcome_projector: OperatorForm) -> tuple[float, Ket]:
     """Born rule plus renormalization: (||P psi||^2, P psi / ||P psi||).
 
-    Raises ZeroProbabilityBranch when the probability falls below 1e-14; the
-    collapsed state is undefined there.
+    Raises ZeroProbabilityBranch when the probability falls below 1e-14 or is
+    NaN or infinite; the collapsed state is undefined there.
     """
     v, p = _project(state, outcome_projector)
-    if p < EPS_BRANCH:
+    if not EPS_BRANCH <= p < np.inf:  # NaN fails too
         raise ZeroProbabilityBranch(f"branch probability {p:.3e} < {EPS_BRANCH:.1e}")
     return p, Ket(state.space, v / np.sqrt(p))
 

@@ -46,12 +46,19 @@ def _reference_eigenbranches(observable):
     return lams, projs
 
 
+def _masks(observable, owner):
+    """The eigenprojectors as Diagonal 0/1 masks, one per level of owner."""
+    return [hb.Diagonal(observable.space, (owner == k).astype(float))
+            for k in range(owner.max() + 1)]
+
+
 def _reference_weak_sequence(system, observable, g, steps, rng_seed, ptr=None):
     """weak_sequence's step loop as it was written with numpy arrays, kept to
     pin the lean loop's results bit for bit."""
     if ptr is None:
         ptr = pt.PointerWavefunction()
-    projs, _, branch_amps, _ = pt._branch_table(observable, ptr, g)
+    owner, branch_amps, _ = pt._branch_table(observable, ptr, g)
+    projs = _masks(observable, owner)
     cdf = np.cumsum(np.abs(branch_amps) ** 2, axis=1)
     cdf_last = cdf[:, -1]
     xs = ptr.positions
@@ -83,7 +90,8 @@ def _reference_weak_sequence(system, observable, g, steps, rng_seed, ptr=None):
 def _reference_couple(system, observable, ptr, g):
     """couple as it was written, zeros plus one proj.act(t) product per branch,
     kept to pin the mask product's joint kets bit for bit."""
-    projs, _, shifted, _ = pt._branch_table(observable, ptr, g)
+    owner, shifted, _ = pt._branch_table(observable, ptr, g)
+    projs = _masks(observable, owner)
     obs_dim = observable.space.dim
     t = system.amplitudes.reshape(obs_dim, -1)
     joint = np.zeros((obs_dim, t.shape[1], ptr.n_bins), dtype=complex)
@@ -92,6 +100,21 @@ def _reference_couple(system, observable, ptr, g):
         joint += comp[:, :, None] * row[None, None, :]
     factor = ptr.factor(pt._unique_pointer_name(system.space))
     return hb.Ket(hb.Space(system.space.factors + (factor,)), joint.reshape(-1))
+
+
+def _reference_strong_measure(system, observable, rng_seed):
+    """strong_measure as it was written with its own sampler over full-size
+    masked copies, kept to pin the shared branch draw bit for bit."""
+    lams, owner = pt.eigenbranches(observable)
+    comps = [p.act(system.amplitudes) for p in _masks(observable, owner)]
+    weights = np.array([float(np.vdot(c, c).real) for c in comps])
+    total = float(weights.sum())
+    weights = weights / total
+    rng = np.random.default_rng(rng_seed)
+    idx = int(np.searchsorted(np.cumsum(weights), rng.random()))
+    idx = min(idx, len(lams) - 1)
+    collapsed = comps[idx] / np.linalg.norm(comps[idx])
+    return float(lams[idx]), hb.Ket(system.space, collapsed)
 
 
 def _three_path_chain(g, couple=pt.couple):
@@ -195,6 +218,22 @@ def _sequence_cases():
          diag3, 0.2, None),
         ("negative-zero", hb.Ket(sp2, np.array([-0.0, 1.0])), obs2, 0.2, None),
     ]
+
+
+def _random_measure_cases():
+    """(id, system, observable) for strong_measure: seeded complex kets on 3-
+    and 6-dimensional spaces, under distinct, degenerate and label-projector
+    levels."""
+    sp3 = hb.space(("box", ["box1", "box2", "box3"]))
+    sp6 = hb.space(("a", ["x", "y"]), ("b", ["u", "v", "w"]))
+    observables = [hb.Diagonal(sp3, np.array([1.0, 2.0, 3.0])),
+                   hb.Diagonal(sp3, np.array([2.0, -1.0, 2.0])),
+                   hb.Diagonal(sp6, np.array([0.5, -2.0, 0.5, 1.0, -2.0, 3.0])),
+                   hb.Operator.projector(sp6, {"b": ["u", "w"]})]
+    rng = np.random.default_rng(23)
+    return [(f"random-{i}", hb.Ket(obs.space, rng.normal(size=obs.space.dim)
+                                   + 1j * rng.normal(size=obs.space.dim)).unit(), obs)
+            for i, obs in enumerate(observables)]
 
 
 def _random_pair(sp, seed):
@@ -345,7 +384,7 @@ class TestCouple:
     def test_joint_matches_reference_loop(self, case):
         _, system, obs, g, ptr, owner = case
         ptr = ptr or pt.PointerWavefunction()
-        _, found, shifted, _ = pt._branch_table(obs, ptr, g)
+        found, shifted, _ = pt._branch_table(obs, ptr, g)
         assert owner == tuple(found.tolist())
         if "bins" in case[0]:  # the premise: vacated bins hold exact zeros
             assert (shifted == 0).any()
@@ -433,6 +472,20 @@ class TestPointerMean:
                                 hb.Operator.projector(hb.space(("a", ["x", "y"])), {}))
             (mean,) = pt.pointer_mean(joint, hb.Operator.projector(sp, {}))
             assert mean == pytest.approx(0.1, abs=1e-12)
+
+    def test_nan_or_inf_joint_refused(self):
+        # a NaN or infinite probability is refused as a zero one is; a total
+        # that overflows warns first, so that warning is silenced here
+        sp, obs = two_level()
+        whole = hb.Operator.projector(sp, {})
+        joint = pt.couple(hb.Ket(sp, np.array([np.nan, 0.5])), obs,
+                          pt.PointerWavefunction(), 0.1)
+        with pytest.raises(ZeroProbabilityBranch, match="^post-selection probability nan"):
+            pt.pointer_mean(joint, whole)
+        huge = hb.Ket(joint.space, np.full(joint.space.dim, 1e154))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ZeroProbabilityBranch, match="^post-selection probability inf"):
+                pt.pointer_mean(huge, whole)
 
     def test_non_projector_rejected(self):
         sp, obs = two_level()
@@ -565,6 +618,34 @@ class TestStrongMeasure:
         assert collapsed.norm() == pytest.approx(1.0, abs=1e-12)
         assert lam in (0.0, 1.0)
 
+    @pytest.mark.parametrize("case", _sequence_cases() + _random_measure_cases(),
+                             ids=lambda c: c[0])
+    def test_bit_identical_to_reference(self, case):
+        # eigenvalue and collapsed-state bytes as the numpy sampler drew them
+        system, obs = case[1:3]
+        for seed in range(500):
+            lam, collapsed = pt.strong_measure(system, obs, seed)
+            ref_lam, ref = _reference_strong_measure(system, obs, seed)
+            assert lam == ref_lam
+            assert collapsed.amplitudes.tobytes() == ref.amplitudes.tobytes()
+
+    def test_one_branch_draw(self, monkeypatch):
+        # the collapse and every step of the walk draw with the same sampler
+        sp, obs = two_level()
+        system = hb.Ket(sp, np.array([0.6, 0.8]))
+        draws = []
+        draw_branch = pt._draw_branch
+
+        def recording(owner, amps, n, draw):
+            draws.append(draw)
+            return draw_branch(owner, amps, n, draw)
+
+        monkeypatch.setattr(pt, "_draw_branch", recording)
+        pt.strong_measure(system, obs, 3)
+        assert draws == [np.random.default_rng(3).random()]
+        pt.weak_sequence(system, obs, 0.2, 7, 3)
+        assert draws[1:] == np.random.default_rng(3).random((7, 2))[:, 0].tolist()
+
 
 class TestWeakSequence:
     def test_eigenstate_untouched(self):
@@ -670,8 +751,9 @@ class TestWeakSequence:
                 assert a.final_state.amplitudes.tobytes() == b.final_state.amplitudes.tobytes()
 
     def test_diagonal_observables_take_the_mask_path(self, monkeypatch):
-        # criterion 7's observables and a label projector give Diagonal masks,
-        # walked without a dense matrix
+        # criterion 7's observables, dense as perfbench sends them, and a label
+        # projector give owner maps; coupling, walk and collapse build no
+        # Diagonal and make none dense
         sp2 = hb.space(("sys", ["1", "2"]))
         sp3 = hb.space(("box", ["box1", "box2", "box3"]))
         cases = {case[0]: case[1:] for case in _sequence_cases()}
@@ -693,15 +775,20 @@ class TestWeakSequence:
         def no_matrix(self):
             raise AssertionError("a Diagonal projector was made dense")
 
+        def no_mask(self, *args, **kwargs):
+            raise AssertionError("a pointer path built a Diagonal")
+
         monkeypatch.setattr(pt, "eigenbranches", recording)
         monkeypatch.setattr(hb.Diagonal, "matrix", property(no_matrix))
+        monkeypatch.setattr(hb.Diagonal, "__init__", no_mask)
         for system, obs, owner in expect:
             seen.clear()
             pt.weak_sequence(system, obs, 0.2, 3, 1)
-            ((_, projs),) = seen
-            assert all(type(p) is hb.Diagonal for p in projs)
-            stack = np.stack([p.diagonal for p in projs])
-            assert tuple(stack.argmax(axis=0).tolist()) == owner
+            ((_, found),) = seen
+            assert tuple(found.tolist()) == owner
+            pt.couple(system, obs, pt.PointerWavefunction(), 0.2)
+            pt.strong_measure(system, obs, 1)
+            assert len(seen) == 3
 
     def test_cached_tables_are_read_only_and_unchanged(self):
         sp3 = hb.space(("box", ["box1", "box2", "box3"]))
@@ -709,7 +796,7 @@ class TestWeakSequence:
         ptr = pt.PointerWavefunction()
         for obs in (hb.Operator(sp3, np.diag([1.0, 2.0, 3.0])),
                     hb.Operator(sp3, np.diag([1.0, 1.0, 2.0]))):
-            _, _, rows, cdfs = pt._branch_table(obs, ptr, 0.2)
+            _, rows, cdfs = pt._branch_table(obs, ptr, 0.2)
             before = (rows.tobytes(), cdfs)
             assert not rows.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -718,7 +805,7 @@ class TestWeakSequence:
             pt.weak_sequence(system, obs, 0.2, 400, 5, ptr=ptr)
             pt.couple(system, obs, ptr, 0.2)
             # later calls share the same objects, bytes untouched
-            _, _, later_rows, later_cdfs = pt._branch_table(obs, ptr, 0.2)
+            _, later_rows, later_cdfs = pt._branch_table(obs, ptr, 0.2)
             assert later_rows is rows and later_cdfs is cdfs
             assert (rows.tobytes(), cdfs) == before
 
@@ -741,14 +828,14 @@ class TestBranchTable:
     ], ids=["diag123", "diag112", "label-projector"])
     def test_step_is_a_complete_measurement(self, grid, g, obs):
         ptr = pt.PointerWavefunction(*grid)
-        projs, owner, rows, cdfs = pt._branch_table(obs, ptr, g)
+        owner, rows, cdfs = pt._branch_table(obs, ptr, g)
         cdfs = np.array(cdfs)
         born = np.abs(rows) ** 2  # born[b, x] = |phi_b(x)|^2
         # Kraus completeness: each branch's pointer profile has unit norm
         np.testing.assert_allclose(born.sum(axis=1), 1.0, rtol=0, atol=1e-14)
         # the sampler draws branch b with weight w_b, then bin x from the cdf
         # differences of row b over its last entry
-        w = np.array([np.sum(np.abs(p.act(self.PSI)) ** 2) for p in projs])
+        w = np.array([np.sum(np.abs(p.act(self.PSI)) ** 2) for p in _masks(obs, owner)])
         pmf = np.diff(cdfs, axis=1, prepend=0.0) / cdfs[:, -1:]
         law = w @ pmf / w.sum()
         np.testing.assert_allclose(law, w @ born / w.sum(), rtol=0, atol=1e-14)
@@ -796,15 +883,17 @@ def _eigenbranch_cases():
 class TestEigenbranches:
     @pytest.mark.parametrize("case", _eigenbranch_cases(), ids=lambda c: c[0])
     def test_matches_dense_reference(self, case):
-        # bit-equal eigenvalues (the _shifted cache key) and equal projectors
+        # bit-equal eigenvalues (the _shifted cache key) and equal projectors:
+        # each mask owner == k is the reference projector's diagonal, and its
+        # off-diagonal entries are exact zeros
         _, obs = case
-        lams, projs = pt.eigenbranches(obs)
+        lams, owner = pt.eigenbranches(obs)
         ref_lams, ref_projs = _reference_eigenbranches(obs)
         assert lams.tobytes() == ref_lams.tobytes()
-        assert len(projs) == len(ref_projs)
-        for proj, ref in zip(projs, ref_projs):
-            assert np.array_equal(proj.matrix, ref)
-        assert all(type(p) is hb.Diagonal for p in projs)
+        assert owner.dtype == np.intp and not owner.flags.writeable
+        assert owner.max() + 1 == len(ref_projs)
+        for k, ref in enumerate(ref_projs):
+            assert np.array_equal(np.diag(owner == k), ref)
 
     def test_diagonal_costs_order_d(self, monkeypatch):
         # d = 2048 with three levels: masks, with no dense matrix and no eigh
@@ -816,18 +905,17 @@ class TestEigenbranches:
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(hb.Diagonal, "matrix", property(refuse))
-        lams, projs = pt.eigenbranches(hb.Diagonal(sp, diag))
+        lams, owner = pt.eigenbranches(hb.Diagonal(sp, diag))
         assert lams.tolist() == [-1.5, 0.25, 2.0]
-        assert all(type(p) is hb.Diagonal for p in projs)
-        for lam, proj in zip(lams, projs):
-            assert np.array_equal(proj.diagonal, (diag == lam).astype(float))
+        for k, lam in enumerate(lams):
+            assert np.array_equal(owner == k, diag == lam)
 
     def test_degenerate_levels_merge(self):
         sp = hb.space(("a", ["x", "y", "z"]))
         obs = hb.Operator(sp, np.diag([1.0, 1.0, 2.0]))
-        lams, projs = pt.eigenbranches(obs)
+        lams, owner = pt.eigenbranches(obs)
         assert list(lams) == [1.0, 2.0]
-        assert np.trace(projs[0].matrix).real == pytest.approx(2.0)
+        assert owner.tolist() == [0, 0, 1]
 
     @pytest.mark.parametrize("make", [
         lambda sp: hb.Operator(sp, np.diag([np.nan, 1.0])),
@@ -872,9 +960,9 @@ class TestEigenbranches:
                            match="^observable is not diagonal in the product basis$"):
             pt.eigenbranches(obs)
         u = hb.SPLIT_REAL
-        lams, projs = pt.eigenbranches(hb.Diagonal(sp, np.array([1.0, -1.0])))
+        lams, owner = pt.eigenbranches(hb.Diagonal(sp, np.array([1.0, -1.0])))
         np.testing.assert_allclose(lams, [-1.0, 1.0], atol=1e-12)
-        rotated = [u @ p.matrix @ u.conj().T for p in projs]
+        rotated = [u @ np.diag(owner == k) @ u.conj().T for k in range(len(lams))]
         np.testing.assert_allclose(rotated[0] + rotated[1], np.eye(2), atol=1e-12)
         for lam, proj in zip(lams, rotated):
             np.testing.assert_allclose(obs.matrix @ proj, lam * proj, atol=1e-12)

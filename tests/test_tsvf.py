@@ -131,6 +131,15 @@ class TestPostSelect:
             tsvf.post_select(hb.basis_state(sp, "x"),
                              hb.Operator.projector(sp, {"a": "y"}))
 
+    def test_nan_or_inf_probability_refused(self):
+        # a NaN ket, and amplitudes whose squared norm overflows, fail the
+        # threshold as a zero probability does (warnings are errors here)
+        sp = hb.space(("a", ["x", "y"]))
+        proj = hb.Operator.projector(sp, {"a": "x"})
+        for amp, p in ((np.nan, "nan"), (1e200, "inf")):
+            with pytest.raises(ZeroProbabilityBranch, match=f"^branch probability {p} <"):
+                tsvf.post_select(hb.Ket(sp, np.array([amp, 0.5])), proj)
+
     def test_non_projector_rejected(self):
         sp = hb.space(("a", ["x", "y"]))
         for bad in (hb.Operator(sp, np.array([[0.5, 0], [0, 0.5]])),
