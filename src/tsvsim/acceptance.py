@@ -145,22 +145,16 @@ def criterion_5_four_mirror() -> str:
             f"{stats['lu_click_fraction_within_20']:.4f}; runtime {runtime:.2f} s")
 
 
-def _weak_limit_error(pre: hb.Ket, obs: hb.OperatorForm, post_proj: hb.Operator,
-                      g: float, want: float) -> float:
-    # grid chosen so g = 0.05 and 0.025 shift by whole bins; translation
-    # interpolation then drops out and the pure O(g^2) response remains
-    ptr = pt.PointerWavefunction(n_bins=801, spacing=0.025)
-    (shift,) = pt.pointer_mean(pt.couple(pre, obs, ptr, g), post_proj)
-    return abs(shift / g - want)
-
-
 def criterion_6_weak_limit() -> str:
     t0 = time.perf_counter()
     details = []
+    # grid chosen so g = 0.05 and 0.025 shift by whole bins; translation
+    # interpolation then drops out and the pure O(g^2) response remains
+    ptr = pt.PointerWavefunction(n_bins=801, spacing=0.025)
     for name in ("three_boxes", "hardy"):
-        pre, obs, post_proj = sc.sweep_context(name)
-        err_g = _weak_limit_error(pre, obs, post_proj, 0.05, -1.0)
-        err_half = _weak_limit_error(pre, obs, post_proj, 0.025, -1.0)
+        context = sc.sweep_context(name)  # weak value -1 in both
+        err_g = abs(sc.weak_readout(context, 0.05, ptr) + 1.0)
+        err_half = abs(sc.weak_readout(context, 0.025, ptr) + 1.0)
         _check(err_g <= 0.15, f"{name}: error at g=0.05 is {err_g:.3g} > 0.15")
         ratio = err_g / err_half if err_half > 0 else float("inf")
         _check(ratio >= 2.5, f"{name}: halving g improved error only {ratio:.2f}x")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, dsl, hilbert as hb, pointer as pt, scenarios as sc
+from . import acceptance, dsl, hilbert as hb, scenarios as sc
 from .errors import TsvsimError
 from .scenarios import ScenarioResult
 
@@ -38,18 +38,12 @@ def _fmt(x: float) -> str:
 def _sweep_rows(context: tuple[hb.Ket, hb.OperatorForm, hb.Operator],
                 sweep: tuple[float, float, int, bool]) -> list[tuple[float, float]]:
     """(g, shift/g) rows of the sweep (min, max, steps, log) on a sweep_context."""
-    pre, obs, post_proj = context
     g_min, g_max, steps, log = sweep
     if log:
         gs = np.geomspace(g_min, g_max, steps)
     else:
         gs = np.linspace(g_min, g_max, steps)
-    ptr = pt.PointerWavefunction()
-    rows = []
-    for g in gs:
-        (shift,) = pt.pointer_mean(pt.couple(pre, obs, ptr, float(g)), post_proj)
-        rows.append((float(g), shift / float(g)))
-    return rows
+    return [(float(g), sc.weak_readout(context, g)) for g in gs]
 
 
 # Each output section with its csv header and jsonl kind, in output order.
@@ -183,10 +177,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for diag in e.diagnostics:
             print(f"{args.scenario}:{diag}", file=sys.stderr)
         return 3
-    except TsvsimError as e:
-        diag = getattr(e, "diagnostic", None)
-        where = f"{args.scenario}:{diag}" if diag else str(e)
-        print(f"error: {where}", file=sys.stderr)
+    except TsvsimError as e:  # a built-in run's refusal; a .scn file's is positioned above
+        print(f"error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

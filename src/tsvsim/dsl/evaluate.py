@@ -8,9 +8,10 @@ named observable's weak value. Without a POSTSELECT section the post ket
 defaults to the evolved state itself, which reduces the weak value to an
 ordinary expectation value.
 
-Any error raised by the underlying state machinery (orthogonal selection,
-zero-probability branch, ...) is re-raised with the source position of the
-responsible line attached as a `diagnostic` attribute.
+A refusal by the underlying state machinery (orthogonal selection,
+zero-probability branch, ...) is re-raised as a ScenarioValidationError
+positioned at the responsible line, with the library error as its __cause__,
+so every failed run reports its position the way a parse error does.
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ def builtin_scenario_path(scenario_id: str) -> Path:
     ref = resources.files("tsvsim") / "data" / f"{scenario_id}.scn"
     with resources.as_file(ref) as p:
         return Path(p)
-
-
-def _with_position(exc: TsvsimError, line: int) -> TsvsimError:
-    exc.diagnostic = Diagnostic(line, 1, str(exc))
-    return exc
 
 
 def _ket(sp: hb.Space, entries: tuple[AmplitudeEntry, ...], line: int) -> Ket:
@@ -111,7 +107,7 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
             else:
                 state = _apply_gate(sp, g, state)
         except TsvsimError as e:
-            raise _with_position(e, g.line)
+            raise ScenarioValidationError([Diagnostic(g.line, 1, str(e))]) from e
         states[g.epoch] = state  # epochs are never revisited: keys keep their order
 
     post, weak_values = spec.postselect, {}
@@ -138,7 +134,8 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
                         "not finite")])
                 weak_values[obs.name] = wv
         except TsvsimError as e:
-            raise _with_position(e, 1 if post is None else post.line)
+            line = 1 if post is None else post.line
+            raise ScenarioValidationError([Diagnostic(line, 1, str(e))]) from e
 
     return ScenarioResult(
         scenario_id=scenario_id,

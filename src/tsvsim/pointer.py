@@ -287,15 +287,20 @@ def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: f
     factors (identity on the rest), so several pointers can be attached in
     turn without ever forming full-space matrices; pointer_mean then reads
     them all from one post-selection. With g = 0 the result is an exact
-    product and the pointer is untouched.
+    product and the pointer is untouched. A zero ket couples to zero; one
+    whose squared norm is NaN or infinite raises ZeroProbabilityBranch.
     """
     k = len(observable.space.factors)
     if system.space.factors[:k] != observable.space.factors:
         raise DimensionMismatch(
             "observable must act on the full system space or its leading factors"
         )
+    psi = system.amplitudes
+    norm_sq = float(np.vdot(psi, psi).real)
+    if not norm_sq < math.inf:  # NaN fails too; checked before inf * 0 can warn
+        raise ZeroProbabilityBranch(f"cannot couple a ket of squared norm {norm_sq!r}")
     owner, shifted, _ = _branch_table(observable, ptr, g)
-    t = system.amplitudes.reshape(observable.space.dim, -1)
+    t = psi.reshape(observable.space.dim, -1)
     # index i rides on its own branch's profile alone, so each amplitude is
     # one product; + 0.0 turns -0.0 into +0.0, as the sum over branches of
     # (P_b t) (x) row_b would, which keeps the joint's bytes those of that sum

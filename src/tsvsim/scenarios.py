@@ -645,3 +645,13 @@ def sweep_context(scenario_id: str) -> tuple[Ket, OperatorForm, Operator] | None
     else:
         return None
     return pre, obs, Operator.ket_projector(post)
+
+
+def weak_readout(context: tuple[Ket, OperatorForm, Operator], g: float,
+                 ptr: pt.PointerWavefunction = pt.PointerWavefunction()) -> float:
+    """shift/g of a pointer coupled at strength g to a sweep_context's
+    observable, read under its post-selection: the real weak value, to
+    O(g^2) (Aharonov, Albert & Vaidman, PRL 60, 1351 (1988))."""
+    pre, obs, post_proj = context
+    (shift,) = pt.pointer_mean(pt.couple(pre, obs, ptr, float(g)), post_proj)
+    return shift / float(g)

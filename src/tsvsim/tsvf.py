@@ -70,17 +70,26 @@ def weak_value(tsv: TwoStateVector, a: OperatorForm) -> complex:
 
 
 def _project(state: Ket, projector: OperatorForm) -> tuple[np.ndarray, float]:
-    """(P|psi>, ||P psi||^2), with P checked to be a projector on psi's space."""
+    """(P|psi>, ||P psi||^2), with P checked to be a projector on psi's space.
+
+    A psi whose squared norm is NaN or infinite is refused with
+    ZeroProbabilityBranch before P acts (where 0 * inf would give NaN), so
+    every probability returned is finite."""
     if projector.space != state.space:
         raise DimensionMismatch("projector space differs from state space")
     if not projector.is_projector():
         raise ValueError(NOT_A_PROJECTOR)
-    v = projector.act(state.amplitudes)
+    psi = state.amplitudes
+    norm_sq = float(np.vdot(psi, psi).real)
+    if not norm_sq < np.inf:  # NaN fails too
+        raise ZeroProbabilityBranch(f"branch probability {norm_sq:.3e} < {EPS_BRANCH:.1e}")
+    v = projector.act(psi)
     return v, float(np.vdot(v, v).real)
 
 
 def born_probability(state: Ket, outcome_projector: OperatorForm) -> float:
-    """||P|psi>||^2 without collapsing. P is validated as a projector."""
+    """||P|psi>||^2 without collapsing. P is validated as a projector; 0 is an
+    answer, but a NaN or infinite squared norm raises ZeroProbabilityBranch."""
     return _project(state, outcome_projector)[1]
 
 

@@ -67,6 +67,20 @@ class TestRunJsonl:
         assert p3 == {"scenario": "three_boxes", "name": "P3",
                       "kind": "weak_value", "re": -1.0, "im": 0.0}
 
+    @pytest.mark.parametrize("sweep", ["0.01:0.2:5", "0.005:0.2:9:log"])
+    def test_three_path_sweep_equals_three_boxes(self, capsys, sweep):
+        # same selections and third-path projector, only the factor names differ
+        rows = {}
+        for scenario in ("three_boxes", "three_path_photon"):
+            code, out, _ = run_cli(capsys, "run", scenario, "--g-sweep", sweep,
+                                   "--format", "jsonl")
+            assert code == 0
+            records = [json.loads(line) for line in out.splitlines()]
+            rows[scenario] = [(r["name"], r["re"], r["im"]) for r in records
+                              if r["kind"] == "g_sweep"]
+        assert len(rows["three_boxes"]) == int(sweep.split(":")[2])
+        assert rows["three_path_photon"] == rows["three_boxes"]
+
 
 class TestEmitGolden:
     """emit's exact bytes for one result with every section: a weak value
@@ -222,6 +236,24 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", str(scn))
         assert code == 3
         assert "line 5" in err
+
+    @pytest.mark.parametrize("body,message", [
+        ("GATES\n  t1 projector_select a : y\n",
+         "line 6, col 1: branch probability 0.000e+00 < 1.0e-14"),
+        ("POSTSELECT\n  y : 1\nOBSERVABLES\n  P = proj(a=x)\n",
+         "line 5, col 1: |<post|pre>| = 0.000e+00 <= 1.0e-10; weak value undefined"),
+    ], ids=["empty-branch", "orthogonal-postselect"])
+    def test_scn_refusal_printed_as_diagnostic(self, capsys, tmp_path, body, message):
+        # a library refusal in a .scn run prints like any other diagnostic
+        scn = tmp_path / "refused.scn"
+        scn.write_text("FACTORS\n  a: x y\nINITIAL\n  x : 1\n" + body)
+        code, out, err = run_cli(capsys, "run", str(scn))
+        assert (code, out, err) == (3, "", f"{scn}:{message}\n")
+
+    def test_builtin_refusal_printed_as_error(self, capsys):
+        code, out, err = run_cli(capsys, "run", "three_path_photon", "--g", "100")
+        assert (code, out, err) == (
+            3, "", "error: shift g*|lambda| = 100 exceeds half the grid extent 5\n")
 
     def test_reversed_beamsplitter_pair_exit_3(self, capsys, tmp_path):
         scn = tmp_path / "reversed.scn"

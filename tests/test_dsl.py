@@ -365,17 +365,21 @@ class TestEvaluateErrors:
                 "POSTSELECT\n  y : 1\n"
                 "OBSERVABLES\n  PX = proj(a=x)\n")
         spec = dsl.parse(text)
-        with pytest.raises(OrthogonalSelection) as err:
+        with pytest.raises(dsl.ScenarioValidationError) as err:
             dsl.evaluate(spec)
-        assert err.value.diagnostic.line == 5
+        assert err.value.diagnostics == [Diagnostic(
+            5, 1, "|<post|pre>| = 0.000e+00 <= 1.0e-10; weak value undefined")]
+        assert type(err.value.__cause__) is OrthogonalSelection
 
     def test_zero_probability_select_carries_position(self):
         text = ("FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n"
                 "  t1 projector_select a : y\n")
         spec = dsl.parse(text)
-        with pytest.raises(ZeroProbabilityBranch) as err:
+        with pytest.raises(dsl.ScenarioValidationError) as err:
             dsl.evaluate(spec)
-        assert err.value.diagnostic.line == 6
+        assert err.value.diagnostics == [Diagnostic(
+            6, 1, "branch probability 0.000e+00 < 1.0e-14")]
+        assert type(err.value.__cause__) is ZeroProbabilityBranch
 
     @pytest.mark.parametrize("n_factors", [62, 70])
     def test_oversized_state_space_is_positioned(self, n_factors):

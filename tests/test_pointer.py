@@ -326,6 +326,17 @@ class TestCouple:
         expect = np.kron(system.amplitudes, ptr.ket_amplitudes())
         np.testing.assert_array_equal(joint.amplitudes, expect)
 
+    def test_non_finite_ket_refused(self):
+        # refused before the product, where inf * 0 would warn (an error
+        # here); a zero ket still couples, to zero
+        sp, obs = two_level()
+        ptr = pt.PointerWavefunction()
+        for amp in (np.nan, np.inf, 1e200):
+            with pytest.raises(ZeroProbabilityBranch,
+                               match="^cannot couple a ket of squared norm (nan|inf)$"):
+                pt.couple(hb.Ket(sp, np.array([amp, 0.5])), obs, ptr, 0.1)
+        assert not pt.couple(hb.Ket(sp, np.zeros(2)), obs, ptr, 0.1).amplitudes.any()
+
     def test_three_boxes_conditioned_mean_tracks_negative_weak_value(self):
         sp, pre, post, p3 = boxes_context()
         ptr = pt.PointerWavefunction()
@@ -478,10 +489,11 @@ class TestPointerMean:
         # that overflows warns first, so that warning is silenced here
         sp, obs = two_level()
         whole = hb.Operator.projector(sp, {})
-        joint = pt.couple(hb.Ket(sp, np.array([np.nan, 0.5])), obs,
-                          pt.PointerWavefunction(), 0.1)
+        # couple refuses a NaN ket, so the NaN joint is built on the joint space
+        joint = pt.couple(hb.basis_state(sp, "hi"), obs, pt.PointerWavefunction(), 0.1)
+        nan_joint = hb.Ket(joint.space, np.full(joint.space.dim, np.nan))
         with pytest.raises(ZeroProbabilityBranch, match="^post-selection probability nan"):
-            pt.pointer_mean(joint, whole)
+            pt.pointer_mean(nan_joint, whole)
         huge = hb.Ket(joint.space, np.full(joint.space.dim, 1e154))
         with np.errstate(over="ignore"):
             with pytest.raises(ZeroProbabilityBranch, match="^post-selection probability inf"):

@@ -140,6 +140,19 @@ class TestPostSelect:
             with pytest.raises(ZeroProbabilityBranch, match=f"^branch probability {p} <"):
                 tsvf.post_select(hb.Ket(sp, np.array([amp, 0.5])), proj)
 
+    def test_non_finite_ket_refused_before_projecting(self):
+        # born_probability refuses what post_select does, and both refuse an
+        # infinite amplitude before inf * 0 in P|psi> can warn (an error here)
+        sp = hb.space(("a", ["x", "y"]))
+        for proj in (hb.Operator.projector(sp, {"a": "x"}), hb.Operator(sp, np.diag([1.0, 0]))):
+            for amp in (np.nan, np.inf, 1e200):
+                for call in (tsvf.born_probability, tsvf.post_select):
+                    with pytest.raises(ZeroProbabilityBranch,
+                                       match="^branch probability (nan|inf) <"):
+                        call(hb.Ket(sp, np.array([amp, 0.5])), proj)
+            assert tsvf.born_probability(hb.basis_state(sp, "y"), proj) == 0.0
+            assert tsvf.born_probability(hb.Ket(sp, np.zeros(2)), proj) == 0.0
+
     def test_non_projector_rejected(self):
         sp = hb.space(("a", ["x", "y"]))
         for bad in (hb.Operator(sp, np.array([[0.5, 0], [0, 0.5]])),
