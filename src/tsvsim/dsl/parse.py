@@ -23,9 +23,14 @@ the grammar. Amplitudes accept sugar such as 1/sqrt(3), i, -0.5, 2/3, and an
 explicit re,im pair; a parenthesized (re,im) works anywhere a scalar does.
 `#` starts a comment, and a blank is any whitespace character. Parsing is
 total: malformed input produces diagnostics with line and column positions,
-never a crash. Each distinct amplitude text is evaluated once per parse. The
-parser normalizes INITIAL and POSTSELECT amplitude lists and records a warning
-when the written norm is off by more than 1e-9.
+never a crash. Each distinct amplitude text is evaluated once per parse; a
+plain one (a signed number, a re,im pair of them, or such a pair in
+parentheses) is read by one regex and the grammar's own arithmetic, so with
+the grammar's bits, and any other text by _Expr. The labels of every
+AmplitudeEntry are the FACTORS line's own strings, shared by all entries; a
+diagnostic quotes an unknown label as written. The parser normalizes INITIAL
+and POSTSELECT amplitude lists and records a warning when the written norm is
+off by more than 1e-9.
 
 render() is the canonical serializer: LF line endings, fixed section order,
 repr-exact re,im amplitudes. parse(render(spec)) reproduces spec exactly.
@@ -152,6 +157,11 @@ class ScenarioSpec:
 # str.isspace, and \d is every digit that float() reads.
 _TOKEN_RE = re.compile(r"(\s*)(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
                        r"|([A-Za-z_][A-Za-z_0-9]*)|(\S)|\Z)")
+# A plain amplitude: a signed NUMBER, a re,im pair of them, or such a pair in
+# parentheses, with blanks anywhere; _plain reads it as the grammar would.
+# NUMBER is the lexer's, spelled so that a failed match backtracks little.
+_SIGNED = r"(?:([+-])\s*)?((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*"
+_PLAIN_RE = re.compile(rf"\s*(\(\s*)?{_SIGNED}(?:,\s*{_SIGNED})?(?(1)\)\s*)")
 
 
 class _ExprError(Exception):
@@ -358,11 +368,30 @@ class _Expr:
             self._fail("unexpected trailing input")
 
 
+def _plain(text: str) -> complex | None:
+    """_Expr.parse_pair's value of a plain amplitude text, reached by the
+    grammar's own operations, so with its bits; None for any other text."""
+    # '/' is never plain: the test spares the regex the sugar 1/2, 1/sqrt(2)
+    m = None if "/" in text else _PLAIN_RE.fullmatch(text)
+    if m is None:
+        return None
+    paren, sign, num, im_sign, im_num = m.groups()
+    value = (-1.0 if sign == "-" else 1.0) * complex(float(num))  # parse_factor
+    if im_num is None:
+        return None if paren else value  # a parenthesized number is the grammar's
+    imag = (-1.0 if im_sign == "-" else 1.0) * complex(float(im_num))
+    value = complex(value.real, imag.real)  # parse_pair
+    return 1.0 * value if paren else value  # parse_factor of the '(' pair ')' atom
+
+
 def _eval(rule, text: str, line: int, offset: int, diags: list[Diagnostic]):
-    """Run one _Expr rule (an unbound parse_* method) over the whole of text.
+    """Run one _Expr rule (an unbound parse_* method) over the whole of text;
+    a plain amplitude is read by _plain, without lexing.
 
     Returns its value, or None after appending a positioned diagnostic.
     """
+    if rule is _Expr.parse_pair and (value := _plain(text)) is not None:
+        return value
     try:
         ex = _Expr(text, offset)
         value = rule(ex)
@@ -427,8 +456,10 @@ class _Reader:
         self.semantic: list[Diagnostic] = []
         self.sections: dict[str, int] = {}  # header -> its line
         self.factors: list[FactorDecl] = []
-        self.label_sets: list[frozenset[str]] = []  # of each factor, in order
-        self.table: dict[str, frozenset[str]] = {}  # factors declared once, labels distinct
+        # {label: label} of each factor, in order, on its FACTORS line's strings,
+        # so that every entry shares them
+        self.label_maps: list[dict[str, str]] = []
+        self.table: dict[str, dict[str, str]] = {}  # factors declared once, labels distinct
         # section -> labels -> written amplitude, and -> line (a repeat keeps
         # the first place in order and takes the later line)
         self.amplitudes: dict[str, dict[tuple[str, ...], complex]] = {}
@@ -535,27 +566,31 @@ class _Reader:
         if not (self.names_ok(head, 0, names, "factor name")
                 and self.names_ok(tail, offset, labels, "label")):
             return
-        name, twice, label_set = names[0], _repeat(labels), frozenset(labels)
+        name, twice, label_map = names[0], _repeat(labels), dict(zip(labels, labels))
         if name in self.table:
             self.invalid(_column(head, 0, 0), f"duplicate factor {name!r}")
         elif twice is not None:
             self.invalid(_column(tail, offset, twice), f"duplicate labels in factor {name!r}")
         else:
-            self.table[name] = label_set
+            self.table[name] = label_map
         self.factors.append(FactorDecl(name, tuple(labels), line=self.line))
-        self.label_sets.append(label_set)
+        self.label_maps.append(label_map)
 
     def amplitude(self, content: str, section: str) -> None:
         head, colon, tail = content.partition(":")
         if not colon:
             return self.error(_column(content, 0, 0), "expected 'labels... : amplitude'")
-        labels, need = tuple(head.split()), len(self.label_sets)
-        if not labels:
+        words, need = head.split(), len(self.label_maps)
+        if not words:
             return self.error(len(head) + 1, "expected basis labels before ':'")
-        # a label in a factor's set passed names_ok on its FACTORS line
-        known = len(labels) == need and all(map(frozenset.__contains__, self.label_sets, labels))
-        if not (known or self.names_ok(head, 0, labels, "label")):
-            return
+        # a known label passed names_ok on its FACTORS line, whose string it takes
+        # (a list first: a tuple built from an iterator fills the tuple free list)
+        labels = tuple(list(map(dict.get, self.label_maps, words)))
+        known = len(words) == need and None not in labels
+        if not known:
+            labels = tuple(words)
+            if not self.names_ok(head, 0, words, "label"):
+                return
         amp = self.values.get(tail)
         if amp is None:
             amp = _eval(_Expr.parse_pair, tail, self.line, len(head) + 1, self.syntax)
@@ -566,7 +601,7 @@ class _Reader:
             self.invalid(_column(head, 0, need) if len(labels) > need else len(head) + 1,
                          f"{section} line gives {len(labels)} labels, need one per factor ({need})")
         elif not known:
-            for k, (f, labs, lab) in enumerate(zip(self.factors, self.label_sets, labels)):
+            for k, (f, labs, lab) in enumerate(zip(self.factors, self.label_maps, labels)):
                 if lab not in labs:
                     self.invalid(_column(head, 0, k),
                                  f"unknown label {lab!r} for factor {f.name!r}")

@@ -174,10 +174,11 @@ def basis_state(sp: Space, *labels: str) -> Ket:
 
 
 def from_amplitudes(sp: Space, entries: Mapping[Sequence[str], complex]) -> Ket:
-    """Build a ket from a {label tuple: amplitude} mapping; unlisted entries are 0."""
+    """Build a ket from a {label tuple: amplitude} mapping; unlisted entries
+    are 0. One fancy-index assignment stores every amplitude; a bad label
+    tuple raises index_of's error for the first one in mapping order."""
     amps = np.zeros(sp.dim, dtype=complex)
-    for labels, a in entries.items():
-        amps[sp.index_of(labels)] = a
+    amps[list(map(sp.index_of, entries))] = list(entries.values())
     return Ket(sp, amps)
 
 

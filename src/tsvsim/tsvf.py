@@ -82,7 +82,7 @@ def _project(state: Ket, projector: OperatorForm) -> tuple[np.ndarray, float]:
     psi = state.amplitudes
     norm_sq = float(np.vdot(psi, psi).real)
     if not norm_sq < np.inf:  # NaN fails too
-        raise ZeroProbabilityBranch(f"branch probability {norm_sq:.3e} < {EPS_BRANCH:.1e}")
+        raise ZeroProbabilityBranch(f"branch probability {norm_sq:.3e} is not finite")
     v = projector.act(psi)
     return v, float(np.vdot(v, v).real)
 

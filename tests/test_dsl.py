@@ -8,6 +8,7 @@ import math
 import random
 import re
 import string
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from tsvsim import cli, dsl, hilbert as hb, scenarios as sc, tsvf
 from tsvsim.acceptance import FUZZ_PIECES
 from tsvsim.dsl import Diagnostic
-from tsvsim.dsl.parse import _Expr as TokenExpr, _eval as token_eval
+from tsvsim.dsl.parse import _Expr as TokenExpr, _eval as token_eval, _plain
 from tsvsim.errors import DimensionMismatch, OrthogonalSelection, ZeroProbabilityBranch
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -672,6 +673,130 @@ class TestAmplitudeMemo:
         assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
             (4, 8, "division by zero"), (5, 10, "division by zero")]
         assert evals == {" 1/0": 2}
+
+
+def _grammar_pair(text):
+    """text read by _Expr.parse_pair alone, with no plain-amplitude shortcut."""
+    ex = TokenExpr(text, 0)
+    value = ex.parse_pair()
+    ex.finish()
+    return value
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+_PLAIN_ATOMS = ("0", "-0", "+0", "-0.0", "1e400", "-1e400", "1e-400", ".5", "5.", "\u0663",
+                "2E-3")
+_BLANKS = ("", " ", "\t", "\xa0", "\u3000")
+
+
+def _plain_forms(seed, count):
+    """Seeded plain amplitudes: an atom, an a,b pair or an (a,b) pair, with a
+    blank of _BLANKS, or none, in every slot, between a sign and its digits too."""
+    rng = random.Random(seed)
+
+    def blank():
+        return rng.choice(_BLANKS)
+
+    def atom():
+        a = rng.choice(_PLAIN_ATOMS)
+        if a[0] in "+-":
+            a = a[0] + blank() + a[1:]
+        return blank() + a + blank()
+
+    for _ in range(count):
+        shape = rng.randrange(3)
+        if shape == 0:
+            yield atom()
+        elif shape == 1:
+            yield f"{atom()},{atom()}"
+        else:
+            yield f"{blank()}({atom()},{atom()}){blank()}"
+
+
+class TestPlainAmplitudes:
+    """A plain amplitude skips the grammar but keeps its bits."""
+
+    def test_generated_texts_bit_for_bit(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import gen
+
+        texts, fast = set(), 0
+        for seed in range(4):
+            for corpus in gen.scn_corpus(seed).values():
+                for text in corpus:
+                    section = None
+                    for line in text.splitlines():
+                        if line[:1].strip():  # a header or comment at column 1
+                            section = line.split()[0]
+                        elif section in ("INITIAL", "POSTSELECT") and line.strip():
+                            texts.add(line.partition(":")[2])
+        for text in texts:
+            value = _plain(text)
+            if value is not None:
+                fast += 1
+                assert _bits(value) == _bits(_grammar_pair(text)), text
+        assert 0 < fast < len(texts)  # 1/sqrt(k) and k/m stay with the grammar
+
+    def test_signed_zeros_overflow_unicode_and_blanks(self):
+        for text in _plain_forms(25, 4000):
+            value = _plain(text)
+            assert value is not None, text
+            assert _bits(value) == _bits(_grammar_pair(text)), text
+        # the grammar's own operations: 1.0 * (inf+0j) has a NaN imaginary part
+        assert math.isnan(_plain("1e400").imag)
+        assert math.isnan(_plain("(1,1e400)").real)
+        assert _bits(_plain("-0,-0")) == _bits(complex(-0.0, -0.0))
+
+    @pytest.mark.parametrize("text,value,diagnostic", [
+        ("(1)", 1 + 0j, None),
+        ("-(1,2)", -1 - 2j, None),
+        ("--1", 1 + 0j, None),
+        ("1,2,3", None, (4, 10, "unexpected trailing input")),
+        ("(1,2", None, (4, 11, "expected ')'")),
+        ("1/0", None, (4, 8, "division by zero")),
+    ])
+    def test_other_texts_go_to_the_grammar(self, text, value, diagnostic):
+        assert _plain(text) is None
+        diags = []
+        got = token_eval(TokenExpr.parse_pair, text, 4, 6, diags)  # as on line 4 below
+        if value is not None:
+            assert diags == [] and _bits(got) == _bits(value) == _bits(_grammar_pair(text))
+            return
+        assert got is None and [(d.line, d.column, d.message) for d in diags] == [diagnostic]
+        with pytest.raises(dsl.ScenarioSyntaxError) as err:
+            dsl.parse(f"FACTORS\n  a: x\nINITIAL\n  x : {text}\n")
+        assert err.value.diagnostics == diags
+
+
+class TestSharedLabels:
+    """Entry labels are the FACTORS line's own strings."""
+
+    @pytest.mark.parametrize("source", (*FIXTURE_IDS, "scn_scaling-heavy-0"))
+    def test_entries_hold_factor_strings(self, source, monkeypatch):
+        if source in FIXTURE_IDS:
+            text = fixture_text(source)
+        else:
+            monkeypatch.syspath_prepend(str(PERFBENCH))
+            import gen
+
+            text = gen.scn_text(0, "heavy", 0)
+        spec = dsl.parse(text)
+        entries = spec.initial + (spec.postselect.entries if spec.postselect else ())
+        assert entries
+        for e in entries:
+            for label, factor in zip(e.labels, spec.factors, strict=True):
+                assert label is factor.labels[factor.labels.index(label)]
+
+    def test_unknown_label_keeps_the_written_word(self):
+        text = "FACTORS\n  a: x y\n  b: u v\nINITIAL\n  x u : 1\n  u  zz : 1\n"
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.parse(text)
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+            (6, 3, "unknown label 'u' for factor 'a'"),
+            (6, 6, "unknown label 'zz' for factor 'b'")]
 
 
 class TestFixtures:

@@ -1,6 +1,8 @@
 """Pointer model: coupling, conditioned means, projective limit, sequences."""
 
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from tsvsim import dsl, hilbert as hb, pointer as pt, scenarios as sc, tsvf
 from tsvsim.errors import DimensionMismatch, ShiftOutOfGrid, ZeroProbabilityBranch
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
 
@@ -1035,22 +1038,38 @@ def _momentum_mean(psi, spacing):
     return float((np.vdot(psi, -1j * dpsi) / np.vdot(psi, psi)).real)
 
 
+def _perfbench_gen():
+    """perfbench/gen.py, which needs only the standard library, loaded
+    without putting perfbench on sys.path."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _spec_cases(name, spec):
+    """(id, pre, post, observable, weak value) of every observable of a
+    parsed .scn, with the states and weak values dsl.evaluate gives."""
+    res = dsl.evaluate(spec, name)
+    pre = res.states_by_epoch[next(reversed(res.states_by_epoch))]
+    post = hb.from_amplitudes(
+        pre.space, {e.labels: e.amplitude for e in spec.postselect.entries}).unit()
+    for decl in spec.observables:
+        diag = sum(coeff * hb.Operator.projector(pre.space, dict(c or ())).diagonal
+                   for coeff, c in decl.terms)
+        yield (f"{name}-{decl.name}", pre, post, hb.Diagonal(pre.space, diag),
+               res.weak_values[decl.name])
+
+
 def _weak_value_cases():
-    """(id, pre, post, observable, weak value): every observable of the
-    fixtures that declare any, with the states and weak values dsl.evaluate
-    gives, and seeded complex 3-level pre/post pairs on diag(1, 2, 3)."""
+    """The cases of _spec_cases for the fixtures that declare observables and
+    for the eight seed-0 scn_scaling light files (d = 64), and seeded complex
+    3-level pre/post pairs on diag(1, 2, 3)."""
     out = []
     for name in ("three_boxes", "hardy", "three_path_photon"):
-        spec = dsl.load_file(dsl.builtin_scenario_path(name))
-        res = dsl.evaluate(spec, name)
-        pre = res.states_by_epoch[next(reversed(res.states_by_epoch))]
-        post = hb.from_amplitudes(
-            pre.space, {e.labels: e.amplitude for e in spec.postselect.entries}).unit()
-        for decl in spec.observables:
-            diag = sum(coeff * hb.Operator.projector(pre.space, dict(c or ())).diagonal
-                       for coeff, c in decl.terms)
-            out.append((f"{name}-{decl.name}", pre, post, hb.Diagonal(pre.space, diag),
-                        res.weak_values[decl.name]))
+        out += _spec_cases(name, dsl.load_file(dsl.builtin_scenario_path(name)))
+    for k, text in enumerate(_perfbench_gen().scn_corpus(0)["light"]):
+        out += _spec_cases(f"scn-light-{k}", dsl.parse(text))
     sp3 = hb.space(("box", ["box1", "box2", "box3"]))
     diag3 = hb.Diagonal(sp3, np.array([1.0, 2.0, 3.0]))
     for seed in range(4):

@@ -137,7 +137,8 @@ class TestPostSelect:
         sp = hb.space(("a", ["x", "y"]))
         proj = hb.Operator.projector(sp, {"a": "x"})
         for amp, p in ((np.nan, "nan"), (1e200, "inf")):
-            with pytest.raises(ZeroProbabilityBranch, match=f"^branch probability {p} <"):
+            with pytest.raises(ZeroProbabilityBranch,
+                               match=f"^branch probability {p} is not finite$"):
                 tsvf.post_select(hb.Ket(sp, np.array([amp, 0.5])), proj)
 
     def test_non_finite_ket_refused_before_projecting(self):
@@ -148,7 +149,7 @@ class TestPostSelect:
             for amp in (np.nan, np.inf, 1e200):
                 for call in (tsvf.born_probability, tsvf.post_select):
                     with pytest.raises(ZeroProbabilityBranch,
-                                       match="^branch probability (nan|inf) <"):
+                                       match="^branch probability (nan|inf) is not finite$"):
                         call(hb.Ket(sp, np.array([amp, 0.5])), proj)
             assert tsvf.born_probability(hb.basis_state(sp, "y"), proj) == 0.0
             assert tsvf.born_probability(hb.Ket(sp, np.zeros(2)), proj) == 0.0
