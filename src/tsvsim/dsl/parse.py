@@ -21,19 +21,20 @@ custom_unitary matrix literals and observables. It lexes each expression once
 with one master regex, and its rules consume the tokens; its docstring holds
 the grammar. Amplitudes accept sugar such as 1/sqrt(3), i, -0.5, 2/3, and an
 explicit re,im pair; a parenthesized (re,im) works anywhere a scalar does.
+Only a run of '+'/'-' with an odd number of '-' changes a value (_signed).
 `#` starts a comment, and a blank is any whitespace character. Parsing is
 total: malformed input produces diagnostics with line and column positions,
 never a crash. Each distinct amplitude text is evaluated once per parse; a
-plain one (a signed number, a re,im pair of them, or such a pair in
-parentheses) is read by one regex and the grammar's own arithmetic, so with
-the grammar's bits, and any other text by _Expr. The labels of every
-AmplitudeEntry are the FACTORS line's own strings, shared by all entries; a
-diagnostic quotes an unknown label as written. The parser normalizes INITIAL
-and POSTSELECT amplitude lists and records a warning when the written norm is
+plain one (a signed number or a re,im pair of them, in parentheses or not)
+is read by one regex and _signed, so with the grammar's bits, and any other
+text by _Expr. Entry labels are the FACTORS line's own strings; every
+unknown label is reported as written. The parser normalizes INITIAL and
+POSTSELECT amplitude lists and records a warning when the written norm is
 off by more than 1e-9.
 
 render() is the canonical serializer: LF line endings, fixed section order,
-repr-exact re,im amplitudes. parse(render(spec)) reproduces spec exactly.
+repr-exact re,im amplitudes. parse(render(spec)) == spec, and render is a
+fixed point: render(parse(render(spec))) == render(spec).
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ class ScenarioSpec:
 # str.isspace, and \d is every digit that float() reads.
 _TOKEN_RE = re.compile(r"(\s*)(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
                        r"|([A-Za-z_][A-Za-z_0-9]*)|(\S)|\Z)")
-# A plain amplitude: a signed NUMBER, a re,im pair of them, or such a pair in
-# parentheses, with blanks anywhere; _plain reads it as the grammar would.
+# A plain amplitude: a signed NUMBER or a re,im pair of them, either one in
+# parentheses or not, with blanks anywhere; _plain reads it as the grammar would.
 # NUMBER is the lexer's, spelled so that a failed match backtracks little.
 _SIGNED = r"(?:([+-])\s*)?((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*"
 _PLAIN_RE = re.compile(rf"\s*(\(\s*)?{_SIGNED}(?:,\s*{_SIGNED})?(?(1)\)\s*)")
@@ -267,13 +268,16 @@ class _Expr:
     def parse_quot(self) -> complex:
         return self.parse_term(("/",), signed=False)
 
-    def parse_factor(self, signed: bool = True) -> complex:
-        sign = 1.0
-        while signed and (op := self.toks[self.i][3]) in ("+", "-"):
-            if op == "-":
-                sign = -sign
+    def _minus(self) -> bool:
+        """Consume a run of '+'/'-'; whether it holds an odd number of '-'."""
+        minus = False
+        while (op := self.toks[self.i][3]) in ("+", "-"):
+            minus ^= op == "-"
             self.i += 1
-        return sign * self.parse_atom()
+        return minus
+
+    def parse_factor(self, signed: bool = True) -> complex:
+        return _signed(signed and self._minus(), self.parse_atom())  # signs, then the atom
 
     def parse_atom(self) -> complex:
         _, num, word, op = self.toks[self.i]
@@ -312,11 +316,7 @@ class _Expr:
     def parse_observable(self) -> tuple:
         terms = []
         while True:
-            sign = 1.0
-            while (op := self.toks[self.i][3]) in ("+", "-"):
-                if op == "-":
-                    sign = -sign
-                self.i += 1
+            minus = self._minus()
             coeff = complex(1.0)
             _, num, word, op = self.toks[self.i]
             if num or op or word in ("i", "sqrt"):  # no name next: a coeff
@@ -325,7 +325,7 @@ class _Expr:
                 if not cmath.isfinite(coeff):  # render could not write it back
                     self._fail("coefficient is not finite", k)
                 self.eat("*")
-            terms.append((sign * coeff, self.parse_primary()))
+            terms.append((_signed(minus, coeff), self.parse_primary()))
             if self.toks[self.i][3] not in ("+", "-"):
                 return tuple(terms), self.projs
 
@@ -368,6 +368,11 @@ class _Expr:
             self._fail("unexpected trailing input")
 
 
+def _signed(minus: bool, value: complex) -> complex:
+    """The sign rule: an odd run of '-' gives -1.0 * value, a complex product."""
+    return -1.0 * value if minus else value
+
+
 def _plain(text: str) -> complex | None:
     """_Expr.parse_pair's value of a plain amplitude text, reached by the
     grammar's own operations, so with its bits; None for any other text."""
@@ -375,13 +380,11 @@ def _plain(text: str) -> complex | None:
     m = None if "/" in text else _PLAIN_RE.fullmatch(text)
     if m is None:
         return None
-    paren, sign, num, im_sign, im_num = m.groups()
-    value = (-1.0 if sign == "-" else 1.0) * complex(float(num))  # parse_factor
-    if im_num is None:
-        return None if paren else value  # a parenthesized number is the grammar's
-    imag = (-1.0 if im_sign == "-" else 1.0) * complex(float(im_num))
-    value = complex(value.real, imag.real)  # parse_pair
-    return 1.0 * value if paren else value  # parse_factor of the '(' pair ')' atom
+    _, sign, num, im_sign, im_num = m.groups()
+    value = _signed(sign == "-", complex(float(num)))  # parse_factor
+    if im_num is not None:  # parse_pair
+        value = complex(value.real, _signed(im_sign == "-", complex(float(im_num))).real)
+    return value
 
 
 def _eval(rule, text: str, line: int, offset: int, diags: list[Diagnostic]):
@@ -469,8 +472,8 @@ class _Reader:
         self.epochs: set[str] = set()  # of the gates read so far
         self.latest = 0  # EPOCH_ORDER index of the latest canonical epoch among them
         self.observables: dict[str, ObservableDecl] = {}
-        # (line, text, offset, word index, name) of each record name, as _column takes them
-        self.records: list[tuple[int, str, int, int, str]] = []
+        # (line, column, name) of each record name
+        self.records: list[tuple[int, int, str]] = []
 
     def read(self, text: str) -> None:
         """Read FACTORS lines as the header scan meets them, then every other
@@ -513,14 +516,12 @@ class _Reader:
         if deferred and self.syntax:
             self.syntax.sort(key=attrgetter("line", "column"))
         # sorted: the POSTSELECT header was read before the deferred lines
-        if len(self.records) > 1:
-            first_use: dict[str, int] = {}
-            for line, text, offset, index, name in sorted(self.records):
-                if name in first_use:
-                    self.semantic.append(Diagnostic(line, _column(text, offset, index),
-                                                    f"record name {name!r} already used "
-                                                    f"on line {first_use[name]}"))
-                first_use.setdefault(name, line)
+        first_use: dict[str, int] = {}
+        for line, column, name in sorted(self.records):
+            if name in first_use:
+                self.semantic.append(Diagnostic(line, column, f"record name {name!r} "
+                                                f"already used on line {first_use[name]}"))
+            first_use.setdefault(name, line)
 
     def error(self, column: int, message: str) -> None:
         self.syntax.append(Diagnostic(self.line, column, message))
@@ -542,6 +543,17 @@ class _Reader:
                 self.error(_column(text, offset, k - 1), f"invalid {what} token {word!r}")
         return False
 
+    def labels_known(self, text, offset, words, factors, maps, first=0) -> bool:
+        """Whether each word is '*' or in maps[k], the labels of factor factors[k];
+        else one diagnostic per other word. words[k] is text's (first + k)-th."""
+        known = True
+        for k, (word, factor, labels) in enumerate(zip(words, factors, maps), first):
+            if word != "*" and word not in labels:
+                self.invalid(_column(text, offset, k),
+                             f"unknown label {word!r} for factor {factor!r}")
+                known = False
+        return known
+
     def postselect(self, content: str, rest: list[str]) -> None:
         """The POSTSELECT header: its record is named like a selection's."""
         if rest:
@@ -550,7 +562,7 @@ class _Reader:
             if not self.names_ok(content, 0, rest[1:], "name", first=2):
                 return
             self.postselect_name = rest[1]
-        self.records.append((self.line, content, 0, 2 if rest else 0, self.postselect_name))
+        self.records.append((self.line, _column(content, 0, len(rest)), self.postselect_name))
 
     def factor(self, content: str) -> None:
         head, colon, tail = content.partition(":")
@@ -601,10 +613,7 @@ class _Reader:
             self.invalid(_column(head, 0, need) if len(labels) > need else len(head) + 1,
                          f"{section} line gives {len(labels)} labels, need one per factor ({need})")
         elif not known:
-            for k, (f, labs, lab) in enumerate(zip(self.factors, self.label_maps, labels)):
-                if lab not in labs:
-                    self.invalid(_column(head, 0, k),
-                                 f"unknown label {lab!r} for factor {f.name!r}")
+            self.labels_known(head, 0, words, [f.name for f in self.factors], self.label_maps)
         amplitudes = self.amplitudes.setdefault(section, {})
         if labels in amplitudes:
             self.invalid(_column(head, 0, 0), f"duplicate {section} entry for {' '.join(labels)}")
@@ -663,13 +672,11 @@ class _Reader:
         if not (self.names_ok(tail, offset, toks[:2], "label")
                 and self.names_ok(tail, offset, toks[3:], "label", first=3)):
             return None
-        if known:
-            bad = [k for k in (0, 1, 3, 4) if toks[k] not in known[0]]
+        # a list, not a generator, so that both pairs report their unknown labels
+        if known and all([self.labels_known(tail, offset, toks[k:k + 2], targets * 2,
+                                            known * 2, k) for k in (0, 3)]):
             ins, outs = {toks[0], toks[1]}, {toks[3], toks[4]}
-            if bad:
-                self.invalid(_column(tail, offset, bad[0]),
-                             f"unknown label {toks[bad[0]]!r} for factor {targets[0]!r}")
-            elif len(ins) != 2 or len(outs) != 2:
+            if len(ins) != 2 or len(outs) != 2:
                 self.invalid(_column(tail, offset, 1 if len(ins) != 2 else 4),
                              "beamsplitter mode pairs must be distinct")
             elif toks[:2] != toks[3:] and ins & outs:
@@ -697,10 +704,7 @@ class _Reader:
                                   "wildcard '*' positions must match on both sides")
         if known:
             for first, side in ((0, src), (n + 1, dst)):
-                for k, (t, labels, lab) in enumerate(zip(targets, known, side)):
-                    if lab != "*" and lab not in labels:
-                        self.invalid(_column(tail, offset, first + k),
-                                     f"unknown label {lab!r} for factor {t!r}")
+                self.labels_known(tail, offset, side, targets, known, first)
         return (tuple(src), tuple(dst))
 
     def projector_select(self, head, tail, offset, targets, known):
@@ -723,12 +727,9 @@ class _Reader:
         if twice is not None:
             return self.error(_column(tail, offset, twice), "duplicate labels in selection")
         if known:
-            for k, lab in enumerate(toks):
-                if lab not in known[0]:
-                    self.invalid(_column(tail, offset, k),
-                                 f"unknown label {lab!r} for factor {targets[0]!r}")
+            self.labels_known(tail, offset, toks, targets * len(toks), known * len(toks))
         # a duplicate is reported at the name, or at the first label if unnamed
-        self.records.append((self.line, tail, offset, len(toks) + 1 if name else 0,
+        self.records.append((self.line, _column(tail, offset, len(toks) + 1 if name else 0),
                              selection_record(head.split()[0], targets[0], toks, name)))
         return (tuple(toks), name)
 

@@ -381,10 +381,7 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     owner, branch_amps, cdf_rows = _branch_table(observable, ptr, g)
     # P_b psi is psi on the indices branch b owns
     owner = owner.tolist()
-    # amp_rows[bin, i] is index i's Kraus factor at that bin: a view of the
-    # profiles when branch i owns index i, as for diag(1, 2, 3)
-    amp_rows = (branch_amps.T if owner == list(range(len(branch_amps)))
-                else branch_amps[owner].T)
+    amp_rows = branch_amps[owner].T  # [bin, i]: index i's Kraus factor at that bin
     n_branches, last_bin = len(branch_amps), ptr.n_bins - 1
     rng = np.random.default_rng(rng_seed)
     branch_draws, bin_draws = rng.random((steps, 2)).T.tolist()

@@ -3,8 +3,9 @@
 Each run_* function rebuilds its experiment from the primitive operations
 (splits, detector couplings, projections) and returns a ScenarioResult with
 exact states, probabilities, weak values, and Schmidt ranks. Only
-run_four_mirror and the pointer readouts of run_three_path_photon involve
-Monte Carlo; everything else is closed-form state evolution.
+run_four_mirror's trials are sampled (Monte Carlo); the pointer readouts of
+run_three_path_photon are deterministic expectation values, and everything
+else is closed-form state evolution.
 
 Conventions used throughout:
   * particle splits are prepared with the phase-absorbed real 50/50 unitary,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tsvsim import cli, dsl, hilbert as hb, scenarios as sc, tsvf
 from tsvsim.acceptance import FUZZ_PIECES
@@ -206,6 +206,19 @@ class TestParserDiagnostics:
             dsl.parse(text)
         [diag] = err.value.diagnostics
         assert ((diag.line, diag.column, diag.message), type(err.value)) == (diagnostic, error)
+
+    @pytest.mark.parametrize("gate,diagnostics", [
+        ("t1 beamsplitter a : zz y -> x ww", [(7, 23, "unknown label 'zz' for factor 'a'"),
+                                             (7, 33, "unknown label 'ww' for factor 'a'")]),
+        # the dst side starts at word n + 1; a '*' is passed over
+        ("t1 swap_map a b : x * -> zz *", [(7, 28, "unknown label 'zz' for factor 'a'")]),
+        ("t1 projector_select a : zz x qq as k", [(7, 27, "unknown label 'zz' for factor 'a'"),
+                                                 (7, 32, "unknown label 'qq' for factor 'a'")]),
+    ])
+    def test_every_unknown_gate_label_is_reported(self, gate, diagnostics):
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.parse(_gate(gate))
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == diagnostics
 
     def test_factors_may_follow_their_users(self):
         text = ("INITIAL\n  x : 1\nOBSERVABLES\n  O = proj(a=y)\n"
@@ -745,13 +758,26 @@ class TestPlainAmplitudes:
             value = _plain(text)
             assert value is not None, text
             assert _bits(value) == _bits(_grammar_pair(text)), text
-        # the grammar's own operations: 1.0 * (inf+0j) has a NaN imaginary part
-        assert math.isnan(_plain("1e400").imag)
-        assert math.isnan(_plain("(1,1e400)").real)
+        # the sign rule: an unsigned number or pair is read as written
+        assert _bits(_plain("1e400")) == _bits(complex(math.inf, 0.0))
+        assert _bits(_plain("(1,1e400)")) == _bits(complex(1.0, math.inf))
         assert _bits(_plain("-0,-0")) == _bits(complex(-0.0, -0.0))
 
+    @pytest.mark.parametrize("text,value", [
+        ("(1)", "(1+0j)"),
+        ("(1e400)", "(inf+0j)"),
+        ("+1e400", "(inf+0j)"),
+        ("-1e400", "(-inf+nanj)"),  # -1.0 * (inf+0j) as a complex product
+        ("(-0,-1)", "(-0-1j)"),
+        ("(0.5,-0)", "(0.5-0j)"),
+        ("(1,1e400)", "(1+infj)"),
+    ])
+    def test_edge_texts_keep_the_grammars_bits(self, text, value):
+        assert repr(_plain(text)) == value
+        assert _bits(_plain(text)) == _bits(_grammar_pair(text))
+
     @pytest.mark.parametrize("text,value,diagnostic", [
-        ("(1)", 1 + 0j, None),
+        ("((1))", 1 + 0j, None),
         ("-(1,2)", -1 - 2j, None),
         ("--1", 1 + 0j, None),
         ("1,2,3", None, (4, 10, "unexpected trailing input")),
@@ -769,6 +795,39 @@ class TestPlainAmplitudes:
         with pytest.raises(dsl.ScenarioSyntaxError) as err:
             dsl.parse(f"FACTORS\n  a: x\nINITIAL\n  x : {text}\n")
         assert err.value.diagnostics == diags
+
+
+# a -0.0 real part from -i and in a coefficient, and a -0.0 imaginary part
+_SIGNED_ZEROS = _scn(
+    "GATES", "  t1 custom_unitary a : [ 1, 0; 0, -i ]",
+    "  t2 custom_unitary a b : [ (0.5,-0), 0.5, 0.5, 0.5; 0.5, -0.5, 0.5, -0.5;"
+    " 0.5, 0.5, -0.5, -0.5; 0.5, -0.5, -0.5, 0.5 ]",
+    "OBSERVABLES", "  O = (-0.0,-1.0)*proj(a=x)")
+
+
+class TestRenderFixedPoint:
+    """render(parse(render(spec))) == render(spec): a rendered value reads back
+    with its bits."""
+
+    @pytest.mark.parametrize("source", (*FIXTURE_IDS, "scn_corpus-0", "scn_corpus-1",
+                                        "scn_corpus-2", "signed_zeros"))
+    def test_render_is_a_fixed_point(self, source, monkeypatch):
+        if source in FIXTURE_IDS:
+            texts = [fixture_text(source)]
+        elif source == "signed_zeros":
+            texts = [_SIGNED_ZEROS]
+        else:
+            monkeypatch.syspath_prepend(str(PERFBENCH))
+            import gen
+
+            texts = [t for corpus in gen.scn_corpus(int(source[-1])).values() for t in corpus]
+        for text in texts:
+            once = dsl.render(dsl.parse(text))
+            assert dsl.render(dsl.parse(once)) == once
+
+    def test_signed_zeros_are_rendered(self):
+        once = dsl.render(dsl.parse(_SIGNED_ZEROS))
+        assert once.count("(-0.0,-1.0)") == 2 and "(0.5,-0.0)" in once
 
 
 class TestSharedLabels:
@@ -961,8 +1020,9 @@ def test_parser_never_crashes(text):
 # the token-driven _Expr against the character-cursor _Expr it replaced
 
 # The character-cursor parser and its _eval, kept verbatim as the reference
-# but for the finite-coefficient check both gained later: every rule must give
-# the same value (compared by repr) or the same Diagnostic.
+# but for the finite-coefficient check and the sign rule (a sign multiplies
+# only where an odd run of '-' is written) both gained later: every rule must
+# give the same value (compared by repr) or the same Diagnostic.
 
 _NUM_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -1075,12 +1135,12 @@ class _Expr:
         return self.parse_term("/", signed=False)
 
     def parse_factor(self, signed: bool = True) -> complex:
-        sign = 1.0
+        minus = False
         while signed and self._at("+-"):
-            if self.text[self.pos] == "-":
-                sign = -sign
+            minus ^= self.text[self.pos] == "-"
             self.pos += 1
-        return sign * self.parse_atom()
+        value = self.parse_atom()
+        return -1.0 * value if minus else value
 
     def parse_atom(self) -> complex:
         if self.peek() == "(":
@@ -1124,10 +1184,9 @@ class _Expr:
     def parse_observable(self) -> tuple:
         terms = []
         while True:
-            sign = 1.0
+            minus = False
             while self._at("+-"):
-                if self.text[self.pos] == "-":
-                    sign = -sign
+                minus ^= self.text[self.pos] == "-"
                 self.pos += 1
             coeff = complex(1.0)
             if self._word() in ("", "i", "sqrt") and self.peek():  # no name next: a coeff
@@ -1136,7 +1195,7 @@ class _Expr:
                 if not cmath.isfinite(coeff):  # added with the same rule in parse.py
                     raise _ExprError(col, "coefficient is not finite")
                 self.eat("*")
-            terms.append((sign * coeff, self.parse_primary()))
+            terms.append((-1.0 * coeff if minus else coeff, self.parse_primary()))
             if not self._at("+-"):
                 return tuple(terms), self.projs
 
@@ -1253,5 +1312,6 @@ class TestTokenExprMatchesReference:
         [*"0123456789", "\u0663", *".eEi", "sqrt", "proj", "id", *"+-*/(),;[]=",
          *"axZ_", " ", "\t", "\u3000"]), max_size=24).map("".join), st.integers(0, 9))
     @settings(max_examples=1000, deadline=None)
+    @example("1e310", 0)  # an unsigned overflow: inf+0j under the sign rule
     def test_random_expressions(self, text, offset):
         _assert_same_as_reference(text, offset)
