@@ -354,13 +354,16 @@ CRITERIA: tuple[Criterion, ...] = (
 
 
 def run_all() -> int:
-    """Run every criterion, emit one PASS/FAIL line each, return failure count."""
+    """Run every criterion, emit one PASS/FAIL line each, return failure count.
+    A criterion that raises anything but AssertionError fails with the
+    exception's type and message, and the later criteria still run."""
     failures = 0
     for crit in CRITERIA:
         try:
             detail = crit.check()
             print(f"PASS criterion {crit.number}: {crit.title} ({detail})")
-        except AssertionError as e:
+        except Exception as e:
             failures += 1
-            print(f"FAIL criterion {crit.number}: {crit.title} ({e})")
+            reason = e if isinstance(e, AssertionError) else f"{type(e).__name__}: {e}"
+            print(f"FAIL criterion {crit.number}: {crit.title} ({reason})")
     return failures

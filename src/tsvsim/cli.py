@@ -149,28 +149,23 @@ def _run_scenario(args: argparse.Namespace) -> ScenarioResult:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    """Every refusal is raised inside one try, and its handler picks the exit
+    code: the usage checks come first, so nothing runs before they pass."""
     try:
         sweep_spec = _parse_sweep(args.g_sweep) if args.g_sweep else None
         if args.trials < 1:
             raise ValueError("trials must be >= 1")
         if args.seed < 0:
             raise ValueError("seed must be >= 0")
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    if args.scenario not in sc.SCENARIOS and not Path(args.scenario).exists():
-        print(f"error: unknown scenario or missing file {args.scenario!r} "
-              "(see `tsvsim list`)", file=sys.stderr)
-        return 2
-    context = sc.sweep_context(args.scenario) if sweep_spec else None
-    if sweep_spec and context is None:
-        print(f"error: scenario {args.scenario!r} has no pointer context to sweep",
-              file=sys.stderr)
-        return 2
-    try:
+        if args.scenario not in sc.SCENARIOS and not Path(args.scenario).exists():
+            raise ValueError(f"unknown scenario or missing file {args.scenario!r} "
+                             "(see `tsvsim list`)")
+        context = sc.sweep_context(args.scenario) if sweep_spec else None
+        if sweep_spec and context is None:
+            raise ValueError(f"scenario {args.scenario!r} has no pointer context to sweep")
         result = _run_scenario(args)
         sweep = _sweep_rows(context, sweep_spec) if context else None
-    except OSError as e:  # only dsl.load_file reads here: a directory, no permission
+    except OSError as e:  # only the path check and dsl.load_file touch the file system
         print(f"error: cannot read {args.scenario}: {e.strerror}", file=sys.stderr)
         return 4
     except dsl.ScenarioFileError as e:
@@ -180,7 +175,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except TsvsimError as e:  # a built-in run's refusal; a .scn file's is positioned above
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:  # a bad request, or one too large to allocate
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -193,7 +188,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             sys.stdout.buffer.write(payload)
             sys.stdout.buffer.flush()
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         print(f"error: cannot write output: {e}", file=sys.stderr)
         return 4
     return 0

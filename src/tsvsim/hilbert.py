@@ -404,8 +404,11 @@ def mode_coupler(factor: Factor, in_pair: tuple[str, str], out_pair: tuple[str, 
     With in_pair == out_pair this embeds the 2x2 block on those modes. With
     disjoint pairs it builds the block-antidiagonal unitary [[0, B+], [B, 0]]:
     a second application routes the output modes back through the inverse, so
-    round trips through an untouched splitter recombine exactly.
+    round trips through an untouched splitter recombine exactly. A pair that
+    names one mode twice is refused: it leaves no two modes for the block.
     """
+    if in_pair[0] == in_pair[1] or out_pair[0] == out_pair[1]:
+        raise ValueError("each mode pair must name two distinct modes")
     b = BS_SYMMETRIC if block is None else np.asarray(block, dtype=complex)
     ins = [factor.index(x) for x in in_pair]
     outs = [factor.index(x) for x in out_pair]

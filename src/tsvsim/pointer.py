@@ -129,10 +129,6 @@ class PointerWavefunction:
     def half_extent(self) -> float:
         return (self.n_bins - 1) / 2 * self.spacing
 
-    def ket_amplitudes(self) -> np.ndarray:
-        """l2-normalized amplitudes for use as a tensor factor, read-only."""
-        return _profile(self.n_bins, self.spacing)
-
     def factor(self, name: str = "pointer") -> Factor:
         return _pointer_factor(name, self.n_bins, self.spacing)
 

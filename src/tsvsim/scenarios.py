@@ -652,7 +652,9 @@ def weak_readout(context: tuple[Ket, OperatorForm, Operator], g: float,
                  ptr: pt.PointerWavefunction = pt.PointerWavefunction()) -> float:
     """shift/g of a pointer coupled at strength g to a sweep_context's
     observable, read under its post-selection: the real weak value, to
-    O(g^2) (Aharonov, Albert & Vaidman, PRL 60, 1351 (1988))."""
+    O(g^2) (Aharonov, Albert & Vaidman, PRL 60, 1351 (1988)). g must be > 0."""
+    if not g > 0:  # NaN compares false too
+        raise ValueError(f"weak_readout divides by g, which must be > 0, got {g}")
     pre, obs, post_proj = context
     (shift,) = pt.pointer_mean(pt.couple(pre, obs, ptr, float(g)), post_proj)
     return shift / float(g)

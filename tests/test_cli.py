@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tsvsim import cli, dsl, scenarios as sc
+from tsvsim import acceptance, cli, dsl, scenarios as sc
 from tsvsim.scenarios import ScenarioResult
 
 
@@ -361,6 +361,58 @@ class TestExitCodes:
         what = "an integer >= 1" if field == "STEPS" else "a finite number > 0"
         assert (code, out) == (2, "")
         assert err == f"error: g sweep {field} must be {what}, got {value!r}\n"
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (("x" * 5000,), 4, f"cannot read {'x' * 5000}: File name too long"),
+        (("three_boxes", "--out", "o\0ut.csv"), 4, "cannot write output: embedded null byte"),
+        (("four_mirror", "--trials", "10000000000000"), 2, "Unable to allocate 72.8 TiB"),
+        (("hardy", "--g-sweep", "0.01:0.2:1000000000000"), 2, "Unable to allocate 72.8 TiB"),
+    ], ids=["long-name", "nul-out", "trials-memory", "sweep-memory"])
+    def test_no_input_ends_in_a_traceback(self, capsys, monkeypatch, argv, code, message):
+        # each of these once escaped _cmd_run with exit 1; the MemoryErrors are
+        # stubbed, since a host that overcommits could be OOM-killed instead
+        def no_memory(*_, **__):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr(sc, "run_four_mirror", no_memory)
+        monkeypatch.setattr(cli.np, "linspace", no_memory)
+        got_code, out, err = run_cli(capsys, "run", *argv)
+        assert (got_code, out, err) == (code, "", f"error: {message}\n")
+        assert "Traceback" not in err
+
+
+def raising(error):
+    def check():
+        raise error
+    return check
+
+
+class TestCheckCommand:
+    def test_every_criterion_gets_its_line(self, capsys, monkeypatch):
+        # an exception other than AssertionError fails its criterion, and the
+        # later criteria still run and the summary is printed
+        monkeypatch.setattr(acceptance, "CRITERIA", (
+            acceptance.Criterion(1, "passes", lambda: "fine"),
+            acceptance.Criterion(2, "asserts", raising(AssertionError("off by one"))),
+            acceptance.Criterion(3, "raises", raising(ValueError("boom"))),
+        ))
+        code, out, err = run_cli(capsys, "check")
+        assert (code, err) == (1, "")
+        assert out == ("PASS criterion 1: passes (fine)\n"
+                       "FAIL criterion 2: asserts (off by one)\n"
+                       "FAIL criterion 3: raises (ValueError: boom)\n"
+                       "1/3 criteria passed\n")
+
+    def test_all_pass_exit_0(self, capsys, monkeypatch):
+        monkeypatch.setattr(acceptance, "CRITERIA", (
+            acceptance.Criterion(1, "passes", lambda: "fine"),
+            acceptance.Criterion(2, "passes too", lambda: "also fine"),
+        ))
+        code, out, _ = run_cli(capsys, "check")
+        assert code == 0
+        assert out == ("PASS criterion 1: passes (fine)\n"
+                       "PASS criterion 2: passes too (also fine)\n"
+                       "2/2 criteria passed\n")
 
 
 class TestScenarioFiles:

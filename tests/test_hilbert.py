@@ -332,6 +332,12 @@ class TestGateBuilders:
             hb.mode_coupler(self.FOUR, ("L_u", "L_d"), ("L_d", "L_u"))
         with pytest.raises(ValueError, match="^in/out pairs must be identical or disjoint$"):
             hb.mode_coupler(self.FOUR, ("L_u", "L_d"), ("L_d", "R_u"))
+        # a pair naming one mode twice would give a non-unitary matrix
+        for in_pair, out_pair in [(("L_u", "L_u"), ("L_u", "L_u")),
+                                  (("L_u", "L_u"), ("L_d", "R_u")),
+                                  (("L_u", "L_d"), ("R_u", "R_u"))]:
+            with pytest.raises(ValueError, match="^each mode pair must name two distinct modes$"):
+                hb.mode_coupler(self.FOUR, in_pair, out_pair)
 
     def test_flag_flip_is_permutation(self):
         sp = hb.space(("p", ["x", "y"]), ("d", ["READY", "CLICK"]))

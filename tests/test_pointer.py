@@ -266,13 +266,14 @@ def _non_diagonal_cases():
 class TestPointerWavefunction:
     def test_gaussian_is_measure_normalized(self):
         ptr = pt.PointerWavefunction()
-        amps = ptr.ket_amplitudes()
+        amps = pt._profile(ptr.n_bins, ptr.spacing)
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
         assert ptr.n_bins % 2 == 1
         assert ptr.positions[ptr.n_bins // 2] == 0.0
         # one read-only profile per grid, shared by equal pointers
         assert not amps.flags.writeable
-        assert pt.PointerWavefunction(401, 0.05).ket_amplitudes() is amps
+        equal = pt.PointerWavefunction(401, 0.05)
+        assert pt._profile(equal.n_bins, equal.spacing) is amps
 
     def test_even_bin_count_rejected(self):
         with pytest.raises(ValueError, match="^bin count must be an odd positive int, got 400$"):
@@ -326,7 +327,7 @@ class TestCouple:
         ptr = pt.PointerWavefunction(n_bins=101)
         system = hb.Ket(sp, np.array([1, 1j]) / SQ2)
         joint = pt.couple(system, obs, ptr, 0.0)
-        expect = np.kron(system.amplitudes, ptr.ket_amplitudes())
+        expect = np.kron(system.amplitudes, pt._profile(ptr.n_bins, ptr.spacing))
         np.testing.assert_array_equal(joint.amplitudes, expect)
 
     def test_non_finite_ket_refused(self):
@@ -371,7 +372,7 @@ class TestCouple:
         assert pt.couple(k, obs, ptr, 1e-6).norm() == pytest.approx(1.0, abs=1e-12)
         exact = pt.couple(k, obs, ptr, 0.0)
         np.testing.assert_array_equal(exact.amplitudes.reshape(2, -1)[1],
-                                      ptr.ket_amplitudes())
+                                      pt._profile(ptr.n_bins, ptr.spacing))
 
     def test_non_hermitian_rejected(self):
         sp, _ = two_level()

@@ -419,6 +419,18 @@ class TestRegistry:
             assert pre.space == obs.space
         assert sc.sweep_context("oblivion") is None
 
+    @pytest.mark.parametrize("g", [0, 0.0, -0.0, -0.1, float("nan")])
+    def test_weak_readout_refuses_g_not_above_zero(self, monkeypatch, g):
+        # refused before any pointer is coupled: shift/g is undefined at g = 0
+        def must_not_couple(*_):
+            raise AssertionError("a pointer was coupled before g was refused")
+
+        context = sc.sweep_context("hardy")
+        monkeypatch.setattr(sc.pt, "couple", must_not_couple)
+        with pytest.raises(ValueError) as info:
+            sc.weak_readout(context, g)
+        assert str(info.value) == f"weak_readout divides by g, which must be > 0, got {g}"
+
 
 class TestScenarioResult:
     def test_probability_range_validated(self):
