@@ -157,6 +157,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise ValueError("trials must be >= 1")
         if args.seed < 0:
             raise ValueError("seed must be >= 0")
+        if args.out == "":
+            raise ValueError("--out needs a path")
         if args.scenario not in sc.SCENARIOS and not Path(args.scenario).exists():
             raise ValueError(f"unknown scenario or missing file {args.scenario!r} "
                              "(see `tsvsim list`)")
@@ -183,7 +185,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
              and sys.stdout.isatty() and not os.environ.get("NO_COLOR"))
     payload = emit(result, args.format, args.seed, args.trials, sweep=sweep, color=color)
     try:
-        if args.out:
+        if args.out is not None:
             Path(args.out).write_bytes(payload)
         else:
             sys.stdout.buffer.write(payload)

@@ -9,11 +9,12 @@ The format is line oriented with five sections:
     OBSERVABLES   NAME = sum of [coeff *] proj(factor=label, ...) or id
 
 Sections may come in any order. parse() reads the file in one pass with a
-_Reader: it reads FACTORS lines as its header scan meets them and keeps every
-other line, in file order, to read against the complete factor table. Each
-name is checked where it is read, and every diagnostic about a word points at
-that word's column. Syntax diagnostics raise ScenarioSyntaxError; only when
-there are none do semantic ones (unknown names, duplicates, epoch order,
+_Reader: its header scan tells a header from other lines with one split,
+reads FACTORS lines as it meets them and keeps every other line, by section
+and in file order, to read once against the complete factor table. Each
+name is checked where it is read, and every diagnostic about a word points
+at that word's column. Syntax diagnostics raise ScenarioSyntaxError; only
+when there are none do semantic ones (unknown names, duplicates, epoch order,
 matrix size and unitarity) raise ScenarioValidationError.
 
 One recursive-descent parser, _Expr, reads every expression: amplitudes,
@@ -24,13 +25,18 @@ explicit re,im pair; a parenthesized (re,im) works anywhere a scalar does.
 Only a run of '+'/'-' with an odd number of '-' changes a value (_signed).
 `#` starts a comment, and a blank is any whitespace character. Parsing is
 total: malformed input produces diagnostics with line and column positions,
-never a crash. Each distinct amplitude text is evaluated once per parse; a
-plain one (a signed number or a re,im pair of them, in parentheses or not)
-is read by one regex and _signed, so with the grammar's bits, and any other
-text by _Expr. Entry labels are the FACTORS line's own strings; every
-unknown label is reported as written. The parser normalizes INITIAL and
-POSTSELECT amplitude lists and records a warning when the written norm is
-off by more than 1e-9.
+never a crash. Each distinct amplitude text is evaluated once per parse. A
+plain one is read by one regex and the grammar's own operations in its
+order, so with its bits: a signed number or a re,im pair of them, in
+parentheses or not, or a signed number over a number or over sqrt(number),
+such as -1/2 or 1/sqrt(3). A zero divisor and any other text go to _Expr, as
+does a custom_unitary literal unless every entry is plain. An INITIAL or
+POSTSELECT line passes one cheap check, a colon and one known label per
+factor; only a line that fails it, or repeats an entry, pays for
+diagnostics. Entry labels are the FACTORS line's own strings; every unknown
+label is reported as written. The parser normalizes INITIAL and POSTSELECT
+amplitude lists and records a warning when the written norm is off by more
+than 1e-9.
 
 render() is the canonical serializer: LF line endings, fixed section order,
 repr-exact re,im amplitudes. parse(render(spec)) == spec, and render is a
@@ -159,10 +165,15 @@ class ScenarioSpec:
 _TOKEN_RE = re.compile(r"(\s*)(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
                        r"|([A-Za-z_][A-Za-z_0-9]*)|(\S)|\Z)")
 # A plain amplitude: a signed NUMBER or a re,im pair of them, either one in
-# parentheses or not, with blanks anywhere; _plain reads it as the grammar would.
-# NUMBER is the lexer's, spelled so that a failed match backtracks little.
-_SIGNED = r"(?:([+-])\s*)?((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*"
+# parentheses or not, or a signed NUMBER over a NUMBER or over sqrt(NUMBER),
+# with blanks anywhere; _plain reads it as the grammar would. NUMBER is the
+# lexer's, spelled so that a failed match backtracks little.
+_NUMBER = r"((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*"
+_SIGNED = rf"(?:([+-])\s*)?{_NUMBER}"
 _PLAIN_RE = re.compile(rf"\s*(\(\s*)?{_SIGNED}(?:,\s*{_SIGNED})?(?(1)\)\s*)")
+_QUOTIENT_RE = re.compile(rf"\s*{_SIGNED}/\s*(sqrt\s*\(\s*)?{_NUMBER}(?(3)\)\s*)")
+# a ',' that is not inside a (re,im) pair: it separates two matrix entries
+_ENTRY_COMMA = re.compile(r",(?![^()]*\))")
 
 
 class _ExprError(Exception):
@@ -375,9 +386,19 @@ def _signed(minus: bool, value: complex) -> complex:
 
 def _plain(text: str) -> complex | None:
     """_Expr.parse_pair's value of a plain amplitude text, reached by the
-    grammar's own operations, so with its bits; None for any other text."""
-    # '/' is never plain: the test spares the regex the sugar 1/2, 1/sqrt(2)
-    m = None if "/" in text else _PLAIN_RE.fullmatch(text)
+    grammar's own operations in its order, so with its bits; None for any
+    other text, and for a zero divisor, which the grammar diagnoses."""
+    if "/" in text:
+        m = _QUOTIENT_RE.fullmatch(text)
+        if m is None:
+            return None
+        sign, num, root, den = m.groups()
+        value = _signed(sign == "-", complex(float(num)))  # parse_factor
+        divisor = complex(float(den))
+        if root:
+            divisor = cmath.sqrt(divisor)  # parse_atom
+        return value / divisor if divisor != 0 else None  # parse_term
+    m = _PLAIN_RE.fullmatch(text)
     if m is None:
         return None
     _, sign, num, im_sign, im_num = m.groups()
@@ -387,13 +408,29 @@ def _plain(text: str) -> complex | None:
     return value
 
 
+def _plain_matrix(text: str) -> tuple | None:
+    """_Expr.parse_matrix's rows of a literal whose every entry is plain (an
+    entry is an expr, and a plain one reads as the same pair); else None."""
+    body = text.strip()
+    if body[:1] != "[" or body[-1:] != "]":
+        return None
+    rows = []
+    for row in body[1:-1].split(";"):
+        values = list(map(_plain, _ENTRY_COMMA.split(row)))
+        if None in values:
+            return None
+        rows.append(tuple(values))
+    return tuple(rows)
+
+
 def _eval(rule, text: str, line: int, offset: int, diags: list[Diagnostic]):
     """Run one _Expr rule (an unbound parse_* method) over the whole of text;
-    a plain amplitude is read by _plain, without lexing.
+    a plain amplitude or matrix is read by _plain, without lexing.
 
     Returns its value, or None after appending a positioned diagnostic.
     """
-    if rule is _Expr.parse_pair and (value := _plain(text)) is not None:
+    plain = _PLAIN_READERS.get(rule)
+    if plain is not None and (value := plain(text)) is not None:
         return value
     try:
         ex = _Expr(text, offset)
@@ -406,6 +443,9 @@ def _eval(rule, text: str, line: int, offset: int, diags: list[Diagnostic]):
     except RecursionError:
         diags.append(Diagnostic(line, offset + 1, "expression nested too deeply"))
         return None
+
+
+_PLAIN_READERS = {_Expr.parse_pair: _plain, _Expr.parse_matrix: _plain_matrix}
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +486,8 @@ class _Reader:
 
     read() reads every FACTORS line first, so every other line checks its
     names against the complete table where it is read. Each method reads one
-    kind of line, or of gate, at self.line. Syntax diagnostics go to `syntax`;
+    kind of line, or of gate, at self.line; amplitudes() reads a whole
+    INITIAL or POSTSELECT section. Syntax diagnostics go to `syntax`;
     unknown names, duplicates, epoch order, matrix size and unitarity go to
     `semantic`. Each points at the column of the offending word.
     """
@@ -463,10 +504,9 @@ class _Reader:
         # so that every entry shares them
         self.label_maps: list[dict[str, str]] = []
         self.table: dict[str, dict[str, str]] = {}  # factors declared once, labels distinct
-        # section -> labels -> written amplitude, and -> line (a repeat keeps
-        # the first place in order and takes the later line)
-        self.amplitudes: dict[str, dict[tuple[str, ...], complex]] = {}
-        self.lines: dict[str, dict[tuple[str, ...], int]] = {}
+        # section -> ({labels: written amplitude}, the line of each in that
+        # order); a repeat keeps the first place and takes the later amplitude and line
+        self.entries: dict[str, tuple[dict[tuple[str, ...], complex], list[int]]] = {}
         self.values: dict[str, complex] = {}  # amplitude text -> value, successes only
         self.gates: list[GateDecl] = []
         self.epochs: set[str] = set()  # of the gates read so far
@@ -476,23 +516,27 @@ class _Reader:
         self.records: list[tuple[int, int, str]] = []
 
     def read(self, text: str) -> None:
-        """Read FACTORS lines as the header scan meets them, then every other
-        line in file order; syntax diagnostics end up in line order."""
-        section, deferred = None, []
+        """Read FACTORS lines as the header scan meets them, and keep every
+        other line, by section and in file order, to read against the
+        complete factor table once the scan ends; syntax diagnostics end up
+        in line order."""
+        section, bodies = None, {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             content = raw.partition("#")[0]
-            words = content.split()
-            if not words:
+            first = content.split(None, 1)  # enough to tell a header
+            if not first:
                 continue
             self.line = lineno
-            if words[0] in SECTIONS:
-                section, rest = words[0], words[1:]
+            if first[0] in SECTIONS:
+                section, rest = first[0], first[1].split() if len(first) > 1 else []
                 if section in self.sections:
                     self.error(_column(content, 0, 0), f"section {section} already given "
                                f"on line {self.sections[section]}")
                     section = None
                     continue
                 self.sections[section] = lineno
+                if section != "FACTORS":
+                    body = bodies[section] = []
                 if section == "POSTSELECT":
                     self.postselect(content, rest)
                 elif rest:
@@ -503,19 +547,21 @@ class _Reader:
             elif section == "FACTORS":
                 self.factor(content)
             else:
-                deferred.append((section, lineno, content))
-        for section, lineno, content in deferred:
-            self.line = lineno
-            if section == "GATES":
-                self.gate(content)
-            elif section == "OBSERVABLES":
-                self.observable(content)
-            else:
-                self.amplitude(content, section)
+                body.append((lineno, content))
+        for section, body in bodies.items():
+            if not body:
+                continue
+            if section in ("INITIAL", "POSTSELECT"):
+                self.amplitudes(section, body)
+                continue
+            read_line = self.gate if section == "GATES" else self.observable
+            for lineno, content in body:
+                self.line = lineno
+                read_line(content)
         self.values.clear()  # no later step reads an amplitude text
-        if deferred and self.syntax:
+        if self.syntax and any(bodies.values()):
             self.syntax.sort(key=attrgetter("line", "column"))
-        # sorted: the POSTSELECT header was read before the deferred lines
+        # sorted: the POSTSELECT header was read before its section's lines
         first_use: dict[str, int] = {}
         for line, column, name in sorted(self.records):
             if name in first_use:
@@ -588,37 +634,60 @@ class _Reader:
         self.factors.append(FactorDecl(name, tuple(labels), line=self.line))
         self.label_maps.append(label_map)
 
-    def amplitude(self, content: str, section: str) -> None:
-        head, colon, tail = content.partition(":")
-        if not colon:
-            return self.error(_column(content, 0, 0), "expected 'labels... : amplitude'")
-        words, need = head.split(), len(self.label_maps)
-        if not words:
-            return self.error(len(head) + 1, "expected basis labels before ':'")
-        # a known label passed names_ok on its FACTORS line, whose string it takes
-        # (a list first: a tuple built from an iterator fills the tuple free list)
-        labels = tuple(list(map(dict.get, self.label_maps, words)))
-        known = len(words) == need and None not in labels
-        if not known:
-            labels = tuple(words)
-            if not self.names_ok(head, 0, words, "label"):
-                return
-        amp = self.values.get(tail)
-        if amp is None:
-            amp = _eval(_Expr.parse_pair, tail, self.line, len(head) + 1, self.syntax)
+    def amplitudes(self, section: str, body: list[tuple[int, str]]) -> None:
+        """The (line, content) lines of an INITIAL or POSTSELECT section, into
+        its entries. One cheap check passes a line of known labels; only a line
+        that fails it pays for its diagnostics."""
+        maps, need, values = self.label_maps, len(self.label_maps), self.values
+        label, table, lines = dict.__getitem__, {}, []
+        for lineno, content in body:
+            head, colon, tail = content.partition(":")
+            if not colon:
+                self.line = lineno
+                self.error(_column(content, 0, 0), "expected 'labels... : amplitude'")
+                continue
+            words, labels = head.split(), None
+            if len(words) == need:
+                try:  # each word a label of its factor, whose FACTORS string it takes
+                    # (a list first: a tuple built from an iterator fills the tuple free list)
+                    labels = tuple(list(map(label, maps, words)))
+                except KeyError:  # an unknown label
+                    pass
+            if not labels:  # None, or () when there are no factors: the check failed
+                self.line = lineno
+                if not words:
+                    self.error(len(head) + 1, "expected basis labels before ':'")
+                    continue
+                if not self.names_ok(head, 0, words, "label"):
+                    continue
+            amp = values.get(tail)
             if amp is None:
-                return
-            self.values[tail] = amp
-        if len(labels) != need:
-            self.invalid(_column(head, 0, need) if len(labels) > need else len(head) + 1,
-                         f"{section} line gives {len(labels)} labels, need one per factor ({need})")
-        elif not known:
+                amp = _eval(_Expr.parse_pair, tail, lineno, len(head) + 1, self.syntax)
+                if amp is None:
+                    continue
+                values[tail] = amp
+            if not labels:
+                labels = self.diagnosed_labels(head, words, section)
+            size = len(table)
+            table[labels] = amp
+            if len(table) > size:
+                lines.append(lineno)
+            else:  # a repeat keeps the first place and takes this line
+                self.line = lines[list(table).index(labels)] = lineno
+                self.invalid(_column(head, 0, 0),
+                             f"duplicate {section} entry for {' '.join(labels)}")
+        self.entries[section] = table, lines
+
+    def diagnosed_labels(self, head: str, words: list[str], section: str) -> tuple[str, ...]:
+        """The words of an amplitude line's head that failed amplitudes()' check,
+        to store its entry under, after their count or unknown-label diagnostics."""
+        need = len(self.label_maps)
+        if len(words) != need:
+            self.invalid(_column(head, 0, need) if len(words) > need else len(head) + 1,
+                         f"{section} line gives {len(words)} labels, need one per factor ({need})")
+        else:
             self.labels_known(head, 0, words, [f.name for f in self.factors], self.label_maps)
-        amplitudes = self.amplitudes.setdefault(section, {})
-        if labels in amplitudes:
-            self.invalid(_column(head, 0, 0), f"duplicate {section} entry for {' '.join(labels)}")
-        amplitudes[labels] = amp
-        self.lines.setdefault(section, {})[labels] = self.line
+        return tuple(words)
 
     def gate(self, content: str) -> None:
         head, colon, tail = content.partition(":")
@@ -793,9 +862,8 @@ class _Reader:
     def _normalized(self, section: str, warnings: list[Diagnostic]
                     ) -> tuple[AmplitudeEntry, ...]:
         """The section's entries scaled to norm 1, with a warning if that changed them."""
-        amplitudes = self.amplitudes.get(section, {})
-        lines = self.lines.get(section, {})
-        values = amplitudes.values()
+        table, lines = self.entries.get(section, ({}, []))
+        values = list(table.values())
         try:
             squares = sum(abs(a) ** 2 for a in values)
         except OverflowError:  # a square past the float range
@@ -806,8 +874,8 @@ class _Reader:
             big = max(map(abs, values))
             norm = big * sum((abs(a) / big) ** 2 for a in values) ** 0.5
         # section diagnostics sit on the line of the entry that comes first
-        line = next(iter(lines.values()), 0)
-        if not amplitudes:
+        line = lines[0] if lines else 0
+        if not table:
             self.semantic.append(Diagnostic(self.sections.get(section, 1), 1,
                                             f"{section} section is missing or empty"))
         elif norm == 0.0:
@@ -820,8 +888,21 @@ class _Reader:
             warnings.append(Diagnostic(
                 line, 1, f"{section} amplitudes had norm {norm:.12g}; normalized to 1"))
             values = [a / norm for a in values]
-        return tuple([AmplitudeEntry(labels, a, line=n)
-                      for labels, a, n in zip(amplitudes, values, lines.values())])
+        return _entries(table, values, lines)
+
+
+def _entries(labels, values, lines) -> tuple[AmplitudeEntry, ...]:
+    """AmplitudeEntry(l, v, line=n) for each l, v, n of labels, values and lines,
+    without the dataclass __init__: the same attributes, set in field order, so
+    that every entry still shares its class's dict keys."""
+    new, put, entries = object.__new__, object.__setattr__, []
+    for each, value, line in zip(labels, values, lines):
+        entry = new(AmplitudeEntry)
+        put(entry, "labels", each)
+        put(entry, "amplitude", value)
+        put(entry, "line", line)
+        entries.append(entry)
+    return tuple(entries)
 
 
 # looked up here, not with getattr(), whose type cache keeps each word it is given

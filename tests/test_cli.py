@@ -218,6 +218,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: scenario 'four_mirror' has no pointer context to sweep\n"
 
+    def test_empty_out_refused_before_running(self, capsys, monkeypatch):
+        def must_not_run():
+            raise AssertionError("three_boxes ran before the empty --out was refused")
+
+        monkeypatch.setitem(sc.SCENARIOS, "three_boxes", sc.ScenarioInfo(must_not_run, ""))
+        code, out, err = run_cli(capsys, "run", "three_boxes", "--out", "")
+        assert (code, out, err) == (2, "", "error: --out needs a path\n")
+
     def test_bad_sweep_spec(self, capsys):
         code, _, _ = run_cli(capsys, "run", "hardy", "--g-sweep", "nope")
         assert code == 2

@@ -2,13 +2,18 @@
 
 import cmath
 import collections
+import dataclasses
+import gc
 import importlib
 import json
 import math
+import pickle
 import random
 import re
 import string
 import struct
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from tsvsim import cli, dsl, hilbert as hb, scenarios as sc, tsvf
 from tsvsim.acceptance import FUZZ_PIECES
 from tsvsim.dsl import Diagnostic
-from tsvsim.dsl.parse import _Expr as TokenExpr, _eval as token_eval, _plain
+from tsvsim.dsl.parse import _Expr as TokenExpr, _eval as token_eval, _plain, _plain_matrix
 from tsvsim.errors import DimensionMismatch, OrthogonalSelection, ZeroProbabilityBranch
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -729,29 +734,59 @@ def _plain_forms(seed, count):
             yield f"{blank()}({atom()},{atom()}){blank()}"
 
 
+def _quotient_forms(seed, count):
+    """Seeded quotients: a signed atom over an unsigned atom or over
+    sqrt(unsigned atom), with a blank of _BLANKS, or none, in every slot."""
+    rng = random.Random(seed)
+
+    def blank():
+        return rng.choice(_BLANKS)
+
+    for _ in range(count):
+        num = rng.choice(_PLAIN_ATOMS)
+        if num[0] in "+-":
+            num = num[0] + blank() + num[1:]
+        den = rng.choice(_PLAIN_ATOMS).lstrip("+-")
+        if rng.randrange(2):
+            den = f"sqrt{blank()}({blank()}{den}{blank()})"
+        yield f"{blank()}{num}{blank()}/{blank()}{den}{blank()}"
+
+
+def _scn_corpus_texts(monkeypatch):
+    """Every amplitude text and every custom_unitary literal of gen.scn_corpus
+    seeds 0-3 and of the six fixtures."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    files = [fixture_text(sid) for sid in FIXTURE_IDS]
+    files += [text for seed in range(4) for corpus in gen.scn_corpus(seed).values()
+              for text in corpus]
+    amplitudes, matrices = set(), set()
+    for text in files:
+        section = None
+        for line in text.splitlines():
+            content = line.partition("#")[0]
+            if not content.strip():
+                continue
+            if content[:1].strip():  # a header at column 1
+                section = content.split()[0]
+            elif section in ("INITIAL", "POSTSELECT"):
+                amplitudes.add(content.partition(":")[2])
+            elif section == "GATES" and "custom_unitary" in content:
+                matrices.add(content.partition(":")[2])
+    return amplitudes, matrices
+
+
 class TestPlainAmplitudes:
     """A plain amplitude skips the grammar but keeps its bits."""
 
     def test_generated_texts_bit_for_bit(self, monkeypatch):
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        import gen
-
-        texts, fast = set(), 0
-        for seed in range(4):
-            for corpus in gen.scn_corpus(seed).values():
-                for text in corpus:
-                    section = None
-                    for line in text.splitlines():
-                        if line[:1].strip():  # a header or comment at column 1
-                            section = line.split()[0]
-                        elif section in ("INITIAL", "POSTSELECT") and line.strip():
-                            texts.add(line.partition(":")[2])
+        texts, _ = _scn_corpus_texts(monkeypatch)
+        assert any("sqrt" in text for text in texts) and any("/" in text for text in texts)
         for text in texts:
             value = _plain(text)
-            if value is not None:
-                fast += 1
-                assert _bits(value) == _bits(_grammar_pair(text)), text
-        assert 0 < fast < len(texts)  # 1/sqrt(k) and k/m stay with the grammar
+            assert value is not None, text  # 1/sqrt(k) and k/m too
+            assert _bits(value) == _bits(_grammar_pair(text)), text
 
     def test_signed_zeros_overflow_unicode_and_blanks(self):
         for text in _plain_forms(25, 4000):
@@ -762,6 +797,22 @@ class TestPlainAmplitudes:
         assert _bits(_plain("1e400")) == _bits(complex(math.inf, 0.0))
         assert _bits(_plain("(1,1e400)")) == _bits(complex(1.0, math.inf))
         assert _bits(_plain("-0,-0")) == _bits(complex(-0.0, -0.0))
+
+    def test_seeded_quotients(self):
+        plain = 0
+        edges = [" -0/2", "1e400/2", "1/1e-400", "\u0663/sqrt(\u0663)"]
+        for text in [*_quotient_forms(28, 4000), *edges]:
+            value, diags = _plain(text), []
+            got = token_eval(TokenExpr.parse_pair, text, 4, 6, diags)
+            if got is None:  # the grammar's diagnostic: only a zero divisor here
+                assert value is None and [d.message for d in diags] == ["division by zero"], text
+                continue
+            plain += 1
+            assert value is not None, text
+            assert _bits(value) == _bits(got) == _bits(_grammar_pair(text)), text
+        assert 1500 < plain < 4004  # 5 of the 11 atoms read as zero
+        assert repr(_plain("1e400/2")) == "(inf+nanj)"  # complex division, as in the grammar
+        assert _bits(_plain("-0/2")) == _bits(_grammar_pair("-0/2"))
 
     @pytest.mark.parametrize("text,value", [
         ("(1)", "(1+0j)"),
@@ -783,6 +834,13 @@ class TestPlainAmplitudes:
         ("1,2,3", None, (4, 10, "unexpected trailing input")),
         ("(1,2", None, (4, 11, "expected ')'")),
         ("1/0", None, (4, 8, "division by zero")),
+        ("1/sqrt(0)", None, (4, 8, "division by zero")),
+        ("1/sqrt(-1)", complex(0.0, -1.0), None),
+        ("1/-2", complex(-0.5, -0.0), None),
+        ("1_0", None, (4, 8, "unexpected trailing input")),
+        ("1/2 3", None, (4, 11, "unexpected trailing input")),
+        ("1/sqrt(2))", None, (4, 16, "unexpected trailing input")),
+        ("1/2*2", 1 + 0j, None),
     ])
     def test_other_texts_go_to_the_grammar(self, text, value, diagnostic):
         assert _plain(text) is None
@@ -795,6 +853,94 @@ class TestPlainAmplitudes:
         with pytest.raises(dsl.ScenarioSyntaxError) as err:
             dsl.parse(f"FACTORS\n  a: x\nINITIAL\n  x : {text}\n")
         assert err.value.diagnostics == diags
+
+
+def _grammar_matrix(text):
+    """text read by _Expr.parse_matrix alone."""
+    ex = TokenExpr(text, 0)
+    rows = ex.parse_matrix()
+    ex.finish()
+    return rows
+
+
+class TestPlainMatrices:
+    """A custom_unitary literal whose entries are all plain skips the grammar."""
+
+    def test_generated_literals_bit_for_bit(self, monkeypatch):
+        _, matrices = _scn_corpus_texts(monkeypatch)
+        assert len(matrices) > 100
+        for text in matrices:
+            rows = _plain_matrix(text)
+            assert rows is not None, text
+            assert [list(map(_bits, r)) for r in rows] == [
+                list(map(_bits, r)) for r in _grammar_matrix(text)], text
+
+    @pytest.mark.parametrize("text", [
+        "[1,0;0,1]", " [ (1,0), (0,0) ; (0,0), (1,0) ] ",
+        "[1/sqrt(2), 1/sqrt(2); 1/sqrt(2), -1/sqrt(2)]",
+        "[\u30001\t,\xa00;0,1]", "[(-0,-1)]", "[1,0;0]",  # not square: custom_unitary says so
+    ])
+    def test_plain_literals_keep_the_grammars_bits(self, text):
+        rows = _plain_matrix(text)
+        assert rows is not None
+        assert [list(map(_bits, r)) for r in rows] == [
+            list(map(_bits, r)) for r in _grammar_matrix(text)]
+
+    @pytest.mark.parametrize("text", [
+        "[1,0;0,i]", "[]", "[1,0;]", "[1/0,0;0,1]", "[(1,2,3)]", "[1,(0;0),1]",
+        "[1,0;0,1]]", "[[1,0;0,1]", "[1,0;0,1];", "[-(1,0)]", "1,0;0,1",
+    ])
+    def test_other_literals_go_to_the_grammar(self, text):
+        assert _plain_matrix(text) is None
+
+
+class TestParsedEntries:
+    """A parsed AmplitudeEntry is indistinguishable from a constructed one."""
+
+    def test_parsed_entry_matches_constructed(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import gen
+
+        spec = dsl.parse(gen.scn_text(0, "mid", 0))
+        entries = spec.initial + spec.postselect.entries
+        assert len(entries) == 4 + 256
+        names = [f.name for f in dataclasses.fields(dsl.AmplitudeEntry)]
+        for e in entries:
+            built = dsl.AmplitudeEntry(e.labels, e.amplitude, line=e.line)
+            assert type(e) is dsl.AmplitudeEntry
+            assert e == built and hash(e) == hash(built) and repr(e) == repr(built)
+            assert list(vars(e)) == names  # set in field order
+            # the class's shared keys, not a dict of its own (as __dict__.update would give)
+            assert sys.getsizeof(vars(e)) == sys.getsizeof(vars(built))
+            moved = dataclasses.replace(e, line=1)
+            assert moved == e and repr(moved) == repr(dataclasses.replace(built, line=1))
+            again = pickle.loads(pickle.dumps(e))
+            assert again == e and repr(again) == repr(e)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                e.amplitude = 0j
+
+
+# Bound, in MiB, on the tracemalloc peak of one parse of gen.scn_text(0,
+# "heavy", 0) after a warm-up parse. The reader that split each amplitude line
+# twice peaked at 1.043 MiB on Python 3.11.7. A reader that holds a section's
+# words at once, or entries with a dict of their own, goes past it.
+HEAVY_PARSE_PEAK_MIB = 1.05
+
+
+def test_heavy_parse_peak(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    text = gen.scn_text(0, "heavy", 0)
+    dsl.parse(text)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dsl.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 <= HEAVY_PARSE_PEAK_MIB
 
 
 # a -0.0 real part from -i and in a coefficient, and a -0.0 imaginary part
