@@ -8,10 +8,11 @@ named observable's weak value. Without a POSTSELECT section the post ket
 defaults to the evolved state itself, which reduces the weak value to an
 ordinary expectation value.
 
-A refusal by the underlying state machinery (orthogonal selection,
-zero-probability branch, ...) is re-raised as a ScenarioValidationError
-positioned at the responsible line, with the library error as its __cause__,
-so every failed run reports its position the way a parse error does.
+Every refusal of a run is decided in one try and positioned as a parse error
+is: a library refusal (orthogonal selection, zero-probability branch, ...) is
+a ScenarioValidationError at the line being run, with the library error as
+its __cause__, and a state space too large to allocate, found up front or as
+a MemoryError anywhere in the run, is one at the first FACTORS line.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .. import tsvf
 from ..errors import TsvsimError
 from ..hilbert import Diagonal, Ket, Operator
 from ..scenarios import ScenarioResult
-from .parse import (AmplitudeEntry, Diagnostic, GateDecl, ScenarioSpec, ScenarioSyntaxError,
+from .parse import (Diagnostic, GateDecl, ScenarioSpec, ScenarioSyntaxError,
                     ScenarioValidationError, parse, selection_record)
 
 # A custom_unitary passes the parser at 1e-8 and can move the norm that far, past
@@ -56,18 +57,6 @@ def builtin_scenario_path(scenario_id: str) -> Path:
         return Path(p)
 
 
-def _ket(sp: hb.Space, entries: tuple[AmplitudeEntry, ...], line: int) -> Ket:
-    """from_amplitudes, with numpy's refusal of the state array (too many
-    amplitudes to index, or no memory for them) reported at `line`."""
-    try:
-        return hb.from_amplitudes(sp, {e.labels: e.amplitude for e in entries})
-    except TsvsimError:
-        raise  # a label count that does not match the space, not the allocation
-    except (ValueError, MemoryError):
-        raise ScenarioValidationError([Diagnostic(
-            line, 1, f"state space of {sp.dim} amplitudes is too large to allocate")]) from None
-
-
 def _apply_gate(sp: hb.Space, g: GateDecl, state: Ket) -> Ket:
     """State after one unitary gate: swap_map as an index permutation,
     beamsplitter and custom_unitary as small matrices on their targets."""
@@ -92,13 +81,17 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
     <post|A|evolved> / <post|evolved>, come from one two-state vector.
     """
     sp = hb.space(*((f.name, f.labels) for f in spec.factors))
-    factors_line = spec.factors[0].line  # where an oversized state space is reported
-    state = _ket(sp, spec.initial, factors_line).unit()
-    states: dict[str, Ket] = {"t0": state}
+    line = spec.factors[0].line  # the step being run
+    states: dict[str, Ket] = {}
     probabilities: dict[str, float] = {}
-
-    for g in spec.gates:
-        try:
+    post, weak_values = spec.postselect, {}
+    try:
+        if sp.dim > np.iinfo(np.intp).max // 16:  # numpy's byte count would overflow
+            raise MemoryError
+        state = hb.from_amplitudes(sp, {e.labels: e.amplitude for e in spec.initial}).unit()
+        states["t0"] = state
+        for g in spec.gates:
+            line = g.line
             if g.kind == "projector_select":
                 labels, name = g.params
                 proj = Operator.projector(sp, {g.targets[0]: list(labels)})
@@ -106,14 +99,12 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
                 probabilities[selection_record(g.epoch, g.targets[0], labels, name)] = p
             else:
                 state = _apply_gate(sp, g, state)
-        except TsvsimError as e:
-            raise ScenarioValidationError([Diagnostic(g.line, 1, str(e))]) from e
-        states[g.epoch] = state  # epochs are never revisited: keys keep their order
+            states[g.epoch] = state  # epochs are never revisited: keys keep their order
 
-    post, weak_values = spec.postselect, {}
-    if post is not None or spec.observables:
-        post_ket = state if post is None else _ket(sp, post.entries, factors_line).unit()
-        try:
+        if post is not None or spec.observables:
+            line = 1 if post is None else post.line
+            post_ket = state if post is None else hb.from_amplitudes(
+                sp, {e.labels: e.amplitude for e in post.entries}).unit()
             tsv = tsvf.TwoStateVector(state, post_ket)
             if post is not None:
                 probabilities[post.name] = tsv.selection_probability()
@@ -133,9 +124,11 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
                         obs.line, 1, f"observable {obs.name!r} has a weak value that is "
                         "not finite")])
                 weak_values[obs.name] = wv
-        except TsvsimError as e:
-            line = 1 if post is None else post.line
-            raise ScenarioValidationError([Diagnostic(line, 1, str(e))]) from e
+    except TsvsimError as e:
+        raise ScenarioValidationError([Diagnostic(line, 1, str(e))]) from e
+    except MemoryError:
+        raise ScenarioValidationError([Diagnostic(spec.factors[0].line, 1, (
+            f"state space of {sp.dim} amplitudes is too large to allocate"))]) from None
 
     return ScenarioResult(
         scenario_id=scenario_id,

@@ -34,7 +34,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DimensionMismatch, ShiftOutOfGrid, ZeroProbabilityBranch
-from .hilbert import Diagonal, Factor, Ket, OperatorForm, Space
+from .hilbert import Diagonal, Factor, Ket, Operator, OperatorForm, Space
 from .tsvf import NOT_A_PROJECTOR
 
 HERMITICITY_TOL = 1e-10
@@ -151,11 +151,14 @@ def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues, owner) in O(d): one eigenvalue per distinct level
     (degenerate levels merged), and owner[i], read-only, the level of basis
     index i, so the projector onto level k is the 0/1 mask owner == k. The
-    observable is a Diagonal or a dense matrix whose off-diagonal entries are
-    all zero; its eigenvalues are its stably sorted real diagonal, the same
-    bits a dense Hermitian eigensolver returns. Any other observable is
-    refused; the module docstring says how to measure one by rotation.
+    observable is a Diagonal or a dense Operator whose off-diagonal entries
+    are all zero; its eigenvalues are its stably sorted real diagonal, the same
+    bits a dense Hermitian eigensolver returns. Any other observable is refused
+    (another form in O(1)); the module docstring says how to measure one by rotation.
     """
+    if not isinstance(observable, (Diagonal, Operator)):  # a Permutation: no d x d matrix
+        raise ValueError(f"observable is a {type(observable).__name__}; a pointer "
+                         "couples only to a Diagonal or a dense Operator")
     # a diagonal is promoted to complex as .matrix is, so every dtype reads alike
     v = (observable.diagonal.astype(complex) if isinstance(observable, Diagonal)
          else observable.matrix)
@@ -195,12 +198,9 @@ def _translate(amps: np.ndarray, bins: float) -> np.ndarray:
     f = bins - k
     out = np.zeros_like(amps)
     for weight, shift in ((1.0 - f, k), (f, k + 1)):
-        if weight == 0.0 or abs(shift) >= n:
-            continue
-        if shift >= 0:
-            out[shift:] += weight * amps[: n - shift]
-        else:
-            out[: n + shift] += weight * amps[-shift:]
+        lo, hi = max(shift, 0), min(n, n + shift)
+        if weight != 0.0 and lo < hi:
+            out[lo:hi] += weight * amps[lo - shift:hi - shift]
     nrm_in = np.linalg.norm(amps)
     nrm_out = np.linalg.norm(out)
     if nrm_out > 0:

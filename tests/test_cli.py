@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tsvsim import acceptance, cli, dsl, scenarios as sc
+from tsvsim import acceptance, cli, dsl, hilbert as hb, scenarios as sc
 from tsvsim.scenarios import ScenarioResult
 
 
@@ -257,6 +257,19 @@ class TestExitCodes:
         scn.write_text("FACTORS\n  a: x y\nINITIAL\n  x : 1\n" + body)
         code, out, err = run_cli(capsys, "run", str(scn))
         assert (code, out, err) == (3, "", f"{scn}:{message}\n")
+
+    def test_allocation_failure_in_a_gate_exit_3(self, capsys, tmp_path, monkeypatch):
+        # a state that fails to allocate after the first one is positioned too
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(hb, "apply_to_factors", no_memory)
+        scn = tmp_path / "gate.scn"
+        scn.write_text("FACTORS\n  a: x y\nINITIAL\n  x : 1\n"
+                       "GATES\n  t1 beamsplitter a : x y -> x y\n")
+        code, out, err = run_cli(capsys, "run", str(scn))
+        assert (code, out, err) == (
+            3, "", f"{scn}:line 2, col 1: state space of 2 amplitudes is too large to allocate\n")
 
     def test_builtin_refusal_printed_as_error(self, capsys):
         code, out, err = run_cli(capsys, "run", "three_path_photon", "--g", "100")

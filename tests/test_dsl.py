@@ -411,11 +411,23 @@ class TestEvaluateErrors:
         assert err.value.diagnostics == [Diagnostic(
             3, 1, f"state space of {2 ** n_factors} amplitudes is too large to allocate")]
 
+    @pytest.mark.parametrize("n_factors", [62, 70])
+    def test_oversized_state_space_is_refused_before_allocating(self, monkeypatch, n_factors):
+        spec = dsl.parse("FACTORS\n" + "".join(f"  q{i}: a b\n" for i in range(n_factors))
+                         + "INITIAL\n  " + " ".join(["a"] * n_factors) + " : 1\n")
+        calls = []
+        monkeypatch.setattr(hb, "from_amplitudes", lambda *args: calls.append(args))
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.evaluate(spec)
+        assert err.value.diagnostics == [Diagnostic(
+            2, 1, f"state space of {2 ** n_factors} amplitudes is too large to allocate")]
+        assert calls == []
+
     @pytest.mark.parametrize("failing_call", [1, 2])  # INITIAL, then POSTSELECT
     @pytest.mark.parametrize("exc,expected", [
         (MemoryError, dsl.ScenarioValidationError),
-        (ValueError, dsl.ScenarioValidationError),
-        (DimensionMismatch, DimensionMismatch),  # not an allocation failure
+        (ValueError, ValueError),  # not read as an allocation failure
+        (DimensionMismatch, dsl.ScenarioValidationError),  # positioned as any library refusal
     ])
     def test_allocation_failure_is_positioned(self, monkeypatch, failing_call, exc, expected):
         spec = dsl.parse("FACTORS\n  a: x y\nINITIAL\n  x : 1\nPOSTSELECT\n  x : 1\n")
@@ -431,9 +443,30 @@ class TestEvaluateErrors:
         monkeypatch.setattr(hb, "from_amplitudes", fail_once)
         with pytest.raises(expected) as err:
             dsl.evaluate(spec)
-        if expected is dsl.ScenarioValidationError:
+        if exc is MemoryError:
             assert err.value.diagnostics == [Diagnostic(
                 2, 1, "state space of 2 amplitudes is too large to allocate")]
+        elif exc is DimensionMismatch:  # at the FACTORS line, then at POSTSELECT's
+            assert err.value.diagnostics == [Diagnostic((2, 5)[failing_call - 1], 1, "refused")]
+            assert type(err.value.__cause__) is DimensionMismatch
+        else:
+            assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("target", ["apply_to_factors", "unit", "projector"])
+    def test_memory_error_anywhere_is_positioned(self, monkeypatch, target):
+        # a gate, a normalization and an observable's projector each allocate a state
+        def no_memory(*args):
+            raise MemoryError
+
+        owner = {"apply_to_factors": hb, "unit": hb.Ket, "projector": hb.Operator}[target]
+        monkeypatch.setattr(owner, target, no_memory)
+        spec = dsl.parse("FACTORS\n  a: x y\nINITIAL\n  x : 1\n"
+                         "GATES\n  t1 beamsplitter a : x y -> x y\n"
+                         "OBSERVABLES\n  A = proj(a=x)\n")
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.evaluate(spec)
+        assert err.value.diagnostics == [Diagnostic(
+            2, 1, "state space of 2 amplitudes is too large to allocate")]
 
     def test_non_finite_weak_value_is_positioned(self):
         # the overlap (5e-9) passes the 1e-10 floor, and dividing by it

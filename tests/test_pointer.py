@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -982,6 +983,28 @@ class TestEigenbranches:
         np.testing.assert_allclose(rotated[0] + rotated[1], np.eye(2), atol=1e-12)
         for lam, proj in zip(lams, rotated):
             np.testing.assert_allclose(obs.matrix @ proj, lam * proj, atol=1e-12)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["identity", "label_swap"])
+    def test_permutation_refused_by_its_form(self, swap):
+        # refused by its type, before its d x d complex matrix (64 MiB here) is built
+        sp = hb.space(("a", [f"s{i}" for i in range(2048)]))
+        obs = (hb.label_swap(sp, ["a"], ["s0"], ["s1"]) if swap
+               else hb.Permutation(sp, np.arange(sp.dim)))
+        ket = hb.Ket(sp, np.ones(sp.dim) / np.sqrt(sp.dim))
+        calls = [lambda: pt.eigenbranches(obs),
+                 lambda: pt.strong_measure(ket, obs, 1),
+                 lambda: pt.weak_sequence(ket, obs, 0.2, 5, 1),
+                 lambda: pt.couple(ket, obs, pt.PointerWavefunction(), 0.2)]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="^observable is a Permutation; a pointer "
+                                   "couples only to a Diagonal or a dense Operator$"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
 
     @pytest.mark.parametrize("case", _non_diagonal_cases(), ids=lambda c: c[0])
     def test_non_diagonal_observable_refused(self, case):
