@@ -195,7 +195,7 @@ class OperatorForm:
     along axis 0 of an amplitude array, and `is_projector()`.
     """
 
-    __slots__ = ("space",)
+    __slots__ = ("space", "__weakref__")  # pointer's weak-keyed levels memo
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.space!r})"

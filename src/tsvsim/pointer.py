@@ -26,7 +26,8 @@ trial batches are embarrassingly parallel.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -183,8 +184,28 @@ def eigenbranches(observable: OperatorForm) -> tuple[np.ndarray, np.ndarray]:
     owner = np.empty(len(v), dtype=np.intp)
     for k, (a, b) in enumerate(bounds):
         owner[order[a:b]] = k
-    owner.flags.writeable = False
+    lams.flags.writeable = owner.flags.writeable = False
     return lams, owner
+
+
+# Each observable's levels, resolved on its first pointer call and shared by
+# every later one. Weak keys let an entry go with its operator (a d = 2048
+# dense Operator holds 64 MiB); an operator's matrix or diagonal is a
+# read-only copy, so an entry never goes stale.
+_LEVELS = weakref.WeakKeyDictionary()
+
+
+def _levels(observable: OperatorForm
+            ) -> tuple[tuple[float, ...], np.ndarray, tuple[int, ...]]:
+    """eigenbranches of an observable as the pointer calls use them: the
+    eigenvalues as floats, owner, and owner as ints for the draws. Computed
+    once per operator object; a refused observable raises on every call."""
+    try:
+        return _LEVELS[observable]
+    except KeyError:
+        lams, owner = eigenbranches(observable)
+        levels = _LEVELS[observable] = (tuple(lams.tolist()), owner, tuple(owner.tolist()))
+        return levels
 
 
 def _translate(amps: np.ndarray, bins: float) -> np.ndarray:
@@ -227,8 +248,8 @@ def _branch_table(observable: OperatorForm, ptr: PointerWavefunction, g: float
     per branch, shared read-only by every call on the same (eigenvalues,
     grid, g). Every shift is checked on the grid."""
     gval = _g(g)
-    lams, owner = eigenbranches(observable)
-    worst = gval * float(np.max(np.abs(lams)))
+    lams, owner, _ = _levels(observable)
+    worst = gval * max(map(abs, lams))
     if worst > ptr.half_extent:
         raise ShiftOutOfGrid(
             f"shift g*|lambda| = {worst:g} exceeds half the grid extent {ptr.half_extent:g}"
@@ -238,21 +259,26 @@ def _branch_table(observable: OperatorForm, ptr: PointerWavefunction, g: float
             f"shift g*|lambda| = {worst:g} is under {MIN_SHIFT_BINS:g} bins of width "
             f"{ptr.spacing:g}, below what the grid resolves"
         )
-    return (owner,) + _shifted(tuple(lams.tolist()), ptr.n_bins, ptr.spacing, gval)
+    return (owner,) + _shifted(lams, ptr.n_bins, ptr.spacing, gval)
 
 
-def _draw_branch(owner: list[int], amps: list[complex], n: int, draw: float) -> int:
+def _draw_branch(owner: tuple[int, ...], amps: list[complex], n: int,
+                 draw: float) -> int:
     """Born-draw one of n branches for a uniform draw in [0, 1), branch b
     weighing sum |amps[i]|^2 over the indices i with owner[i] == b. Python
-    floats skip numpy's per-call overhead on 2- and 3-entry vectors, and the
-    draw stays bit-identical to the all-numpy one: the weights add |z|^2 in
-    einsum's order from 0.0, accumulate adds in cumsum's order, and
-    bisect_left is searchsorted's rule."""
+    floats skip numpy's per-call overhead on 2- and 3-entry vectors; the
+    weights add |z|^2 in einsum's order from 0.0 and accumulate adds in
+    cumsum's order, as the all-numpy draw did. bisect_right takes the first
+    cumulative weight > draw * total, the exact rule for a point in
+    [0, total), so a branch of weight 0 is never drawn, even at draw 0.0."""
     w = [0.0] * n
     for k, z in zip(owner, amps):
         w[k] += z.real * z.real + z.imag * z.imag
     cw = list(accumulate(w))
-    return min(bisect_left(cw, draw * cw[-1]), n - 1)
+    b = bisect_right(cw, draw * cw[-1])
+    # draw * total rounds up to total only when total is subnormal; that
+    # point goes to the last branch of nonzero weight
+    return b if b < n else bisect_left(cw, cw[-1])
 
 
 def _drawable(norm_sq: float) -> None:
@@ -347,12 +373,16 @@ def strong_measure(system: Ket, observable: OperatorForm,
         raise DimensionMismatch("observable space differs from system space")
     psi = system.amplitudes
     _drawable(float(np.vdot(psi, psi).real))
-    lams, owner = eigenbranches(observable)
+    lams, owner, owner_ints = _levels(observable)
     draw = np.random.default_rng(rng_seed).random()
-    idx = _draw_branch(owner.tolist(), psi.tolist(), len(lams), draw)
-    # P_idx psi, with Diagonal.act's bits: + 0.0 turns -0.0 into +0.0
-    collapsed = (owner == idx) * psi + 0.0
-    return float(lams[idx]), Ket(system.space, collapsed / np.linalg.norm(collapsed))
+    idx = _draw_branch(owner_ints, psi.tolist(), len(lams), draw)
+    # P_idx psi, with Diagonal.act's bits: + 0.0 turns -0.0 into +0.0; then
+    # divided by its norm, computed as np.linalg.norm does for a complex vector
+    collapsed = (owner == idx) * psi
+    collapsed += 0.0
+    re, im = collapsed.real, collapsed.imag
+    collapsed /= math.sqrt(re.dot(re) + im.dot(im))
+    return lams[idx], Ket(system.space, collapsed)
 
 
 def weak_sequence(system: Ket, observable: OperatorForm, g: float,
@@ -376,8 +406,8 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
         ptr = PointerWavefunction()
     owner, branch_amps, cdf_rows = _branch_table(observable, ptr, g)
     # P_b psi is psi on the indices branch b owns
-    owner = owner.tolist()
     amp_rows = branch_amps[owner].T  # [bin, i]: index i's Kraus factor at that bin
+    owner = _levels(observable)[2]  # as ints, for the draws
     n_branches, last_bin = len(branch_amps), ptr.n_bins - 1
     rng = np.random.default_rng(rng_seed)
     branch_draws, bin_draws = rng.random((steps, 2)).T.tolist()
@@ -390,7 +420,7 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     for branch_draw, bin_draw in zip(branch_draws, bin_draws):
         # sample the readout bin from the mixture sum_b w_b pmf_b
         cdf = cdf_rows[_draw_branch(owner, psi.tolist(), n_branches, branch_draw)]
-        bin_idx = min(bisect_left(cdf, bin_draw * cdf[-1]), last_bin)
+        bin_idx = min(bisect_right(cdf, bin_draw * cdf[-1]), last_bin)
         bins.append(bin_idx)
         # Kraus back-action: project the pointer onto the sampled bin
         psi *= amp_rows[bin_idx]

@@ -1,8 +1,10 @@
 """Pointer model: coupling, conditioned means, projective limit, sequences."""
 
+import gc
 import importlib.util
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -663,6 +665,29 @@ class TestStrongMeasure:
         pt.weak_sequence(system, obs, 0.2, 7, 3)
         assert draws[1:] == np.random.default_rng(3).random((7, 2))[:, 0].tolist()
 
+    def test_draw_never_picks_a_zero_weight_branch(self):
+        # the first cumulative weight > draw * total: at draw 0.0, and at a
+        # draw landing exactly on a cumulative weight, a branch of weight 0
+        # is skipped
+        assert pt._draw_branch((0, 1), [0j, 1 + 0j], 2, 0.0) == 1
+        owner, amps = (0, 1, 2, 3), [0j, 1 + 0j, 0j, 1 + 0j]
+        assert [pt._draw_branch(owner, amps, 4, d) for d in (0.0, 0.25, 0.5, 0.75)] \
+            == [1, 1, 3, 3]
+        assert pt._draw_branch((1, 0), [1 + 0j, 0j], 2, 0.0) == 1
+        # a subnormal total (here 2 ulps) where draw * total rounds up to it
+        assert pt._draw_branch((0, 1), [3e-162 + 0j, 0j], 2, 0.9999) == 0
+
+    def test_subnormal_norm_collapses_onto_its_weight(self):
+        # every draw over 0.75 reads draw * total as total; the collapse must
+        # still land on the branch that holds the weight, with no 0/0
+        sp, obs = two_level()
+        system = hb.Ket(sp, np.array([3e-162, 0.0]))
+        seeds = [s for s in range(40) if np.random.default_rng(s).random() > 0.75]
+        assert seeds
+        for seed in seeds:
+            lam, collapsed = pt.strong_measure(system, obs, seed)
+            assert lam == 0.0 and collapsed.amplitudes[1] == 0
+
 
 class TestWeakSequence:
     def test_eigenstate_untouched(self):
@@ -767,6 +792,35 @@ class TestWeakSequence:
                 assert a.readouts.tobytes() == b.readouts.tobytes()
                 assert a.final_state.amplitudes.tobytes() == b.final_state.amplitudes.tobytes()
 
+    def test_bin_draw_of_zero_skips_empty_bins(self, monkeypatch):
+        # on the default grid at g = 0.2 the branch rows of diag(0, 1) start
+        # with 0 and 4 bins of zero weight; a first bin draw of 0.0 reads the
+        # first bin of nonzero weight, never a zero one whose Kraus factor
+        # would leave a 0/0 state (warnings are errors here)
+        sp, obs = two_level()
+        system = hb.Ket(sp, np.array([0.0, 1.0]))
+        ptr = pt.PointerWavefunction()
+        _, _, cdfs = pt._branch_table(obs, ptr, 0.2)
+        first = next(i for i, c in enumerate(cdfs[1]) if c > 0)
+        assert first == 4
+        default_rng = np.random.default_rng
+
+        def first_draws_zero(seed):
+            rng = default_rng(seed)
+
+            class Stub:
+                def random(self, shape):
+                    draws = rng.random(shape)
+                    draws[0] = 0.0
+                    return draws
+            return Stub()
+
+        monkeypatch.setattr(np.random, "default_rng", first_draws_zero)
+        traj = pt.weak_sequence(system, obs, 0.2, 5, 1, ptr=ptr)
+        monkeypatch.undo()
+        assert traj.readouts[0] == ptr.positions[first]
+        assert traj.final_state.amplitudes.tolist() == [0j, 1 + 0j]
+
     def test_diagonal_observables_take_the_mask_path(self, monkeypatch):
         # criterion 7's observables, dense as perfbench sends them, and a label
         # projector give owner maps; coupling, walk and collapse build no
@@ -805,7 +859,8 @@ class TestWeakSequence:
             assert tuple(found.tolist()) == owner
             pt.couple(system, obs, pt.PointerWavefunction(), 0.2)
             pt.strong_measure(system, obs, 1)
-            assert len(seen) == 3
+            # resolved once per observable; couple and strong_measure reuse it
+            assert len(seen) == 1
 
     def test_cached_tables_are_read_only_and_unchanged(self):
         sp3 = hb.space(("box", ["box1", "box2", "box3"]))
@@ -908,6 +963,8 @@ class TestEigenbranches:
         ref_lams, ref_projs = _reference_eigenbranches(obs)
         assert lams.tobytes() == ref_lams.tobytes()
         assert owner.dtype == np.intp and not owner.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            lams[0] = 0.0
         assert owner.max() + 1 == len(ref_projs)
         for k, ref in enumerate(ref_projs):
             assert np.array_equal(np.diag(owner == k), ref)
@@ -1019,6 +1076,61 @@ class TestEigenbranches:
             with pytest.raises(ValueError,
                                match="^observable is not diagonal in the product basis$"):
                 call()
+
+
+def _refused_observables():
+    """(id, observable) pairs every pointer entry point refuses: a
+    Permutation, a non-Hermitian, a non-diagonal and a non-finite one."""
+    sp = hb.space(("a", ["x", "y"]))
+    return [
+        ("Permutation", hb.Permutation(sp, np.array([1, 0]))),
+        ("non-Hermitian", hb.Operator(sp, np.array([[1, 1], [0, 2]]))),
+        ("non-diagonal", hb.Operator(sp, np.array([[0, 1], [1, 0]]))),
+        ("non-finite", hb.Diagonal(sp, np.array([np.nan, 1.0]))),
+    ]
+
+
+class TestLevelsMemo:
+    """Each observable's levels are resolved once per operator object and
+    shared by couple, weak_sequence and strong_measure."""
+
+    def test_memo_keeps_no_operator_alive(self):
+        sp, obs = two_level()
+        system = hb.Ket(sp, np.array([0.6, 0.8]))
+        pt.strong_measure(system, obs, 1)
+        pt.weak_sequence(system, obs, 0.2, 3, 1)
+        pt.couple(system, obs, pt.PointerWavefunction(), 0.2)
+        assert obs in pt._LEVELS
+        gone = weakref.ref(obs)
+        del obs
+        gc.collect()
+        assert gone() is None
+
+    @pytest.mark.parametrize("case", _refused_observables(), ids=lambda c: c[0])
+    def test_refusal_is_never_memoised(self, case):
+        _, obs = case
+        ket = hb.Ket(obs.space, np.array([0.6, 0.8]))
+        calls = [lambda: pt.strong_measure(ket, obs, 1),
+                 lambda: pt.weak_sequence(ket, obs, 0.2, 5, 1),
+                 lambda: pt.couple(ket, obs, pt.PointerWavefunction(), 0.2)]
+        for call in calls * 2:
+            with pytest.raises(ValueError, match="^observable "):
+                call()
+        assert obs not in pt._LEVELS
+
+    def test_alternating_observables_stay_bit_identical(self):
+        # two observables on one space, with different level counts, take
+        # turns seed by seed: an entry served for the wrong one would show
+        sp3 = hb.space(("box", ["box1", "box2", "box3"]))
+        system = hb.Ket(sp3, np.array([0.6, 0.48j, -0.64]))
+        observables = (hb.Operator(sp3, np.diag([1.0, 2.0, 3.0])),
+                       hb.Diagonal(sp3, np.array([2.0, -1.0, 2.0])))
+        for seed in range(400):
+            obs = observables[seed % 2]
+            lam, collapsed = pt.strong_measure(system, obs, seed)
+            ref_lam, ref = _reference_strong_measure(system, obs, seed)
+            assert lam == ref_lam
+            assert collapsed.amplitudes.tobytes() == ref.amplitudes.tobytes()
 
 
 class TestRotatedObservable:
