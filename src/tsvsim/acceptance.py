@@ -41,6 +41,17 @@ def _check(cond: bool, message: str) -> None:
         raise AssertionError(message)
 
 
+def _runtime(seconds: float, bound: float) -> str:
+    """'runtime T of B (Mx)': the runtime and its bound in the bound's unit
+    (ms under 1 s, else s), T to three significant digits, and the margin
+    M = B / T. AssertionError with that text unless T < B."""
+    scale, unit = (1e3, "ms") if bound < 1 else (1.0, "s")
+    text = (f"runtime {seconds * scale:.3g} {unit} of {bound * scale:g} {unit} "
+            f"({bound / seconds:.1f}x)")
+    _check(seconds < bound, text)
+    return text
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -50,9 +61,8 @@ def criterion_1_three_boxes() -> str:
     for key, want in expected.items():
         got = res.weak_values[key]
         _check(abs(got - want) <= 1e-10, f"{key} = {got}, want {want}")
-    runtime = _timed_best(sc.run_three_boxes)
-    _check(runtime < 1e-3, f"runtime {runtime * 1e3:.3f} ms >= 1 ms")
-    return (f"P1,P2,P3 = (1, 1, -1) within 1e-10; runtime {runtime * 1e3:.3f} ms")
+    return ("P1,P2,P3 = (1, 1, -1) within 1e-10; "
+            + _runtime(_timed_best(sc.run_three_boxes), 1e-3))
 
 
 def criterion_2_hardy() -> str:
@@ -72,10 +82,8 @@ def criterion_2_hardy() -> str:
         _check(abs(value) <= 1e-10, f"marginal {name} = {value}, want 0")
     _check(abs(direct_minus - summed_minus) <= 1e-10, "NO_minus routes disagree")
     _check(abs(direct_plus - summed_plus) <= 1e-10, "NO_plus routes disagree")
-    runtime = _timed_best(sc.run_hardy)
-    _check(runtime < 1e-3, f"runtime {runtime * 1e3:.3f} ms >= 1 ms")
     return ("pair weak values (0, 1, 1, -1) and both marginal routes 0 within 1e-10; "
-            f"runtime {runtime * 1e3:.3f} ms")
+            + _runtime(_timed_best(sc.run_hardy), 1e-3))
 
 
 def _oblivion_expected_states() -> dict[str, dict[tuple[str, ...], complex]]:
@@ -106,10 +114,9 @@ def criterion_3_oblivion() -> str:
     _check(abs(electron_ret - 1.0) <= 1e-10, f"electron return {electron_ret}")
     _check(abs(positron_ret - 0.5) <= 1e-10, f"positron return {positron_ret}")
     runtime = _timed_best(lambda: sc.time_reversal_check(sc.run_oblivion()))
-    _check(runtime < 1e-3, f"runtime {runtime * 1e3:.3f} ms >= 1 ms")
     return ("states match the three-stage evolution to 1e-12, ranks 1->2->1, "
             "probabilities (1/4, 1/3, 1/2) to 1e-12, returns (1.0, 0.5); "
-            f"runtime {runtime * 1e3:.3f} ms")
+            + _runtime(runtime, 1e-3))
 
 
 def criterion_4_elastic_collision() -> str:
@@ -139,10 +146,9 @@ def criterion_5_four_mirror() -> str:
            f"{stats['lonely_lu_clicks']:.0f} L_u clicks with only L_u armed")
     _check(stats["lu_click_fraction_within_20"] >= 0.99,
            f"click fraction within 20 trips {stats['lu_click_fraction_within_20']}")
-    _check(runtime < 5.0, f"runtime {runtime:.2f} s >= 5 s")
     return (f"silence {stats['first_silent_fraction']:.4f}; zero lonely clicks over "
             f"{sc.LONELY_TRIPS} trips; click fraction within 20 trips "
-            f"{stats['lu_click_fraction_within_20']:.4f}; runtime {runtime:.2f} s")
+            f"{stats['lu_click_fraction_within_20']:.4f}; {_runtime(runtime, 5.0)}")
 
 
 def criterion_6_weak_limit() -> str:
@@ -159,9 +165,8 @@ def criterion_6_weak_limit() -> str:
         ratio = err_g / err_half if err_half > 0 else float("inf")
         _check(ratio >= 2.5, f"{name}: halving g improved error only {ratio:.2f}x")
         details.append(f"{name}: err(0.05)={err_g:.2e}, ratio {ratio:.2f}x")
-    runtime = time.perf_counter() - t0
-    _check(runtime < 10.0, f"runtime {runtime:.2f} s >= 10 s")
-    return "; ".join(details) + f"; runtime {runtime:.2f} s"
+    details.append(_runtime(time.perf_counter() - t0, 10.0))
+    return "; ".join(details)
 
 
 def _collapse_frequencies(system: hb.Ket, observable: hb.OperatorForm, n_seeds: int,
@@ -199,10 +204,9 @@ def criterion_7_continuum() -> str:
     freqs3 = _collapse_frequencies(psi3, obs3, n_seeds, base_seed=11_000)
     for k, f in enumerate(freqs3, start=1):
         _check(abs(f - 1 / 3) <= 0.03, f"box{k} frequency {f}, want 1/3 +- 0.03")
-    runtime = time.perf_counter() - t0
-    _check(runtime < 60.0, f"runtime {runtime:.1f} s >= 60 s")
     return (f"two-level freq {freqs2[0]:.4f} (oracle {oracle[0]:.4f}); box freqs "
-            + ", ".join(f"{f:.4f}" for f in freqs3) + f"; runtime {runtime:.1f} s")
+            + ", ".join(f"{f:.4f}" for f in freqs3)
+            + f"; {_runtime(time.perf_counter() - t0, 60.0)}")
 
 
 def _fixture_matches(scenario_id: str) -> None:

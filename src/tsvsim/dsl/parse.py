@@ -36,7 +36,8 @@ factor; only a line that fails it, or repeats an entry, pays for
 diagnostics. Entry labels are the FACTORS line's own strings; every unknown
 label is reported as written. The parser normalizes INITIAL and POSTSELECT
 amplitude lists and records a warning when the written norm is off by more
-than 1e-9.
+than 1e-9. Their entries are (labels, amplitude) pairs with no line: a
+section's norm diagnostics sit on the line of its first entry.
 
 render() is the canonical serializer: LF line endings, fixed section order,
 repr-exact re,im amplitudes. parse(render(spec)) == spec, and render is a
@@ -52,7 +53,7 @@ from itertools import accumulate
 from math import inf, isfinite, prod
 from operator import attrgetter
 from sys import float_info
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..hilbert import is_unitary
 from ..scenarios import EPOCH_ORDER
@@ -93,7 +94,7 @@ class ScenarioValidationError(ScenarioFileError):
 
 
 # ---------------------------------------------------------------------------
-# spec dataclasses (line fields are positions only, excluded from equality)
+# spec types (line fields are positions only, excluded from equality)
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,9 @@ class FactorDecl:
     line: int = field(compare=False, default=0)
 
 
-@dataclass(frozen=True)
-class AmplitudeEntry:
+class AmplitudeEntry(NamedTuple):
     labels: tuple[str, ...]
     amplitude: complex
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
@@ -504,9 +503,9 @@ class _Reader:
         # so that every entry shares them
         self.label_maps: list[dict[str, str]] = []
         self.table: dict[str, dict[str, str]] = {}  # factors declared once, labels distinct
-        # section -> ({labels: written amplitude}, the line of each in that
-        # order); a repeat keeps the first place and takes the later amplitude and line
-        self.entries: dict[str, tuple[dict[tuple[str, ...], complex], list[int]]] = {}
+        # section -> ({labels: written amplitude}, its first entry's line); a repeat
+        # keeps the first place and takes the later amplitude, and the first its line
+        self.entries: dict[str, tuple[dict[tuple[str, ...], complex], int]] = {}
         self.values: dict[str, complex] = {}  # amplitude text -> value, successes only
         self.gates: list[GateDecl] = []
         self.epochs: set[str] = set()  # of the gates read so far
@@ -635,11 +634,11 @@ class _Reader:
         self.label_maps.append(label_map)
 
     def amplitudes(self, section: str, body: list[tuple[int, str]]) -> None:
-        """The (line, content) lines of an INITIAL or POSTSELECT section, into
-        its entries. One cheap check passes a line of known labels; only a line
-        that fails it pays for its diagnostics."""
+        """The (line, content) lines of an INITIAL or POSTSELECT section, into its
+        table and first entry's line. One cheap check passes a line of known
+        labels; only a line that fails it pays for its diagnostics."""
         maps, need, values = self.label_maps, len(self.label_maps), self.values
-        label, table, lines = dict.__getitem__, {}, []
+        label, table, first = dict.__getitem__, {}, 0
         for lineno, content in body:
             head, colon, tail = content.partition(":")
             if not colon:
@@ -670,13 +669,14 @@ class _Reader:
                 labels = self.diagnosed_labels(head, words, section)
             size = len(table)
             table[labels] = amp
-            if len(table) > size:
-                lines.append(lineno)
-            else:  # a repeat keeps the first place and takes this line
-                self.line = lines[list(table).index(labels)] = lineno
+            first = first or lineno
+            if len(table) == size:  # a repeat keeps the first place
+                self.line = lineno
+                if labels == next(iter(table)):  # the first entry: its line moves here
+                    first = lineno
                 self.invalid(_column(head, 0, 0),
                              f"duplicate {section} entry for {' '.join(labels)}")
-        self.entries[section] = table, lines
+        self.entries[section] = table, first
 
     def diagnosed_labels(self, head: str, words: list[str], section: str) -> tuple[str, ...]:
         """The words of an amplitude line's head that failed amplitudes()' check,
@@ -862,7 +862,7 @@ class _Reader:
     def _normalized(self, section: str, warnings: list[Diagnostic]
                     ) -> tuple[AmplitudeEntry, ...]:
         """The section's entries scaled to norm 1, with a warning if that changed them."""
-        table, lines = self.entries.get(section, ({}, []))
+        table, line = self.entries.get(section, ({}, 0))
         values = list(table.values())
         try:
             squares = sum(abs(a) ** 2 for a in values)
@@ -874,7 +874,6 @@ class _Reader:
             big = max(map(abs, values))
             norm = big * sum((abs(a) / big) ** 2 for a in values) ** 0.5
         # section diagnostics sit on the line of the entry that comes first
-        line = lines[0] if lines else 0
         if not table:
             self.semantic.append(Diagnostic(self.sections.get(section, 1), 1,
                                             f"{section} section is missing or empty"))
@@ -888,21 +887,7 @@ class _Reader:
             warnings.append(Diagnostic(
                 line, 1, f"{section} amplitudes had norm {norm:.12g}; normalized to 1"))
             values = [a / norm for a in values]
-        return _entries(table, values, lines)
-
-
-def _entries(labels, values, lines) -> tuple[AmplitudeEntry, ...]:
-    """AmplitudeEntry(l, v, line=n) for each l, v, n of labels, values and lines,
-    without the dataclass __init__: the same attributes, set in field order, so
-    that every entry still shares its class's dict keys."""
-    new, put, entries = object.__new__, object.__setattr__, []
-    for each, value, line in zip(labels, values, lines):
-        entry = new(AmplitudeEntry)
-        put(entry, "labels", each)
-        put(entry, "amplitude", value)
-        put(entry, "line", line)
-        entries.append(entry)
-    return tuple(entries)
+        return tuple(map(AmplitudeEntry._make, zip(table, values)))
 
 
 # looked up here, not with getattr(), whose type cache keeps each word it is given

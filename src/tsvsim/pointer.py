@@ -31,6 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from sys import float_info
 
 import numpy as np
 
@@ -281,10 +282,17 @@ def _draw_branch(owner: tuple[int, ...], amps: list[complex], n: int,
     return b if b < n else bisect_left(cw, cw[-1])
 
 
-def _drawable(norm_sq: float) -> None:
-    """Refuse a system ket no outcome can be drawn from: zero, NaN or infinite."""
+def _drawable(psi: np.ndarray) -> np.ndarray:
+    """psi for the Born draws: a zero, NaN or infinite ket is refused, and one of
+    subnormal squared norm is scaled by the exact power of two that brings its
+    largest modulus into [0.5, 1), by np.ldexp, since 2.0 ** 1074 overflows."""
+    norm_sq = float(np.vdot(psi, psi).real)
+    if norm_sq < float_info.min and (big := float(np.abs(psi).max())) > 0:
+        psi = np.ldexp(psi.view(float), -math.frexp(big)[1]).view(complex)
+        norm_sq = float(np.vdot(psi, psi).real)
     if not 0 < norm_sq < math.inf:  # NaN fails too
         raise ZeroProbabilityBranch(f"cannot draw outcomes from a ket of squared norm {norm_sq!r}")
+    return psi
 
 
 def _unique_pointer_name(sp: Space) -> str:
@@ -371,8 +379,7 @@ def strong_measure(system: Ket, observable: OperatorForm,
     ket raises ZeroProbabilityBranch before the draw."""
     if observable.space != system.space:
         raise DimensionMismatch("observable space differs from system space")
-    psi = system.amplitudes
-    _drawable(float(np.vdot(psi, psi).real))
+    psi = _drawable(system.amplitudes)
     lams, owner, owner_ints = _levels(observable)
     draw = np.random.default_rng(rng_seed).random()
     idx = _draw_branch(owner_ints, psi.tolist(), len(lams), draw)
@@ -401,17 +408,16 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
         raise ValueError("steps must be >= 1")
     if observable.space != system.space:
         raise DimensionMismatch("observable space differs from system space")
-    _drawable(float(np.vdot(system.amplitudes, system.amplitudes).real))
+    psi = _drawable(system.amplitudes).copy()  # updated in place, so its views stay live
     if ptr is None:
         ptr = PointerWavefunction()
     owner, branch_amps, cdf_rows = _branch_table(observable, ptr, g)
     # P_b psi is psi on the indices branch b owns
     amp_rows = branch_amps[owner].T  # [bin, i]: index i's Kraus factor at that bin
     owner = _levels(observable)[2]  # as ints, for the draws
-    n_branches, last_bin = len(branch_amps), ptr.n_bins - 1
+    n_branches = len(branch_amps)
     rng = np.random.default_rng(rng_seed)
     branch_draws, bin_draws = rng.random((steps, 2)).T.tolist()
-    psi = system.amplitudes.copy()  # updated in place, so its views stay live
     re, im = psi.real, psi.imag
     bins = []
     # Each step stays bit-identical to the all-numpy loop: the draws as
@@ -420,7 +426,8 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     for branch_draw, bin_draw in zip(branch_draws, bin_draws):
         # sample the readout bin from the mixture sum_b w_b pmf_b
         cdf = cdf_rows[_draw_branch(owner, psi.tolist(), n_branches, branch_draw)]
-        bin_idx = min(bisect_right(cdf, bin_draw * cdf[-1]), last_bin)
+        # cdf[-1] is about 1, so bin_draw * cdf[-1] < cdf[-1]: a bin of the grid
+        bin_idx = bisect_right(cdf, bin_draw * cdf[-1])
         bins.append(bin_idx)
         # Kraus back-action: project the pointer onto the sampled bin
         psi *= amp_rows[bin_idx]

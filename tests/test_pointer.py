@@ -32,6 +32,15 @@ def two_level():
     return sp, obs
 
 
+# nonzero kets whose squared norm is subnormal or underflows to 0; times
+# 2 ** 600, each is the same ket at a normal scale
+SUBNORMAL_KETS = ([3e-162, 0.0], [5e-324, 0.0], [1e-200j, 3e-200])
+
+
+def normal_scale(sp, amps):
+    return hb.Ket(sp, np.asarray(amps, dtype=complex) * 2.0 ** 600)
+
+
 def _reference_eigenbranches(observable):
     """eigenbranches as it was written on the dense matrix with eigh, kept to
     pin the diagonal masks' eigenvalues and projectors, and to couple a
@@ -630,6 +639,19 @@ class TestStrongMeasure:
             with pytest.raises(ZeroProbabilityBranch, match="^cannot draw outcomes"):
                 pt.strong_measure(hb.Ket(sp, amps), obs, 1)
 
+    @pytest.mark.parametrize("amps", SUBNORMAL_KETS, ids=str)
+    def test_subnormal_norm_collapses_as_its_normal_scale(self, amps):
+        # scaled by an exact power of two before the draw, the ket collapses
+        # to unit norm with the bytes of the same ket at a normal scale
+        sp, obs = two_level()
+        tiny, normal = hb.Ket(sp, amps), normal_scale(sp, amps)
+        for seed in range(20):
+            lam, collapsed = pt.strong_measure(tiny, obs, seed)
+            ref_lam, ref = pt.strong_measure(normal, obs, seed)
+            assert lam == ref_lam
+            assert collapsed.amplitudes.tobytes() == ref.amplitudes.tobytes()
+            assert collapsed.norm() == pytest.approx(1.0, abs=1e-15)
+
     def test_collapse_renormalizes(self):
         sp, obs = two_level()
         system = hb.Ket(sp, np.array([0.6, 0.8]))
@@ -739,6 +761,18 @@ class TestWeakSequence:
         for amps in ([0.0, 0.0], [np.nan, 0.0]):
             with pytest.raises(ZeroProbabilityBranch, match="^cannot draw outcomes"):
                 pt.weak_sequence(hb.Ket(sp, amps), obs, 0.2, 3, 1)
+
+    @pytest.mark.parametrize("amps", SUBNORMAL_KETS, ids=str)
+    def test_subnormal_norm_walks_as_its_normal_scale(self, amps):
+        # no 0/0 on the first Kraus step: the walk is the normal-scale ket's
+        sp, obs = two_level()
+        tiny, normal = hb.Ket(sp, amps), normal_scale(sp, amps)
+        for seed in range(20):
+            traj = pt.weak_sequence(tiny, obs, 0.2, 50, seed)
+            ref = pt.weak_sequence(normal, obs, 0.2, 50, seed)
+            assert traj.readouts.tobytes() == ref.readouts.tobytes()
+            assert traj.final_state.amplitudes.tobytes() == ref.final_state.amplitudes.tobytes()
+            assert traj.final_state.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_steps_validation(self):
         sp, obs = two_level()
