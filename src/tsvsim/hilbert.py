@@ -15,14 +15,16 @@ All values are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from math import prod
 from operator import getitem
+from sys import float_info
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidBipartition
+from .errors import DimensionMismatch, InvalidBipartition, ZeroProbabilityBranch
 
 ATOL_PROJECTOR = 1e-12
 SCHMIDT_TOL = 1e-8  # singular values above this count toward the Schmidt rank
@@ -125,6 +127,38 @@ def space(*factors: tuple[str, Sequence[str]]) -> Space:
     return Space(Factor(name, tuple(labels)) for name, labels in factors)
 
 
+def _frozen(space: Space, values, dtype, what: str, ndim: int = 1) -> np.ndarray:
+    """A read-only C-order copy of values as dtype (None keeps their own),
+    checked to be space.dim long on each of its ndim axes."""
+    arr = np.array(values, dtype, order="C")
+    if arr.shape != (space.dim,) * ndim:
+        raise DimensionMismatch(f"{what} shape {arr.shape} does not match space dim {space.dim}")
+    arr.flags.writeable = False
+    return arr
+
+
+def squared_norm(amps: np.ndarray) -> float:
+    """sum |a|^2 over an amplitude array, as one np.vdot. Some BLAS kernels
+    fold inf * 0 into that sum and return NaN for an infinite entry; such an
+    array reads inf here, so NaN means a NaN entry."""
+    norm_sq = float(np.vdot(amps, amps).real)
+    if norm_sq != norm_sq and not np.isnan(amps).any():
+        return math.inf
+    return norm_sq
+
+
+def normal_scale(amps: np.ndarray) -> tuple[np.ndarray, float]:
+    """(amps, squared_norm(amps)), where a nonzero complex amps of subnormal
+    squared norm is first scaled by the exact power of two that brings its
+    largest modulus into [0.5, 1), by np.ldexp, since 2.0 ** 1074 overflows.
+    Any other amps is returned as it is."""
+    norm_sq = squared_norm(amps)
+    if norm_sq < float_info.min and (big := float(np.abs(amps).max())) > 0:
+        amps = np.ldexp(amps.view(float), -math.frexp(big)[1]).view(complex)
+        norm_sq = squared_norm(amps)
+    return amps, norm_sq
+
+
 class Ket:
     """Dense complex amplitude vector over a labeled product basis, of any
     norm; callers that need unit norm check it (TwoStateVector) or make it
@@ -133,25 +167,22 @@ class Ket:
     __slots__ = ("space", "amplitudes")
 
     def __init__(self, space: Space, amplitudes: np.ndarray | Sequence[complex]):
-        amps = np.asarray(amplitudes, dtype=complex)
-        if amps.shape != (space.dim,):
-            raise DimensionMismatch(
-                f"amplitude vector has shape {amps.shape}, space dim is {space.dim}"
-            )
-        amps = amps.copy()
-        amps.flags.writeable = False
         self.space = space
-        self.amplitudes = amps
+        self.amplitudes = _frozen(space, amplitudes, complex, "amplitude vector")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
     def unit(self) -> "Ket":
-        """Return the normalized copy of this ket."""
-        nrm = self.norm()
-        if nrm == 0.0:
+        """Return the normalized copy of this ket, a ket of subnormal squared
+        norm normalized from its normal_scale. A NaN or infinite squared norm
+        raises ZeroProbabilityBranch, the zero ket ZeroDivisionError."""
+        amps, norm_sq = normal_scale(self.amplitudes)
+        if not norm_sq < math.inf:  # NaN fails too; checked before the norm overflows
+            raise ZeroProbabilityBranch(f"cannot normalize a ket of squared norm {norm_sq!r}")
+        if norm_sq == 0.0:
             raise ZeroDivisionError("cannot normalize the zero vector")
-        return Ket(self.space, self.amplitudes / nrm)
+        return Ket(self.space, amps / float(np.linalg.norm(amps)))
 
     def amplitude(self, labels: Sequence[str]) -> complex:
         return complex(self.amplitudes[self.space.index_of(labels)])
@@ -168,9 +199,7 @@ class Ket:
 
 def basis_state(sp: Space, *labels: str) -> Ket:
     """Basis ket |labels...> with amplitude 1."""
-    amps = np.zeros(sp.dim, dtype=complex)
-    amps[sp.index_of(labels)] = 1.0
-    return Ket(sp, amps)
+    return from_amplitudes(sp, {labels: 1.0})
 
 
 def from_amplitudes(sp: Space, entries: Mapping[Sequence[str], complex]) -> Ket:
@@ -210,15 +239,8 @@ class Operator(OperatorForm):
     __slots__ = ("matrix", "tag")
 
     def __init__(self, space: Space, matrix: np.ndarray, tag: str = ""):
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != (space.dim, space.dim):
-            raise DimensionMismatch(
-                f"matrix shape {mat.shape} does not match space dim {space.dim}"
-            )
-        mat = mat.copy()
-        mat.flags.writeable = False
         self.space = space
-        self.matrix = mat
+        self.matrix = _frozen(space, matrix, complex, "matrix", ndim=2)
         self.tag = tag
 
     # construction helpers ------------------------------------------------
@@ -268,14 +290,8 @@ class Diagonal(OperatorForm):
     __slots__ = ("diagonal",)
 
     def __init__(self, space: Space, diagonal: np.ndarray):
-        diag = np.array(diagonal)
-        if diag.shape != (space.dim,):
-            raise DimensionMismatch(
-                f"diagonal shape {diag.shape} does not match space dim {space.dim}"
-            )
-        diag.flags.writeable = False
         self.space = space
-        self.diagonal = diag
+        self.diagonal = _frozen(space, diagonal, None, "diagonal")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -331,6 +347,15 @@ def apply(op: OperatorForm, k: Ket) -> Ket:
     return Ket(k.space, op.act(k.amplitudes))
 
 
+def _unfold(k: Ket, axes: list[int]) -> tuple[np.ndarray, list[int]]:
+    """k's amplitudes as a matrix, rows over the given axes in their order and
+    columns over the rest in space order, plus that axis order."""
+    dims = k.space.dims
+    order = axes + [i for i in range(len(dims)) if i not in axes]
+    t = np.transpose(k.as_tensor(), order)
+    return t.reshape(prod(dims[a] for a in axes), -1), order
+
+
 def apply_to_factors(k: Ket, matrix: np.ndarray, factor_names: Sequence[str]) -> Ket:
     """Apply a small unitary/matrix to a subset of factors, identity elsewhere.
 
@@ -341,22 +366,12 @@ def apply_to_factors(k: Ket, matrix: np.ndarray, factor_names: Sequence[str]) ->
     axes = [sp.factor_index(n) for n in factor_names]
     if len(set(axes)) != len(axes):
         raise ValueError("target factors must be distinct")
-    sub_dim = prod(sp.dims[a] for a in axes)
     mat = np.asarray(matrix, dtype=complex)
-    if mat.shape != (sub_dim, sub_dim):
-        raise DimensionMismatch(
-            f"matrix shape {mat.shape} does not match target dims {sub_dim}"
-        )
-    t = k.as_tensor()
-    rest = [i for i in range(len(sp.dims)) if i not in axes]
-    t = np.transpose(t, axes + rest)
-    t = t.reshape(sub_dim, -1)
-    t = mat @ t
-    t = t.reshape([sp.dims[a] for a in axes] + [sp.dims[i] for i in rest])
-    # undo the transpose
-    inv = np.argsort(axes + rest)
-    t = np.transpose(t, inv)
-    return Ket(sp, t.reshape(sp.dim))
+    t, order = _unfold(k, axes)
+    if mat.shape != (len(t), len(t)):
+        raise DimensionMismatch(f"matrix shape {mat.shape} does not match target dims {len(t)}")
+    t = (mat @ t).reshape([sp.dims[a] for a in order])
+    return Ket(sp, np.transpose(t, np.argsort(order)).reshape(sp.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +394,7 @@ def schmidt_rank(k: Ket, left: Sequence[str]) -> tuple[int, np.ndarray]:
         raise InvalidBipartition(f"factor named twice in the cut {list(left)}")
     if not 0 < len(axes) < len(dims):
         raise InvalidBipartition("both sides of a bipartition must be non-empty")
-    rest = [i for i in range(len(dims)) if i not in axes]
-    t = np.transpose(k.as_tensor(), axes + rest)
-    mat = t.reshape(prod(dims[i] for i in axes), -1)
-    coeffs = np.linalg.svd(mat, compute_uv=False)
+    coeffs = np.linalg.svd(_unfold(k, axes)[0], compute_uv=False)
     rank = int(np.sum(coeffs > SCHMIDT_TOL))
     return rank, coeffs
 

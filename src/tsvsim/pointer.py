@@ -27,16 +27,16 @@ from __future__ import annotations
 
 import math
 import weakref
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from sys import float_info
 
 import numpy as np
 
 from .errors import DimensionMismatch, ShiftOutOfGrid, ZeroProbabilityBranch
-from .hilbert import Diagonal, Factor, Ket, Operator, OperatorForm, Space
+from .hilbert import (Diagonal, Factor, Ket, Operator, OperatorForm, Space, normal_scale,
+                      squared_norm)
 from .tsvf import NOT_A_PROJECTOR
 
 HERMITICITY_TOL = 1e-10
@@ -276,20 +276,13 @@ def _draw_branch(owner: tuple[int, ...], amps: list[complex], n: int,
     for k, z in zip(owner, amps):
         w[k] += z.real * z.real + z.imag * z.imag
     cw = list(accumulate(w))
-    b = bisect_right(cw, draw * cw[-1])
-    # draw * total rounds up to total only when total is subnormal; that
-    # point goes to the last branch of nonzero weight
-    return b if b < n else bisect_left(cw, cw[-1])
+    return bisect_right(cw, draw * cw[-1])
 
 
 def _drawable(psi: np.ndarray) -> np.ndarray:
     """psi for the Born draws: a zero, NaN or infinite ket is refused, and one of
-    subnormal squared norm is scaled by the exact power of two that brings its
-    largest modulus into [0.5, 1), by np.ldexp, since 2.0 ** 1074 overflows."""
-    norm_sq = float(np.vdot(psi, psi).real)
-    if norm_sq < float_info.min and (big := float(np.abs(psi).max())) > 0:
-        psi = np.ldexp(psi.view(float), -math.frexp(big)[1]).view(complex)
-        norm_sq = float(np.vdot(psi, psi).real)
+    subnormal squared norm is drawn from its normal_scale."""
+    psi, norm_sq = normal_scale(psi)
     if not 0 < norm_sq < math.inf:  # NaN fails too
         raise ZeroProbabilityBranch(f"cannot draw outcomes from a ket of squared norm {norm_sq!r}")
     return psi
@@ -326,7 +319,7 @@ def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: f
             "observable must act on the full system space or its leading factors"
         )
     psi = system.amplitudes
-    norm_sq = float(np.vdot(psi, psi).real)
+    norm_sq = squared_norm(psi)
     if not norm_sq < math.inf:  # NaN fails too; checked before inf * 0 can warn
         raise ZeroProbabilityBranch(f"cannot couple a ket of squared norm {norm_sq!r}")
     owner, shifted, _ = _branch_table(observable, ptr, g)

@@ -80,7 +80,7 @@ def _project(state: Ket, projector: OperatorForm) -> tuple[np.ndarray, float]:
     if not projector.is_projector():
         raise ValueError(NOT_A_PROJECTOR)
     psi = state.amplitudes
-    norm_sq = float(np.vdot(psi, psi).real)
+    norm_sq = hilbert.squared_norm(psi)
     if not norm_sq < np.inf:  # NaN fails too
         raise ZeroProbabilityBranch(f"branch probability {norm_sq:.3e} is not finite")
     v = projector.act(psi)

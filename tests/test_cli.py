@@ -230,6 +230,10 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "run", "hardy", "--g-sweep", "nope")
         assert code == 2
 
+    def test_bad_sweep_suffix(self, capsys):
+        code, out, err = run_cli(capsys, "run", "hardy", "--g-sweep", "0.01:0.2:3:lin")
+        assert (code, out, err) == (2, "", "error: sweep suffix must be 'log'\n")
+
     def test_scn_diagnostics_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "broken.scn"
         bad.write_text("FACTORS\n  a x\n")
@@ -376,6 +380,7 @@ class TestExitCodes:
         ("0.01:nan:3", "MAX", "nan"),
         ("0.01:0:3", "MAX", "0"),
         ("0.01:0.2:3.5", "STEPS", "3.5"),
+        ("abc:0.2:3", "MIN", "abc"),
     ])
     def test_bad_sweep_field_named_before_running(self, capsys, sweep, field, value):
         code, out, err = run_cli(capsys, "run", "hardy", "--g-sweep", sweep)

@@ -1,13 +1,14 @@
 """Core Hilbert-space machinery: labels, kets, operators, Schmidt."""
 
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsvsim import dsl, hilbert as hb, scenarios as sc, tsvf
-from tsvsim.errors import DimensionMismatch, InvalidBipartition
+from tsvsim.errors import DimensionMismatch, InvalidBipartition, ZeroProbabilityBranch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SQ2 = np.sqrt(2.0)
@@ -33,6 +34,12 @@ class TestSpaceAndLabels:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             hb.Factor("f", ("a", "a"))
+
+    def test_empty_factor_and_space_rejected(self):
+        with pytest.raises(ValueError, match="^factor 'f' has no labels$"):
+            hb.Factor("f", ())
+        with pytest.raises(ValueError, match="^space needs at least one factor$"):
+            hb.Space([])
 
     def test_duplicate_factor_names_rejected(self):
         f = hb.Factor("f", ("a", "b"))
@@ -218,6 +225,14 @@ class TestApplyToFactors:
         expect = hb.apply_to_factors(hb.apply_to_factors(k, swap, ["a"]), swap, ["c"])
         np.testing.assert_allclose(out.amplitudes, expect.amplitudes, atol=1e-14)
 
+    def test_repeated_target_or_wrong_size_refused(self):
+        sp = pair_space()
+        with pytest.raises(ValueError, match="^target factors must be distinct$"):
+            hb.apply_to_factors(split_state(sp), np.eye(4), ["electron", "electron"])
+        with pytest.raises(DimensionMismatch,
+                           match=r"^matrix shape \(4, 4\) does not match target dims 2$"):
+            hb.apply_to_factors(split_state(sp), np.eye(4), ["positron"])
+
 
 class TestProjectors:
     def test_completeness(self):
@@ -369,6 +384,12 @@ class TestGateBuilders:
         with pytest.raises(ValueError, match="target factors must be distinct"):
             hb.label_swap(sp, ["a", "a"], ["x", "y"], ["y", "z"])
 
+    def test_label_swap_wrong_label_count(self):
+        sp = hb.space(("a", ["a0", "a1"]), ("b", ["b0", "b1"]))
+        with pytest.raises(DimensionMismatch,
+                           match="^src/dst must give one label per target factor$"):
+            hb.label_swap(sp, ["a", "b"], ["a0"], ["a1", "b1"])
+
     def test_label_swap_mismatched_wildcards(self):
         sp = hb.space(("a", ["a0", "a1"]), ("b", ["b0", "b1"]))
         with pytest.raises(ValueError):
@@ -492,3 +513,82 @@ class TestKetValidation:
         electron = hb.Operator.projector(sp, {"electron": "1'"})
         assert tsvf.born_probability(state, positron) == pytest.approx(1.0)
         assert tsvf.born_probability(state, electron) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("build,what,shape", [
+        (lambda sp: hb.Ket(sp, np.ones(3)), "amplitude vector", "(3,)"),
+        (lambda sp: hb.Ket(sp, np.ones((2, 2))), "amplitude vector", "(2, 2)"),
+        (lambda sp: hb.Operator(sp, np.eye(3)), "matrix", "(3, 3)"),
+        (lambda sp: hb.Operator(sp, np.ones(2)), "matrix", "(2,)"),
+        (lambda sp: hb.Diagonal(sp, np.ones(3)), "diagonal", "(3,)"),
+        (lambda sp: hb.Diagonal(sp, np.eye(2)), "diagonal", "(2, 2)"),
+    ], ids=["ket", "ket-2d", "operator", "operator-1d", "diagonal", "diagonal-2d"])
+    def test_shape_mismatch_has_one_message(self, build, what, shape):
+        sp = hb.space(("a", ["x", "y"]))
+        message = f"{what} shape {shape} does not match space dim 2"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            build(sp)
+
+    def test_arrays_are_read_only_copies(self):
+        # each constructor copies its input, whatever its dtype or order, into
+        # a C-order array; a Diagonal keeps its input's dtype
+        sp = hb.space(("a", ["x", "y"]))
+        src, mat = np.array([1.0, 0.0]), np.array([[1, 2j], [3, 4]])
+        ket, diag, op = hb.Ket(sp, src), hb.Diagonal(sp, src), hb.Operator(sp, mat.T)
+        src[0], mat[0, 1] = 5.0, 0.0
+        assert ket.amplitudes.tolist() == [1, 0] and ket.amplitudes.dtype == complex
+        assert diag.diagonal.tolist() == [1, 0] and diag.diagonal.dtype == float
+        assert op.matrix.tolist() == [[1, 3], [2j, 4]] and op.matrix.dtype == complex
+        for arr in (ket.amplitudes, diag.diagonal, op.matrix):
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+
+    def test_basis_state_is_from_amplitudes(self):
+        sp = pair_space()
+        ket = hb.basis_state(sp, "1''", "2'")
+        assert ket.amplitudes.tolist() == [0, 0, 1, 0]
+        with pytest.raises(KeyError, match="unknown label 'nope' in factor 'positron'"):
+            hb.basis_state(sp, "1'", "nope")
+        with pytest.raises(DimensionMismatch, match="expected 2 labels, got 1"):
+            hb.basis_state(sp, "1'")
+
+
+class TestUnit:
+    def test_zero_ket_refused(self):
+        sp = hb.space(("a", ["x", "y"]))
+        with pytest.raises(ZeroDivisionError, match="^cannot normalize the zero vector$"):
+            hb.Ket(sp, np.zeros(2)).unit()
+
+    @pytest.mark.parametrize("amps,norm_sq", [([1e200, 1], "inf"), ([np.inf, 0], "inf"),
+                                              ([np.nan, 1], "nan")])
+    def test_non_finite_squared_norm_refused(self, amps, norm_sq):
+        # refused before np.linalg.norm can overflow (warnings are errors here)
+        sp = hb.space(("a", ["x", "y"]))
+        with pytest.raises(ZeroProbabilityBranch,
+                           match=f"^cannot normalize a ket of squared norm {norm_sq}$"):
+            hb.Ket(sp, amps).unit()
+
+    def test_subnormal_squared_norm_normalizes_at_its_normal_scale(self):
+        sp = hb.space(("a", ["x", "y"]))
+        tiny = hb.Ket(sp, [1e-200, 1e-200]).unit()
+        assert tiny.amplitudes.tobytes() == hb.Ket(sp, [1, 1]).unit().amplitudes.tobytes()
+        for amps in ([3e-162, 0.0], [5e-324, 0.0], [1e-200j, 3e-200]):
+            ref = hb.Ket(sp, np.asarray(amps, dtype=complex) * 2.0 ** 600).unit()
+            assert hb.Ket(sp, amps).unit().amplitudes.tobytes() == ref.amplitudes.tobytes()
+
+    def test_normal_range_keeps_its_bits(self):
+        rng = np.random.default_rng(7)
+        sp = hb.space(("a", ["x", "y", "z"]))
+        for scale in (1e-150, 1e-3, 1.0, 1e150):
+            v = scale * (rng.normal(size=3) + 1j * rng.normal(size=3))
+            got = hb.Ket(sp, v).unit().amplitudes
+            assert got.tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
+class TestSquaredNorm:
+    @pytest.mark.parametrize("amps,expect", [
+        ([0.6, 0.8j], np.vdot([0.6, 0.8j], [0.6, 0.8j]).real), ([0, 0], 0.0),
+        ([np.inf, 0], np.inf), ([0, complex(0, -np.inf)], np.inf), ([1e200, 1], np.inf),
+        ([np.inf, np.nan], np.nan), ([np.nan, 0], np.nan)],
+        ids=["finite", "zero", "inf", "imaginary-inf", "overflow", "inf-and-nan", "nan"])
+    def test_infinite_entry_reads_inf_and_nan_reads_nan(self, amps, expect):
+        got = hb.squared_norm(np.asarray(amps, dtype=complex))
+        assert got == expect or (np.isnan(got) and np.isnan(expect))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tsvsim import hilbert as hb, tsvf
-from tsvsim.errors import IncompleteSet, OrthogonalSelection, ZeroProbabilityBranch
+from tsvsim.errors import (DimensionMismatch, IncompleteSet, OrthogonalSelection,
+                           ZeroProbabilityBranch)
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -154,6 +155,15 @@ class TestPostSelect:
             assert tsvf.born_probability(hb.basis_state(sp, "y"), proj) == 0.0
             assert tsvf.born_probability(hb.Ket(sp, np.zeros(2)), proj) == 0.0
 
+    @pytest.mark.parametrize("call", [tsvf.born_probability, tsvf.post_select])
+    @pytest.mark.parametrize("amp,p", [(np.inf, "inf"), (np.nan, "nan")])
+    def test_non_finite_ket_names_its_squared_norm(self, call, amp, p):
+        # np.vdot folds inf * 0 into NaN on some BLAS kernels; an infinite
+        # entry still reads inf
+        sp = hb.space(("a", ["x", "y"]))
+        with pytest.raises(ZeroProbabilityBranch, match=f"^branch probability {p} is not finite$"):
+            call(hb.Ket(sp, [amp, 0.0]), hb.Operator.projector(sp, {"a": "x"}))
+
     def test_non_projector_rejected(self):
         sp = hb.space(("a", ["x", "y"]))
         for bad in (hb.Operator(sp, np.array([[0.5, 0], [0, 0.5]])),
@@ -196,6 +206,28 @@ class TestProjectorSum:
         _, tsv = boxes
         with pytest.raises(IncompleteSet):
             tsvf.projector_weak_value_sum(tsv, [])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda a, b: tsvf.TwoStateVector(hb.basis_state(a, "x"), hb.basis_state(b, "x")),
+     "pre and post selections on different spaces"),
+    (lambda a, b: tsvf.weak_value(
+        tsvf.TwoStateVector(hb.basis_state(a, "x"), hb.basis_state(a, "x")),
+        hb.Operator.projector(b, {})), "operator space differs from selection space"),
+    (lambda a, b: tsvf.born_probability(hb.basis_state(a, "x"), hb.Operator.projector(b, {})),
+     "projector space differs from state space"),
+    (lambda a, b: tsvf.post_select(hb.basis_state(a, "x"), hb.Operator.projector(b, {})),
+     "projector space differs from state space"),
+    (lambda a, b: tsvf.projector_weak_value_sum(
+        tsvf.TwoStateVector(hb.basis_state(a, "x"), hb.basis_state(a, "x")),
+        [hb.Operator.projector(a, {}), hb.Operator.projector(b, {})]),
+     "projectors on different spaces"),
+], ids=["two_state_vector", "weak_value", "born_probability", "post_select",
+        "projector_weak_value_sum"])
+def test_space_mismatch_refused(call, message):
+    a, b = hb.space(("a", ["x", "y"])), hb.space(("b", ["x", "y"]))
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        call(a, b)
 
 
 class TestTwoStateVector:
