@@ -290,7 +290,7 @@ def criterion_9_properties() -> str:
     sp = hb.space(("a", ["a0", "a1", "a2"]), ("b", ["b0", "b1"]))
     for _ in range(20):
         amps = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
-        state = hb.Ket(sp, amps / np.linalg.norm(amps))
+        state = hb.Ket(sp, amps).unit()
         total_p = 0.0
         for lab in ("a0", "a1", "a2"):
             p, _ = tsvf.post_select(state, hb.Operator.projector(sp, {"a": lab}))
@@ -301,8 +301,7 @@ def criterion_9_properties() -> str:
     dim = sp.dim
     pre_amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     post_amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    tsv_r = tsvf.TwoStateVector(hb.Ket(sp, pre_amps / np.linalg.norm(pre_amps)),
-                                hb.Ket(sp, post_amps / np.linalg.norm(post_amps)))
+    tsv_r = tsvf.TwoStateVector(hb.Ket(sp, pre_amps).unit(), hb.Ket(sp, post_amps).unit())
     for _ in range(100):
         a = hb.Operator(sp, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
         b = hb.Operator(sp, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))

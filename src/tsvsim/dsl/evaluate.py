@@ -88,7 +88,7 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
     try:
         if sp.dim > np.iinfo(np.intp).max // 16:  # numpy's byte count would overflow
             raise MemoryError
-        state = hb.from_amplitudes(sp, {e.labels: e.amplitude for e in spec.initial}).unit()
+        state = hb.from_amplitudes(sp, spec.initial).unit()
         states["t0"] = state
         for g in spec.gates:
             line = g.line
@@ -103,8 +103,7 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
 
         if post is not None or spec.observables:
             line = 1 if post is None else post.line
-            post_ket = state if post is None else hb.from_amplitudes(
-                sp, {e.labels: e.amplitude for e in post.entries}).unit()
+            post_ket = state if post is None else hb.from_amplitudes(sp, post.entries).unit()
             tsv = tsvf.TwoStateVector(state, post_ket)
             if post is not None:
                 probabilities[post.name] = tsv.selection_probability()

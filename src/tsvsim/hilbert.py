@@ -137,11 +137,25 @@ def _frozen(space: Space, values, dtype, what: str, ndim: int = 1) -> np.ndarray
     return arr
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> complex:
+    """sum conj(a_i) b_i, as one np.vdot: every inner product, weak-value
+    numerator and pointer mean is this reduction."""
+    return complex(np.vdot(a, b))
+
+
+def norm(amps: np.ndarray) -> float:
+    """The l2 norm of a 1-D complex array, with np.linalg.norm's arithmetic
+    (one dot on each of the real and imaginary views) and its bits, without
+    its Python dispatch."""
+    re, im = amps.real, amps.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def squared_norm(amps: np.ndarray) -> float:
-    """sum |a|^2 over an amplitude array, as one np.vdot. Some BLAS kernels
+    """sum |a|^2 over an amplitude array, as one dot. Some BLAS kernels
     fold inf * 0 into that sum and return NaN for an infinite entry; such an
     array reads inf here, so NaN means a NaN entry."""
-    norm_sq = float(np.vdot(amps, amps).real)
+    norm_sq = dot(amps, amps).real
     if norm_sq != norm_sq and not np.isnan(amps).any():
         return math.inf
     return norm_sq
@@ -171,7 +185,7 @@ class Ket:
         self.amplitudes = _frozen(space, amplitudes, complex, "amplitude vector")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return norm(self.amplitudes)
 
     def unit(self) -> "Ket":
         """Return the normalized copy of this ket, a ket of subnormal squared
@@ -182,7 +196,7 @@ class Ket:
             raise ZeroProbabilityBranch(f"cannot normalize a ket of squared norm {norm_sq!r}")
         if norm_sq == 0.0:
             raise ZeroDivisionError("cannot normalize the zero vector")
-        return Ket(self.space, amps / float(np.linalg.norm(amps)))
+        return Ket(self.space, amps / norm(amps))
 
     def amplitude(self, labels: Sequence[str]) -> complex:
         return complex(self.amplitudes[self.space.index_of(labels)])
@@ -202,10 +216,17 @@ def basis_state(sp: Space, *labels: str) -> Ket:
     return from_amplitudes(sp, {labels: 1.0})
 
 
-def from_amplitudes(sp: Space, entries: Mapping[Sequence[str], complex]) -> Ket:
-    """Build a ket from a {label tuple: amplitude} mapping; unlisted entries
-    are 0. One fancy-index assignment stores every amplitude; a bad label
-    tuple raises index_of's error for the first one in mapping order."""
+def from_amplitudes(sp: Space, entries: Mapping[Sequence[str], complex]
+                    | Iterable[tuple[Sequence[str], complex]]) -> Ket:
+    """Build a ket from a {label tuple: amplitude} mapping or an iterable of
+    (label tuple, amplitude) pairs, where a repeated label tuple keeps its
+    last amplitude; unlisted entries are 0. One fancy-index assignment stores
+    every amplitude; a bad label tuple raises index_of's error for the first
+    one in entry order."""
+    if not isinstance(entries, Mapping):
+        # a comprehension: dict() copies each pair that is not an exact
+        # tuple (a parsed AmplitudeEntry) to a list first, twice the time
+        entries = {labels: amp for labels, amp in entries}
     amps = np.zeros(sp.dim, dtype=complex)
     amps[list(map(sp.index_of, entries))] = list(entries.values())
     return Ket(sp, amps)
@@ -215,7 +236,7 @@ def inner(bra: Ket, ket: Ket) -> complex:
     """<bra|ket>, conjugate-linear in the first argument."""
     if bra.space != ket.space:
         raise DimensionMismatch("inner product between different spaces")
-    return complex(np.vdot(bra.amplitudes, ket.amplitudes))
+    return dot(bra.amplitudes, ket.amplitudes)
 
 
 class OperatorForm:
@@ -285,13 +306,18 @@ class Operator(OperatorForm):
 
 class Diagonal(OperatorForm):
     """Operator diagonal in the product basis, stored as its diagonal: the 0/1
-    mask of a label projector, or a sum of scaled projectors (.scn observables)."""
+    mask of a label projector, or a sum of scaled projectors (.scn observables).
+    A boolean mask is stored as 0.0/1.0 floats; a non-numeric diagonal is refused."""
 
     __slots__ = ("diagonal",)
 
     def __init__(self, space: Space, diagonal: np.ndarray):
+        arr = np.asarray(diagonal)
+        if arr.dtype.kind not in "biufc":
+            raise ValueError(f"diagonal dtype {arr.dtype} is not numeric")
         self.space = space
-        self.diagonal = _frozen(space, diagonal, None, "diagonal")
+        self.diagonal = _frozen(space, arr, float if arr.dtype.kind == "b" else None,
+                                "diagonal")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -311,14 +337,16 @@ class Diagonal(OperatorForm):
 
 class Permutation(OperatorForm):
     """Basis map stored as an index array, (P t)[i] = t[index[i]]; the array is
-    checked to be a bijection, so the map is exactly unitary."""
+    checked to be an integer bijection, so the map is exactly unitary."""
 
     __slots__ = ("index",)
 
     def __init__(self, space: Space, index: np.ndarray):
-        idx = np.array(index, dtype=np.intp)
+        idx = np.array(index)
         hit = np.zeros(space.dim, dtype=bool)  # a bijection hits every state
-        if idx.shape == (space.dim,) and idx.min() >= 0 and idx.max() < space.dim:
+        if (idx.dtype.kind in "iu" and idx.shape == (space.dim,)
+                and idx.min() >= 0 and idx.max() < space.dim):
+            idx = idx.astype(np.intp, copy=False)
             hit[idx] = True
         if not hit.all():
             raise ValueError(f"index array is not a permutation of {space.dim} states")
@@ -404,8 +432,14 @@ def schmidt_rank(k: Ket, left: Sequence[str]) -> tuple[int, np.ndarray]:
 
 
 def is_unitary(matrix: np.ndarray | Sequence[Sequence[complex]], tol: float) -> bool:
-    """Whether U U+ is the identity to tol in every entry."""
-    u = np.asarray(matrix, dtype=complex)
+    """Whether matrix is a non-empty square 2-D matrix U with U U+ the
+    identity to tol in every entry."""
+    try:
+        u = np.asarray(matrix, dtype=complex)
+    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+        return False
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or not u.size:
+        return False
     return bool(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= tol)
 
 
@@ -417,11 +451,14 @@ def mode_coupler(factor: Factor, in_pair: tuple[str, str], out_pair: tuple[str, 
     disjoint pairs it builds the block-antidiagonal unitary [[0, B+], [B, 0]]:
     a second application routes the output modes back through the inverse, so
     round trips through an untouched splitter recombine exactly. A pair that
-    names one mode twice is refused: it leaves no two modes for the block.
+    names one mode twice is refused: it leaves no two modes for the block, and
+    so is a block that is not a 2x2 unitary to 1e-12 (the default is one).
     """
     if in_pair[0] == in_pair[1] or out_pair[0] == out_pair[1]:
         raise ValueError("each mode pair must name two distinct modes")
     b = BS_SYMMETRIC if block is None else np.asarray(block, dtype=complex)
+    if block is not None and not (b.shape == (2, 2) and is_unitary(b, 1e-12)):
+        raise ValueError("block is not a 2x2 unitary to 1e-12")
     ins = [factor.index(x) for x in in_pair]
     outs = [factor.index(x) for x in out_pair]
     u = np.eye(factor.dim, dtype=complex)

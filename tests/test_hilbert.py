@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsvsim import dsl, hilbert as hb, scenarios as sc, tsvf
+from tsvsim import dsl, hilbert as hb, pointer as pt, scenarios as sc, tsvf
 from tsvsim.errors import DimensionMismatch, InvalidBipartition, ZeroProbabilityBranch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -124,6 +124,16 @@ class TestFromAmplitudes:
             hb.from_amplitudes(sp, entries)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+    def test_pairs_fill_as_their_mapping(self):
+        # a .scn section's AmplitudeEntry pairs, or any (labels, amplitude)
+        # iterable, fill as the mapping built from it, a repeat's last value kept
+        for sp, entries in _scn_sections():
+            want = hb.from_amplitudes(sp, entries).amplitudes.tobytes()
+            assert hb.from_amplitudes(sp, entries.items()).amplitudes.tobytes() == want
+        sp = pair_space()
+        pairs = [(("1'", "2'"), 0.5), (("1''", "2''"), 0.8j), (("1'", "2'"), 0.6)]
+        assert hb.from_amplitudes(sp, iter(pairs)).amplitudes.tolist() == [0.6, 0, 0, 0.8j]
 
 
 class TestInner:
@@ -327,7 +337,7 @@ class TestGateBuilders:
         assert np.array_equal(u, want)
 
     def test_mode_coupler_disjoint_pairs_route_through_block_and_inverse(self):
-        b = np.array([[1, 2j], [3, 4 - 1j]])
+        b = np.array([[0.6, 0.8], [-0.8j, 0.6j]])  # unitary, four distinct entries
         u = hb.mode_coupler(self.FOUR, ("R_u", "L_u"), ("L_d", "R_d"), block=b)
         # rows/columns in label order L_u, L_d, R_u, R_d
         want = np.array([[0, b[0, 1].conjugate(), 0, b[1, 1].conjugate()],
@@ -366,10 +376,24 @@ class TestGateBuilders:
 
     def test_permutation_rejects_non_bijections(self):
         sp = hb.space(("a", ["x", "y", "z"]))
-        for index in ([0, 1], [0, 1, 2, 0], [0, 1, 3], [0, 1, -1], [-3, 1, 2], [0, 1, 1]):
+        for index in ([0, 1], [0, 1, 2, 0], [0, 1, 3], [0, 1, -1], [-3, 1, 2], [0, 1, 1],
+                      [2.5, 0.5, 1.5]):
             with pytest.raises(ValueError, match="^index array is not a permutation of 3 states$"):
                 hb.Permutation(sp, np.array(index))
         assert hb.Permutation(sp, np.array([2, 0, 1])).index.tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize("matrix", [[[1, 0, 0], [0, 1, 0]], [1], [], [[]], np.eye(2)[None],
+                                        [[1, 0], [0]], [["1", "0"], ["0", "x"]]],
+                             ids=["2x3", "1-d", "empty", "0-columns", "3-d", "ragged", "text"])
+    def test_is_unitary_only_for_square_matrices(self, matrix):
+        assert hb.is_unitary(matrix, 1e-12) is False
+
+    @pytest.mark.parametrize("block", [np.ones((2, 2)), np.eye(3), [[1, 0], [0, 1 + 1e-9]]],
+                             ids=["non-unitary", "3x3", "off-by-1e-9"])
+    def test_mode_coupler_refuses_a_block_that_is_not_a_2x2_unitary(self, block):
+        for out_pair in (("R_u", "R_d"), ("L_u", "L_d")):
+            with pytest.raises(ValueError, match="^block is not a 2x2 unitary to 1e-12$"):
+                hb.mode_coupler(self.FOUR, ("L_u", "L_d"), out_pair, block=block)
 
     def test_label_swap_wildcard(self):
         sp = hb.space(("a", ["a0", "a1"]), ("b", ["b0", "b1"]))
@@ -541,6 +565,26 @@ class TestKetValidation:
         for arr in (ket.amplitudes, diag.diagonal, op.matrix):
             assert not arr.flags.writeable and arr.flags.c_contiguous
 
+    def test_boolean_diagonal_is_a_label_projector(self):
+        sp = pair_space()
+        mask = hb.Diagonal(sp, [True, True, False, False])
+        proj = hb.Operator.projector(sp, {"electron": "1'"})
+        assert mask.diagonal.tobytes() == proj.diagonal.tobytes()
+        state = split_state(sp)
+        assert tsvf.born_probability(state, mask) == tsvf.born_probability(state, proj)
+        assert tsvf.post_select(state, mask)[1].amplitudes.tobytes() == \
+            tsvf.post_select(state, proj)[1].amplitudes.tobytes()
+        joint = pt.couple(state, hb.Diagonal(sp, [1.0, -1.0, 0.5, 2.0]),
+                          pt.PointerWavefunction(), 0.1)
+        assert pt.pointer_mean(joint, mask) == pt.pointer_mean(joint, proj)
+
+    @pytest.mark.parametrize("diagonal,dtype", [(["1", "0"], "<U1"),
+                                                (np.array([1, None], dtype=object), "object")])
+    def test_non_numeric_diagonal_refused(self, diagonal, dtype):
+        sp = hb.space(("a", ["x", "y"]))
+        with pytest.raises(ValueError, match=f"^diagonal dtype {dtype} is not numeric$"):
+            hb.Diagonal(sp, diagonal)
+
     def test_basis_state_is_from_amplitudes(self):
         sp = pair_space()
         ket = hb.basis_state(sp, "1''", "2'")
@@ -592,3 +636,28 @@ class TestSquaredNorm:
     def test_infinite_entry_reads_inf_and_nan_reads_nan(self, amps, expect):
         got = hb.squared_norm(np.asarray(amps, dtype=complex))
         assert got == expect or (np.isnan(got) and np.isnan(expect))
+
+
+class TestReductions:
+    def test_norm_and_dot_match_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        for n in (1, 2, 3, 41, 401, 2048, 206_763):  # 206 763: the three-path joint
+            a, b = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+            norm, dot = hb.norm(a), hb.dot(a, b)
+            assert type(norm) is float and type(dot) is complex
+            assert np.float64(norm).tobytes() == np.linalg.norm(a).tobytes()
+            assert np.complex128(dot).tobytes() == np.vdot(a, b).tobytes()
+        xs, marg = pt.PointerWavefunction().positions, rng.random(401)  # a pointer mean's pair
+        assert np.complex128(hb.dot(xs, marg)).tobytes() == \
+            np.complex128(np.vdot(xs, marg)).tobytes()
+        assert np.float64(hb.dot(xs, marg).real).tobytes() == np.dot(xs, marg).tobytes()
+
+    def test_reductions_are_spelled_only_in_hilbert(self):
+        # every dot product and norm that reaches an output runs in hilbert
+        src = Path(hb.__file__).parent
+        spelling = re.compile(r"np\.(vdot|dot)\(|linalg\.norm")
+        hits = [f"{path.relative_to(src)}:{i}"
+                for path in sorted(src.rglob("*.py")) if path != src / "hilbert.py"
+                for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                if spelling.search(line)]
+        assert not hits, f"np.vdot, np.dot or np.linalg.norm outside hilbert.py at {hits}"
