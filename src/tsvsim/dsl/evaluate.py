@@ -11,8 +11,9 @@ ordinary expectation value.
 Every refusal of a run is decided in one try and positioned as a parse error
 is: a library refusal (orthogonal selection, zero-probability branch, ...) is
 a ScenarioValidationError at the line being run, with the library error as
-its __cause__, and a state space too large to allocate, found up front or as
-a MemoryError anywhere in the run, is one at the first FACTORS line.
+its __cause__, as is an unknown label or factor (a KeyError) in a spec built
+in code, and a state space too large to allocate, found up front or as a
+MemoryError anywhere in the run, is one at the first FACTORS line.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
                 weak_values[obs.name] = wv
     except TsvsimError as e:
         raise ScenarioValidationError([Diagnostic(line, 1, str(e))]) from e
+    except KeyError as e:  # an unknown label or factor in a spec built in code
+        raise ScenarioValidationError([Diagnostic(line, 1, e.args[0])]) from e
     except MemoryError:
         raise ScenarioValidationError([Diagnostic(spec.factors[0].line, 1, (
             f"state space of {sp.dim} amplitudes is too large to allocate"))]) from None

@@ -161,16 +161,29 @@ def squared_norm(amps: np.ndarray) -> float:
     return norm_sq
 
 
-def normal_scale(amps: np.ndarray) -> tuple[np.ndarray, float]:
-    """(amps, squared_norm(amps)), where a nonzero complex amps of subnormal
-    squared norm is first scaled by the exact power of two that brings its
-    largest modulus into [0.5, 1), by np.ldexp, since 2.0 ** 1074 overflows.
-    Any other amps is returned as it is."""
+def usable(amps: np.ndarray, doing: str) -> np.ndarray:
+    """amps as a normalization or a Born draw reads them: a nonzero complex
+    amps of subnormal squared norm is first scaled by the exact power of two
+    that brings its largest modulus into [0.5, 1), by np.ldexp, since
+    2.0 ** 1074 overflows. A squared norm of 0, NaN or inf is refused with
+    ZeroProbabilityBranch, naming what the caller was doing."""
     norm_sq = squared_norm(amps)
     if norm_sq < float_info.min and (big := float(np.abs(amps).max())) > 0:
         amps = np.ldexp(amps.view(float), -math.frexp(big)[1]).view(complex)
         norm_sq = squared_norm(amps)
-    return amps, norm_sq
+    if not 0 < norm_sq < math.inf:  # NaN fails too
+        raise ZeroProbabilityBranch(f"cannot {doing} a ket of squared norm {norm_sq!r}")
+    return amps
+
+
+def require_finite(amps: np.ndarray, doing: str) -> np.ndarray:
+    """amps, refused with ZeroProbabilityBranch, naming what the caller was
+    doing, when their squared norm is NaN or inf, before an operator acting on
+    them can make inf * 0; the zero ket is allowed."""
+    norm_sq = squared_norm(amps)
+    if not norm_sq < math.inf:  # NaN fails too
+        raise ZeroProbabilityBranch(f"cannot {doing} a ket of squared norm {norm_sq!r}")
+    return amps
 
 
 class Ket:
@@ -188,14 +201,10 @@ class Ket:
         return norm(self.amplitudes)
 
     def unit(self) -> "Ket":
-        """Return the normalized copy of this ket, a ket of subnormal squared
-        norm normalized from its normal_scale. A NaN or infinite squared norm
-        raises ZeroProbabilityBranch, the zero ket ZeroDivisionError."""
-        amps, norm_sq = normal_scale(self.amplitudes)
-        if not norm_sq < math.inf:  # NaN fails too; checked before the norm overflows
-            raise ZeroProbabilityBranch(f"cannot normalize a ket of squared norm {norm_sq!r}")
-        if norm_sq == 0.0:
-            raise ZeroDivisionError("cannot normalize the zero vector")
+        """Return the normalized copy of this ket, made from its usable
+        amplitudes: a zero, NaN or infinite squared norm raises
+        ZeroProbabilityBranch before the norm can overflow."""
+        amps = usable(self.amplitudes, "normalize")
         return Ket(self.space, amps / norm(amps))
 
     def amplitude(self, labels: Sequence[str]) -> complex:
@@ -219,16 +228,12 @@ def basis_state(sp: Space, *labels: str) -> Ket:
 def from_amplitudes(sp: Space, entries: Mapping[Sequence[str], complex]
                     | Iterable[tuple[Sequence[str], complex]]) -> Ket:
     """Build a ket from a {label tuple: amplitude} mapping or an iterable of
-    (label tuple, amplitude) pairs, where a repeated label tuple keeps its
-    last amplitude; unlisted entries are 0. One fancy-index assignment stores
-    every amplitude; a bad label tuple raises index_of's error for the first
-    one in entry order."""
-    if not isinstance(entries, Mapping):
-        # a comprehension: dict() copies each pair that is not an exact
-        # tuple (a parsed AmplitudeEntry) to a list first, twice the time
-        entries = {labels: amp for labels, amp in entries}
+    (label tuple, amplitude) pairs, each stored at its index_of in one pass,
+    so a repeated label tuple keeps its last amplitude and the first bad label
+    tuple raises index_of's error; unlisted entries are 0."""
     amps = np.zeros(sp.dim, dtype=complex)
-    amps[list(map(sp.index_of, entries))] = list(entries.values())
+    for labels, amp in entries.items() if isinstance(entries, Mapping) else entries:
+        amps[sp.index_of(labels)] = amp
     return Ket(sp, amps)
 
 

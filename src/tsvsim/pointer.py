@@ -31,12 +31,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import DimensionMismatch, ShiftOutOfGrid, ZeroProbabilityBranch
 from .hilbert import (Diagonal, Factor, Ket, Operator, OperatorForm, Space, dot, norm,
-                      normal_scale, squared_norm)
+                      require_finite, usable)
 from .tsvf import NOT_A_PROJECTOR
 
 HERMITICITY_TOL = 1e-10
@@ -117,11 +118,13 @@ class PointerWavefunction:
     spacing: float = DEFAULT_SPACING
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_bins, int) and self.n_bins > 0 and self.n_bins % 2):
+        # a bool is an int, and so a Real, but neither a count nor a spacing
+        if not (type(self.n_bins) is int and self.n_bins > 0 and self.n_bins % 2):
             raise ValueError(f"bin count must be an odd positive int, got {self.n_bins!r}")
-        if not 0 < self.spacing < math.inf:  # NaN fails too
-            raise ValueError(f"grid spacing must be finite and > 0, got {self.spacing!r}")
-        object.__setattr__(self, "spacing", float(self.spacing))
+        spacing = self.spacing  # NaN fails the comparison too
+        if isinstance(spacing, bool) or not (isinstance(spacing, Real) and 0 < spacing < math.inf):
+            raise ValueError(f"grid spacing must be finite and > 0, got {spacing!r}")
+        object.__setattr__(self, "spacing", float(spacing))
 
     @property
     def positions(self) -> np.ndarray:
@@ -279,15 +282,6 @@ def _draw_branch(owner: tuple[int, ...], amps: list[complex], n: int,
     return bisect_right(cw, draw * cw[-1])
 
 
-def _drawable(psi: np.ndarray) -> np.ndarray:
-    """psi for the Born draws: a zero, NaN or infinite ket is refused, and one of
-    subnormal squared norm is drawn from its normal_scale."""
-    psi, norm_sq = normal_scale(psi)
-    if not 0 < norm_sq < math.inf:  # NaN fails too
-        raise ZeroProbabilityBranch(f"cannot draw outcomes from a ket of squared norm {norm_sq!r}")
-    return psi
-
-
 def _unique_pointer_name(sp: Space) -> str:
     taken = {f.name for f in sp.factors}
     if "pointer" not in taken:
@@ -311,17 +305,14 @@ def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: f
     turn without ever forming full-space matrices; pointer_mean then reads
     them all from one post-selection. With g = 0 the result is an exact
     product and the pointer is untouched. A zero ket couples to zero; one
-    whose squared norm is NaN or infinite raises ZeroProbabilityBranch.
+    that hilbert.require_finite refuses raises ZeroProbabilityBranch.
     """
     k = len(observable.space.factors)
     if system.space.factors[:k] != observable.space.factors:
         raise DimensionMismatch(
             "observable must act on the full system space or its leading factors"
         )
-    psi = system.amplitudes
-    norm_sq = squared_norm(psi)
-    if not norm_sq < math.inf:  # NaN fails too; checked before inf * 0 can warn
-        raise ZeroProbabilityBranch(f"cannot couple a ket of squared norm {norm_sq!r}")
+    psi = require_finite(system.amplitudes, "couple")
     owner, shifted, _ = _branch_table(observable, ptr, g)
     t = psi.reshape(observable.space.dim, -1)
     # index i rides on its own branch's profile alone, so each amplitude is
@@ -368,11 +359,12 @@ def pointer_mean(joint: Ket, post_projector: OperatorForm) -> tuple[float, ...]:
 def strong_measure(system: Ket, observable: OperatorForm,
                    rng_seed: int) -> tuple[float, Ket]:
     """Projective measurement: Born-sample an eigenvalue with the weak walk's
-    branch draw, and collapse. Deterministic given the seed; a zero or NaN
-    ket raises ZeroProbabilityBranch before the draw."""
+    branch draw, and collapse. Deterministic given the seed; a ket that
+    hilbert.usable refuses (zero, NaN or infinite) raises
+    ZeroProbabilityBranch before the draw."""
     if observable.space != system.space:
         raise DimensionMismatch("observable space differs from system space")
-    psi = _drawable(system.amplitudes)
+    psi = usable(system.amplitudes, "draw outcomes from")
     lams, owner, owner_ints = _levels(observable)
     draw = np.random.default_rng(rng_seed).random()
     idx = _draw_branch(owner_ints, psi.tolist(), len(lams), draw)
@@ -392,14 +384,14 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     conditioned joint distribution, and projects the pointer onto the sampled
     bin; the induced Kraus map is the back-action on the system. Readouts
     drift like a biased random walk, and for long sequences the system is
-    driven into an eigenstate with Born-rule frequencies across seeds. A zero
-    or NaN ket raises ZeroProbabilityBranch before any draw.
+    driven into an eigenstate with Born-rule frequencies across seeds. A ket
+    that hilbert.usable refuses raises ZeroProbabilityBranch before any draw.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if isinstance(steps, bool) or not isinstance(steps, Integral) or steps < 1:
+        raise ValueError(f"steps must be an int >= 1, got {steps!r}")
     if observable.space != system.space:
         raise DimensionMismatch("observable space differs from system space")
-    psi = _drawable(system.amplitudes).copy()  # updated in place, so its views stay live
+    psi = usable(system.amplitudes, "draw outcomes from").copy()  # updated in place
     if ptr is None:
         ptr = PointerWavefunction()
     owner, branch_amps, cdf_rows = _branch_table(observable, ptr, g)
@@ -409,7 +401,7 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
     n_branches = len(branch_amps)
     rng = np.random.default_rng(rng_seed)
     branch_draws, bin_draws = rng.random((steps, 2)).T.tolist()
-    re, im = psi.real, psi.imag
+    re, im = psi.real, psi.imag  # views, live as psi is updated in place
     bins = []
     # Each step stays bit-identical to the all-numpy loop, the draws as
     # _draw_branch says. On masks the Kraus product acts entry by entry.

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 from typing import Callable, Mapping
 
 import numpy as np
@@ -116,8 +117,8 @@ def run_four_mirror(trials: int = 10_000, rng_seed: int = 42) -> ScenarioResult:
       (c) arm R_u as well; once R_u has also been silent the interference is
           broken and L_u clicks sooner or later (probability 1/2 per trip).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, Integral) or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     bs, flip_l, flip_r, silent_l, silent_r, click_l, t0 = _four_mirror_static()
     s = hb.apply(flip_l, t0)
     p_silent, t1 = tsvf.post_select(s, silent_l)

@@ -72,18 +72,14 @@ def weak_value(tsv: TwoStateVector, a: OperatorForm) -> complex:
 def _project(state: Ket, projector: OperatorForm) -> tuple[np.ndarray, float]:
     """(P|psi>, ||P psi||^2), with P checked to be a projector on psi's space.
 
-    A psi whose squared norm is NaN or infinite is refused with
-    ZeroProbabilityBranch before P acts (where 0 * inf would give NaN), so
-    every probability returned is finite."""
+    A psi that hilbert.require_finite refuses (a NaN or infinite squared norm)
+    raises ZeroProbabilityBranch before P acts, where 0 * inf would give NaN,
+    so every probability returned is finite."""
     if projector.space != state.space:
         raise DimensionMismatch("projector space differs from state space")
     if not projector.is_projector():
         raise ValueError(NOT_A_PROJECTOR)
-    psi = state.amplitudes
-    norm_sq = hilbert.squared_norm(psi)
-    if not norm_sq < np.inf:  # NaN fails too
-        raise ZeroProbabilityBranch(f"branch probability {norm_sq:.3e} is not finite")
-    v = projector.act(psi)
+    v = projector.act(hilbert.require_finite(state.amplitudes, "project"))
     return v, hilbert.squared_norm(v)
 
 
@@ -110,11 +106,13 @@ def projector_weak_value_sum(tsv: TwoStateVector, projectors: list[Diagonal]) ->
 
     The family's diagonals must add up to one on every basis state, i.e.
     resolve the identity (IncompleteSet otherwise); by linearity the sum then
-    equals 1.
+    equals 1. A projector that is not a Diagonal is refused.
     """
     if not projectors:
         raise IncompleteSet("empty projector list")
-    for p in projectors[1:]:
+    for p in projectors:
+        if not isinstance(p, Diagonal):
+            raise ValueError(f"projector {p!r} is not a label projector (Diagonal)")
         if p.space != projectors[0].space:
             raise DimensionMismatch("projectors on different spaces")
     total = sum(p.diagonal for p in projectors)

@@ -2,6 +2,7 @@
 
 import cmath
 import collections
+import dataclasses
 import gc
 import importlib
 import json
@@ -396,6 +397,45 @@ class TestEvaluateErrors:
             dsl.evaluate(spec)
         assert err.value.diagnostics == [Diagnostic(
             6, 1, "branch probability 0.000e+00 < 1.0e-14")]
+        assert type(err.value.__cause__) is ZeroProbabilityBranch
+
+    @pytest.mark.parametrize("part,line,message", [
+        ("initial", 2, "unknown label 'z' in factor 'a'"),
+        ("postselect", 8, "unknown label 'z' in factor 'a'"),
+        ("gate", 7, "no factor named 'c' in Space(a[2], b[2])"),
+        ("observable", 8, "no factor named 'c' in Space(a[2], b[2])"),
+    ])
+    def test_unknown_name_in_a_built_spec_is_positioned(self, part, line, message):
+        # the parser refuses these names, so only a spec built in code reaches
+        # evaluate with one; its KeyError is positioned as a library refusal is
+        spec = dsl.parse("FACTORS\n  a: x y\n  b: u v\nINITIAL\n  x u : 1\nGATES\n"
+                         "  t1 projector_select a : x\nPOSTSELECT\n  x u : 1\n"
+                         "OBSERVABLES\n  PX = proj(a=x)\n")
+        unknown = (dsl.AmplitudeEntry(("z", "u"), 1.0),)
+        spec = dataclasses.replace(spec, **{
+            "initial": {"initial": unknown},
+            "postselect": {"postselect": dataclasses.replace(spec.postselect, entries=unknown)},
+            "gate": {"gates": (dataclasses.replace(spec.gates[0], targets=("c",)),)},
+            "observable": {"observables": (dataclasses.replace(
+                spec.observables[0], terms=((1.0, (("c", "x"),)),)),)},
+        }[part])
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.evaluate(spec)
+        assert err.value.diagnostics == [Diagnostic(line, 1, message)]
+        assert type(err.value.__cause__) is KeyError
+
+    @pytest.mark.parametrize("initial,post,line", [
+        ((), None, 1), ((dsl.AmplitudeEntry(("x",), 0.0),), None, 1),
+        ((dsl.AmplitudeEntry(("x",), 1.0),), (dsl.AmplitudeEntry(("y",), 0.0),), 3),
+    ], ids=["empty-initial", "zero-initial", "zero-postselect"])
+    def test_zero_ket_in_a_built_spec_is_positioned(self, initial, post, line):
+        # the parser refuses a zero section; one built in code is refused by Ket.unit
+        spec = dsl.ScenarioSpec((dsl.FactorDecl("a", ("x", "y"), 1),), initial,
+                                postselect=post and dsl.PostselectDecl("post", post, 3))
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.evaluate(spec)
+        assert err.value.diagnostics == [Diagnostic(
+            line, 1, "cannot normalize a ket of squared norm 0.0")]
         assert type(err.value.__cause__) is ZeroProbabilityBranch
 
     @pytest.mark.parametrize("n_factors", [62, 70])

@@ -598,7 +598,8 @@ class TestKetValidation:
 class TestUnit:
     def test_zero_ket_refused(self):
         sp = hb.space(("a", ["x", "y"]))
-        with pytest.raises(ZeroDivisionError, match="^cannot normalize the zero vector$"):
+        with pytest.raises(ZeroProbabilityBranch,
+                           match="^cannot normalize a ket of squared norm 0.0$"):
             hb.Ket(sp, np.zeros(2)).unit()
 
     @pytest.mark.parametrize("amps,norm_sq", [([1e200, 1], "inf"), ([np.inf, 0], "inf"),
@@ -661,3 +662,13 @@ class TestReductions:
                 for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                 if spelling.search(line)]
         assert not hits, f"np.vdot, np.dot or np.linalg.norm outside hilbert.py at {hits}"
+
+    def test_ket_refusals_are_spelled_only_in_hilbert(self):
+        # whether a ket can be normalized, drawn from, coupled or projected is
+        # decided by hilbert.usable and hilbert.require_finite alone
+        src = Path(hb.__file__).parent
+        hits = [f"{path.relative_to(src)}:{i}"
+                for path in sorted(src.rglob("*.py")) if path != src / "hilbert.py"
+                for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                if "a ket of squared norm" in line]
+        assert not hits, f"a ket refusal spelled outside hilbert.py at {hits}"

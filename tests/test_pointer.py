@@ -275,18 +275,34 @@ def _non_diagonal_cases():
     ]
 
 
-@pytest.mark.parametrize("call,message", [
-    (lambda k, obs: pt.strong_measure(k, obs, 1), "cannot draw outcomes from a ket"),
-    (lambda k, obs: pt.weak_sequence(k, obs, 0.2, 3, 1), "cannot draw outcomes from a ket"),
-    (lambda k, obs: pt.couple(k, obs, pt.PointerWavefunction(), 0.1), "cannot couple a ket"),
-], ids=["strong_measure", "weak_sequence", "couple"])
+# every entry that refuses an unusable ket, with the verb its refusal names
+KET_REFUSALS = {
+    "unit": (lambda k, obs: k.unit(), "normalize"),
+    "strong_measure": (lambda k, obs: pt.strong_measure(k, obs, 1), "draw outcomes from"),
+    "weak_sequence": (lambda k, obs: pt.weak_sequence(k, obs, 0.2, 3, 1), "draw outcomes from"),
+    "couple": (lambda k, obs: pt.couple(k, obs, pt.PointerWavefunction(), 0.1), "couple"),
+    "born_probability": (lambda k, obs: tsvf.born_probability(k, obs), "project"),
+    "post_select": (lambda k, obs: tsvf.post_select(k, obs), "project"),
+}
+
+
+@pytest.mark.parametrize("call,doing", KET_REFUSALS.values(), ids=KET_REFUSALS)
 @pytest.mark.parametrize("amp,norm_sq", [(np.inf, "inf"), (np.nan, "nan")])
-def test_non_finite_ket_names_its_squared_norm(call, message, amp, norm_sq):
+def test_non_finite_ket_names_its_squared_norm(call, doing, amp, norm_sq):
     # np.vdot folds inf * 0 into NaN on some BLAS kernels; an infinite entry
-    # still reads inf
+    # still reads inf. The observable [0, 1] is also the projector onto "hi".
     sp, obs = two_level()
-    with pytest.raises(ZeroProbabilityBranch, match=f"^{message} of squared norm {norm_sq}$"):
+    with pytest.raises(ZeroProbabilityBranch,
+                       match=f"^cannot {doing} a ket of squared norm {norm_sq}$"):
         call(hb.Ket(sp, [amp, 0.0]), obs)
+
+
+@pytest.mark.parametrize("entry", ["unit", "strong_measure", "weak_sequence"])
+def test_zero_ket_names_its_squared_norm(entry):
+    call, doing = KET_REFUSALS[entry]
+    sp, obs = two_level()
+    with pytest.raises(ZeroProbabilityBranch, match=f"^cannot {doing} a ket of squared norm 0.0$"):
+        call(hb.Ket(sp, [0.0, 0.0]), obs)
 
 
 class TestPointerWavefunction:
@@ -306,10 +322,11 @@ class TestPointerWavefunction:
             pt.PointerWavefunction(n_bins=400)
 
     def test_grid_validation(self):
-        for n_bins in (0, -3, 5.0):
+        # a bool is an int, and "0.1" does not compare with 0: both are refused
+        for n_bins in (0, -3, 5.0, True):
             with pytest.raises(ValueError, match="^bin count must be an odd positive int"):
                 pt.PointerWavefunction(n_bins=n_bins)
-        for spacing in (0.0, -1.0, float("nan"), float("inf")):
+        for spacing in (0.0, -1.0, float("nan"), float("inf"), "0.1", True):
             with pytest.raises(ValueError, match="^grid spacing must be finite and > 0"):
                 pt.PointerWavefunction(n_bins=11, spacing=spacing)
         # an int spacing is stored as a float, so labels and grid read floats
@@ -802,6 +819,11 @@ class TestWeakSequence:
         sp, obs = two_level()
         with pytest.raises(ValueError):
             pt.weak_sequence(hb.basis_state(sp, "hi"), obs, 0.1, 0, 1)
+        # a float or a bool step count is refused before numpy reads it
+        for steps in (2.5, True, "3"):
+            with pytest.raises(ValueError, match=f"^steps must be an int >= 1, "
+                                                 f"got {re.escape(repr(steps))}$"):
+                pt.weak_sequence(hb.basis_state(sp, "hi"), obs, 0.1, steps, 1)
 
     def test_shift_out_of_grid(self):
         sp, obs = two_level()

@@ -291,6 +291,10 @@ class TestFourMirror:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             sc.run_four_mirror(trials=0)
+        # a float or a bool trial count is refused before numpy reads it
+        for trials in (1.5, True):
+            with pytest.raises(ValueError, match=f"^trials must be an int >= 1, got {trials!r}$"):
+                sc.run_four_mirror(trials=trials)
 
     @pytest.mark.parametrize("trials", [1, 3, 200, 10_000])
     @pytest.mark.parametrize("seed", [0, 1, 7, 9, 42, 2024, 31337])

@@ -139,7 +139,7 @@ class TestPostSelect:
         proj = hb.Operator.projector(sp, {"a": "x"})
         for amp, p in ((np.nan, "nan"), (1e200, "inf")):
             with pytest.raises(ZeroProbabilityBranch,
-                               match=f"^branch probability {p} is not finite$"):
+                               match=f"^cannot project a ket of squared norm {p}$"):
                 tsvf.post_select(hb.Ket(sp, np.array([amp, 0.5])), proj)
 
     def test_non_finite_ket_refused_before_projecting(self):
@@ -150,7 +150,8 @@ class TestPostSelect:
             for amp in (np.nan, np.inf, 1e200):
                 for call in (tsvf.born_probability, tsvf.post_select):
                     with pytest.raises(ZeroProbabilityBranch,
-                                       match="^branch probability (nan|inf) is not finite$"):
+                                       match="^cannot project a ket of squared norm "
+                                             "(nan|inf)$"):
                         call(hb.Ket(sp, np.array([amp, 0.5])), proj)
             assert tsvf.born_probability(hb.basis_state(sp, "y"), proj) == 0.0
             assert tsvf.born_probability(hb.Ket(sp, np.zeros(2)), proj) == 0.0
@@ -161,7 +162,8 @@ class TestPostSelect:
         # np.vdot folds inf * 0 into NaN on some BLAS kernels; an infinite
         # entry still reads inf
         sp = hb.space(("a", ["x", "y"]))
-        with pytest.raises(ZeroProbabilityBranch, match=f"^branch probability {p} is not finite$"):
+        with pytest.raises(ZeroProbabilityBranch,
+                           match=f"^cannot project a ket of squared norm {p}$"):
             call(hb.Ket(sp, [amp, 0.0]), hb.Operator.projector(sp, {"a": "x"}))
 
     def test_non_projector_rejected(self):
@@ -206,6 +208,16 @@ class TestProjectorSum:
         _, tsv = boxes
         with pytest.raises(IncompleteSet):
             tsvf.projector_weak_value_sum(tsv, [])
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_non_diagonal_projector_rejected(self, boxes, first):
+        # a dense projector has no diagonal to sum: refused by its type, first or not
+        sp, tsv = boxes
+        dense = hb.Operator.ket_projector(tsv.pre)
+        family = [dense] if first else box_projectors(sp) + [dense]
+        with pytest.raises(ValueError, match=r"^projector Operator\(Space\(box\[3\]\)\) is "
+                                             r"not a label projector \(Diagonal\)$"):
+            tsvf.projector_weak_value_sum(tsv, family)
 
 
 @pytest.mark.parametrize("call,message", [
