@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 from functools import reduce
 from importlib import resources
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -81,12 +82,12 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
     names; the post-selection's, |<post|evolved>|^2, and the weak values,
     <post|A|evolved> / <post|evolved>, come from one two-state vector.
     """
-    sp = hb.space(*((f.name, f.labels) for f in spec.factors))
-    line = spec.factors[0].line  # the step being run
+    line = spec.factors[0].line if spec.factors else 1  # the step being run
     states: dict[str, Ket] = {}
     probabilities: dict[str, float] = {}
     post, weak_values = spec.postselect, {}
     try:
+        sp = hb.space(*((f.name, f.labels) for f in spec.factors))
         if sp.dim > np.iinfo(np.intp).max // 16:  # numpy's byte count would overflow
             raise MemoryError
         state = hb.from_amplitudes(sp, spec.initial).unit()
@@ -129,8 +130,9 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
     except KeyError as e:  # an unknown label or factor in a spec built in code
         raise ScenarioValidationError([Diagnostic(line, 1, e.args[0])]) from e
     except MemoryError:
+        dim = prod(len(f.labels) for f in spec.factors)  # sp is unset if building it failed
         raise ScenarioValidationError([Diagnostic(spec.factors[0].line, 1, (
-            f"state space of {sp.dim} amplitudes is too large to allocate"))]) from None
+            f"state space of {dim} amplitudes is too large to allocate"))]) from None
 
     return ScenarioResult(
         scenario_id=scenario_id,

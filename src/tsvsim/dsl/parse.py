@@ -13,9 +13,17 @@ _Reader: its header scan tells a header from other lines with one split,
 reads FACTORS lines as it meets them and keeps every other line, by section
 and in file order, to read once against the complete factor table. Each
 name is checked where it is read, and every diagnostic about a word points
-at that word's column. Syntax diagnostics raise ScenarioSyntaxError; only
-when there are none do semantic ones (unknown names, duplicates, epoch order,
-matrix size and unitarity) raise ScenarioValidationError.
+at that word's column. A declared name (factor name, FACTORS label, epoch,
+'as NAME' record, observable name) has its form checked: it is neither
+reserved nor holds a delimiter. A use of a name (INITIAL and POSTSELECT
+labels, gate targets and labels, proj(...) arguments) is only looked up, so
+a reserved or malformed word there is an unknown factor or label; '*' is a
+label in a swap_map alone. Syntax diagnostics (a line's shape, a keyword, an
+expression, a declared name's form) raise ScenarioSyntaxError; only when
+there are none do validation ones (a name's use, every repeat, section
+headers included, epoch order, matrix size and unitarity, section-level
+states) raise ScenarioValidationError. The lines under a repeated section
+header are read with the first section of that name.
 
 One recursive-descent parser, _Expr, reads every expression: amplitudes,
 custom_unitary matrix literals and observables. It lexes each expression once
@@ -487,7 +495,7 @@ class _Reader:
     names against the complete table where it is read. Each method reads one
     kind of line, or of gate, at self.line; amplitudes() reads a whole
     INITIAL or POSTSELECT section. Syntax diagnostics go to `syntax`;
-    unknown names, duplicates, epoch order, matrix size and unitarity go to
+    unknown names, repeats, epoch order, matrix size and unitarity go to
     `semantic`. Each points at the column of the offending word.
     """
 
@@ -528,14 +536,12 @@ class _Reader:
             self.line = lineno
             if first[0] in SECTIONS:
                 section, rest = first[0], first[1].split() if len(first) > 1 else []
-                if section in self.sections:
-                    self.error(_column(content, 0, 0), f"section {section} already given "
-                               f"on line {self.sections[section]}")
-                    section = None
+                body = bodies.setdefault(section, [])  # FACTORS' stays empty
+                if section in self.sections:  # its lines join the first one's
+                    self.invalid(_column(content, 0, 0), f"section {section} already given "
+                                 f"on line {self.sections[section]}")
                     continue
                 self.sections[section] = lineno
-                if section != "FACTORS":
-                    body = bodies[section] = []
                 if section == "POSTSELECT":
                     self.postselect(content, rest)
                 elif rest:
@@ -576,24 +582,21 @@ class _Reader:
 
     def names_ok(self, text: str, offset: int, words: list[str], what: str,
                  first: int = 0) -> bool:
-        """Whether no word is reserved or holds a delimiter; else one error per
-        bad word. words are words of text (text[0] at offset), in order, from
-        its first-th word on; a word skipped over is never a bad one."""
-        if _RESERVED_TOKENS.isdisjoint(words) and not _DELIMITER.search("".join(words)):
-            return True
-        every, k = text.split(), first
-        for word in words:
+        """Whether no declared name is reserved or holds a delimiter; else one
+        error per bad word. words[k] is text's (first + k)-th, text[0] at offset."""
+        ok = True
+        for k, word in enumerate(words, first):
             if word in _RESERVED_TOKENS or _DELIMITER.search(word):
-                k = every.index(word, k) + 1
-                self.error(_column(text, offset, k - 1), f"invalid {what} token {word!r}")
-        return False
+                self.error(_column(text, offset, k), f"invalid {what} token {word!r}")
+                ok = False
+        return ok
 
     def labels_known(self, text, offset, words, factors, maps, first=0) -> bool:
-        """Whether each word is '*' or in maps[k], the labels of factor factors[k];
-        else one diagnostic per other word. words[k] is text's (first + k)-th."""
+        """Whether each word is in maps[k], the labels of factor factors[k]; else
+        one diagnostic per other word. words[k] is text's (first + k)-th."""
         known = True
         for k, (word, factor, labels) in enumerate(zip(words, factors, maps), first):
-            if word != "*" and word not in labels:
+            if word not in labels:
                 self.invalid(_column(text, offset, k),
                              f"unknown label {word!r} for factor {factor!r}")
                 known = False
@@ -657,8 +660,6 @@ class _Reader:
                 if not words:
                     self.error(len(head) + 1, "expected basis labels before ':'")
                     continue
-                if not self.names_ok(head, 0, words, "label"):
-                    continue
             amp = values.get(tail)
             if amp is None:
                 amp = _eval(_Expr.parse_pair, tail, lineno, len(head) + 1, self.syntax)
@@ -701,8 +702,7 @@ class _Reader:
         if read is None:
             return self.error(_column(head, 0, 1), f"unknown gate kind {kind!r}; "
                               f"expected one of {', '.join(GATE_KINDS)}")
-        if not (self.names_ok(head, 0, [epoch], "epoch")
-                and self.names_ok(head, 0, targets, "factor name", first=2)):
+        if not self.names_ok(head, 0, [epoch], "epoch"):
             return
         twice, unknown = _repeat(targets), [k for k, t in enumerate(targets) if t not in self.table]
         if twice is not None:
@@ -738,9 +738,6 @@ class _Reader:
             return self.error(_column(head, 0, 3), "beamsplitter takes exactly one target factor")
         if len(toks) != 5 or toks[2] != "->":
             return self.error(offset + 1, "expected 'in1 in2 -> out1 out2'")
-        if not (self.names_ok(tail, offset, toks[:2], "label")
-                and self.names_ok(tail, offset, toks[3:], "label", first=3)):
-            return None
         # a list, not a generator, so that both pairs report their unknown labels
         if known and all([self.labels_known(tail, offset, toks[k:k + 2], targets * 2,
                                             known * 2, k) for k in (0, 3)]):
@@ -765,13 +762,12 @@ class _Reader:
         if len(src) != n or len(dst) != n:
             return self.error(offset + 1,
                               f"need {n} labels on each side of '->', one per target factor")
-        if not self.names_ok(tail, offset, [t for t in src + dst if t != "*"], "swap_map label"):
-            return None
         for k, (s, d) in enumerate(zip(src, dst)):
             if (s == "*") != (d == "*"):
                 return self.error(_column(tail, offset, k),
                                   "wildcard '*' positions must match on both sides")
-        if known:
+        if known:  # the one place where '*' stands for a label
+            known = [labels.keys() | {"*"} for labels in known]
             for first, side in ((0, src), (n + 1, dst)):
                 self.labels_known(tail, offset, side, targets, known, first)
         return (tuple(src), tuple(dst))
@@ -790,12 +786,10 @@ class _Reader:
                 return None
         if not toks:
             return self.error(offset + 1, "projector_select needs at least one label")
-        if not self.names_ok(tail, offset, toks, "label"):
-            return None
         twice = _repeat(toks)
         if twice is not None:
-            return self.error(_column(tail, offset, twice), "duplicate labels in selection")
-        if known:
+            self.invalid(_column(tail, offset, twice), "duplicate labels in selection")
+        elif known:
             self.labels_known(tail, offset, toks, targets * len(toks), known * len(toks))
         # a duplicate is reported at the name, or at the first label if unnamed
         self.records.append((self.line, _column(tail, offset, len(toks) + 1 if name else 0),

@@ -9,6 +9,10 @@ class DimensionMismatch(TsvsimError, ValueError):
     """Two objects live on incompatible spaces or have incompatible shapes."""
 
 
+class InvalidNames(TsvsimError, ValueError):
+    """A factor, label or mode list is empty, repeated, or misaligned."""
+
+
 class InvalidBipartition(TsvsimError, ValueError):
     """A bipartition does not split the factor list into two disjoint covers."""
 

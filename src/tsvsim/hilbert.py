@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidBipartition, ZeroProbabilityBranch
+from .errors import DimensionMismatch, InvalidBipartition, InvalidNames, ZeroProbabilityBranch
 
 ATOL_PROJECTOR = 1e-12
 SCHMIDT_TOL = 1e-8  # singular values above this count toward the Schmidt rank
@@ -50,10 +50,10 @@ class Factor:
 
     def __post_init__(self) -> None:
         if not self.labels:
-            raise ValueError(f"factor {self.name!r} has no labels")
+            raise InvalidNames(f"factor {self.name!r} has no labels")
         index = {lab: i for i, lab in enumerate(self.labels)}
         if len(index) != len(self.labels):
-            raise ValueError(f"factor {self.name!r} has duplicate labels")
+            raise InvalidNames(f"factor {self.name!r} has duplicate labels")
         object.__setattr__(self, "_index", index)
 
     @property
@@ -73,10 +73,10 @@ class Space:
     def __init__(self, factors: Iterable[Factor]):
         self.factors: tuple[Factor, ...] = tuple(factors)
         if not self.factors:
-            raise ValueError("space needs at least one factor")
+            raise InvalidNames("space needs at least one factor")
         names = [f.name for f in self.factors]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate factor names: {names}")
+            raise InvalidNames(f"duplicate factor names: {names}")
         self.dims: tuple[int, ...] = tuple(f.dim for f in self.factors)
         self.dim: int = prod(self.dims)
         self._by_name = {f.name: i for i, f in enumerate(self.factors)}
@@ -398,7 +398,7 @@ def apply_to_factors(k: Ket, matrix: np.ndarray, factor_names: Sequence[str]) ->
     sp = k.space
     axes = [sp.factor_index(n) for n in factor_names]
     if len(set(axes)) != len(axes):
-        raise ValueError("target factors must be distinct")
+        raise InvalidNames("target factors must be distinct")
     mat = np.asarray(matrix, dtype=complex)
     t, order = _unfold(k, axes)
     if mat.shape != (len(t), len(t)):
@@ -460,7 +460,7 @@ def mode_coupler(factor: Factor, in_pair: tuple[str, str], out_pair: tuple[str, 
     so is a block that is not a 2x2 unitary to 1e-12 (the default is one).
     """
     if in_pair[0] == in_pair[1] or out_pair[0] == out_pair[1]:
-        raise ValueError("each mode pair must name two distinct modes")
+        raise InvalidNames("each mode pair must name two distinct modes")
     b = BS_SYMMETRIC if block is None else np.asarray(block, dtype=complex)
     if block is not None and not (b.shape == (2, 2) and is_unitary(b, 1e-12)):
         raise ValueError("block is not a 2x2 unitary to 1e-12")
@@ -469,11 +469,11 @@ def mode_coupler(factor: Factor, in_pair: tuple[str, str], out_pair: tuple[str, 
     u = np.eye(factor.dim, dtype=complex)
     if set(ins) == set(outs):
         if ins != outs:
-            raise ValueError("in/out pairs overlap but are not identical")
+            raise InvalidNames("in/out pairs overlap but are not identical")
         u[np.ix_(outs, ins)] = b
         return u
     if set(ins) & set(outs):
-        raise ValueError("in/out pairs must be identical or disjoint")
+        raise InvalidNames("in/out pairs must be identical or disjoint")
     u[ins + outs, ins + outs] = 0.0
     u[np.ix_(outs, ins)] = b
     u[np.ix_(ins, outs)] = b.conj().T
@@ -515,14 +515,14 @@ def label_swap(sp: Space, factor_names: Sequence[str],
         raise DimensionMismatch("src/dst must give one label per target factor")
     axes = [sp.factor_index(n) for n in factor_names]
     if len(set(axes)) != len(axes):
-        raise ValueError("target factors must be distinct")
+        raise InvalidNames("target factors must be distinct")
     fixed_src: dict[int, int] = {}
     fixed_dst: dict[int, int] = {}
     for ax, nm, s, d in zip(axes, factor_names, src, dst):
         f = sp.factor(nm)
         if s == "*" or d == "*":
             if s != d:
-                raise ValueError("wildcard positions must match between src and dst")
+                raise InvalidNames("wildcard positions must match between src and dst")
         else:
             fixed_src[ax] = f.index(s)
             fixed_dst[ax] = f.index(d)

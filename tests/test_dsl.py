@@ -23,7 +23,8 @@ from tsvsim import cli, dsl, hilbert as hb, scenarios as sc, tsvf
 from tsvsim.acceptance import FUZZ_PIECES
 from tsvsim.dsl import Diagnostic
 from tsvsim.dsl.parse import _Expr as TokenExpr, _eval as token_eval, _plain, _plain_matrix
-from tsvsim.errors import DimensionMismatch, OrthogonalSelection, ZeroProbabilityBranch
+from tsvsim.errors import (DimensionMismatch, InvalidNames, OrthogonalSelection,
+                           ZeroProbabilityBranch)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -158,7 +159,7 @@ class TestParserDiagnostics:
         (_gate("t1 beamsplitter a : x y x y"),
          (7, 22, "expected 'in1 in2 -> out1 out2'"), dsl.ScenarioSyntaxError),
         (_gate("t1 beamsplitter a : x y -> x as"),
-         (7, 32, "invalid label token 'as'"), dsl.ScenarioSyntaxError),
+         (7, 32, "unknown label 'as' for factor 'a'"), dsl.ScenarioValidationError),
         (_gate("t1 beamsplitter a : x z -> x y"),
          (7, 25, "unknown label 'z' for factor 'a'"), dsl.ScenarioValidationError),
         (_gate("t1 beamsplitter a : x x -> x y"),
@@ -171,7 +172,7 @@ class TestParserDiagnostics:
          (7, 20, "need 2 labels on each side of '->', one per target factor"),
          dsl.ScenarioSyntaxError),
         (_gate("t1 swap_map a : x -> proj"),
-         (7, 24, "invalid swap_map label token 'proj'"), dsl.ScenarioSyntaxError),
+         (7, 24, "unknown label 'proj' for factor 'a'"), dsl.ScenarioValidationError),
         (_gate("t1 swap_map a b : * u -> x v"),
          (7, 21, "wildcard '*' positions must match on both sides"), dsl.ScenarioSyntaxError),
         (_gate("t1 projector_select a b : x"),
@@ -183,9 +184,9 @@ class TestParserDiagnostics:
         (_gate("t1 projector_select a : as n"),
          (7, 26, "projector_select needs at least one label"), dsl.ScenarioSyntaxError),
         (_gate("t1 projector_select a : x ->"),
-         (7, 29, "invalid label token '->'"), dsl.ScenarioSyntaxError),
+         (7, 29, "unknown label '->' for factor 'a'"), dsl.ScenarioValidationError),
         (_gate("t1 projector_select a : x x"),
-         (7, 29, "duplicate labels in selection"), dsl.ScenarioSyntaxError),
+         (7, 29, "duplicate labels in selection"), dsl.ScenarioValidationError),
         (_gate("t1 swap_map a a : x x -> y y"),
          (7, 17, "gate targets must be distinct factors"), dsl.ScenarioValidationError),
         (_scn(factors=("a: x x", "b: u v")),
@@ -241,8 +242,43 @@ class TestParserDiagnostics:
         assert any("before any section" in d.message for d in err.value.diagnostics)
 
     def test_duplicate_section(self):
-        with pytest.raises(dsl.ScenarioSyntaxError):
+        with pytest.raises(dsl.ScenarioValidationError) as err:
             dsl.parse("FACTORS\n  a: x\nFACTORS\nINITIAL\n  x : 1\n")
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+            (3, 1, "section FACTORS already given on line 1")]
+
+    @pytest.mark.parametrize("text,diagnostics", [
+        ("FACTORS\n  a: x y\nINITIAL\n  x : 1\nINITIAL\n  y : 1\n",
+         [(5, 1, "section INITIAL already given on line 3")]),
+        # the lines under a repeated header are read with the first section
+        ("FACTORS\n  a: x y\nINITIAL\n  x : 1\nINITIAL\n  x : 1\n",
+         [(5, 1, "section INITIAL already given on line 3"),
+          (6, 3, "duplicate INITIAL entry for x")]),
+        ("FACTORS\n  a: x y\nFACTORS\n  b: u v\nINITIAL\n  x u : 1\n",
+         [(3, 1, "section FACTORS already given on line 1")]),
+    ], ids=["initial", "initial_entry", "factors"])
+    def test_a_repeated_section_is_read_with_the_first(self, text, diagnostics):
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.parse(text)
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == diagnostics
+
+    @pytest.mark.parametrize("text,diagnostic", [
+        (_scn(initial=("* u : 1",)), (5, 3, "unknown label '*' for factor 'a'")),
+        (_scn("POSTSELECT", "  x * : 1"), (7, 5, "unknown label '*' for factor 'b'")),
+        (_gate("t1 beamsplitter a : x y -> * y"), (7, 30, "unknown label '*' for factor 'a'")),
+        (_gate("t1 projector_select a : *"), (7, 27, "unknown label '*' for factor 'a'")),
+    ], ids=["initial", "postselect", "beamsplitter", "selection"])
+    def test_a_written_wildcard_is_a_label_in_swap_map_alone(self, text, diagnostic):
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.parse(text)
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [diagnostic]
+
+    @pytest.mark.parametrize("target", ["a(", "*", "proj", "b,c"])
+    def test_a_bad_gate_target_is_an_unknown_factor(self, target):
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.parse(_gate(f"t1 swap_map {target} b : x u -> y v"))
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+            (7, 15, f"unknown factor {target!r}")]
 
     def test_section_diagnostic_follows_a_repeated_first_entry(self):
         # the first entry in order keeps its place and takes its repeat's line
@@ -437,6 +473,23 @@ class TestEvaluateErrors:
         assert err.value.diagnostics == [Diagnostic(
             line, 1, "cannot normalize a ket of squared norm 0.0")]
         assert type(err.value.__cause__) is ZeroProbabilityBranch
+
+    @pytest.mark.parametrize("change,line,message", [
+        (lambda s: {"factors": s.factors[:1] * 2}, 2, "duplicate factor names: ['a', 'a']"),
+        (lambda s: {"factors": ()}, 1, "space needs at least one factor"),
+        (lambda s: {"gates": (dataclasses.replace(s.gates[0], params=("x", "x", "x", "y")),)},
+         7, "each mode pair must name two distinct modes"),
+        (lambda s: {"gates": (dataclasses.replace(s.gates[1], params=(("*",), ("x",))),)},
+         8, "wildcard positions must match between src and dst"),
+    ], ids=["factor-twice", "no-factors", "mode-twice", "wildcard-misaligned"])
+    def test_name_refusal_in_a_built_spec_is_positioned(self, change, line, message):
+        # the parser refuses each of these; a spec built in code is refused by hilbert
+        spec = dsl.parse("FACTORS\n  a: x y\n  b: u v\nINITIAL\n  x u : 1\nGATES\n"
+                         "  t1 beamsplitter a : x y -> x y\n  t2 swap_map a : x -> y\n")
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.evaluate(dataclasses.replace(spec, **change(spec)))
+        assert err.value.diagnostics == [Diagnostic(line, 1, message)]
+        assert type(err.value.__cause__) is InvalidNames
 
     @pytest.mark.parametrize("n_factors", [62, 70])
     def test_oversized_state_space_is_positioned(self, n_factors):
@@ -1218,6 +1271,67 @@ def scenario_specs(draw):
 def test_generated_specs_round_trip(spec):
     text = dsl.render(spec)
     assert dsl.parse(text) == spec
+
+
+# reserved words, and words holding a delimiter other than ':', '#' or a blank
+_BAD_NAMES = ("as", "id", "proj", "*", "x(", "a,b", "q=1")
+
+
+def _label_column(line: str, k: int) -> int:
+    """Column of the k-th word after the ':' of a rendered line."""
+    colon = line.index(":")
+    return colon + 3 + sum(len(w) + 1 for w in line[colon + 2:].split(" ")[:k])
+
+
+def _bad_gate_label(g, bad):
+    """g with one written label replaced by bad, and that label's index after
+    the ':' and factor; None for a gate where bad would be syntax, not a label."""
+    if g.kind == "beamsplitter":
+        return dataclasses.replace(g, params=(bad, *g.params[1:])), 0, g.targets[0]
+    if g.kind == "projector_select" and bad != "as":  # 'as' names the record
+        labels, name = g.params
+        return dataclasses.replace(g, params=((bad, *labels[1:]), name)), 0, g.targets[0]
+    src, dst = g.params if g.kind == "swap_map" else ((), ())
+    fixed = [k for k, s in enumerate(src) if s != "*"]
+    if fixed and bad != "*":  # '*' is a swap_map label
+        k = fixed[0]
+        src = (*src[:k], bad, *src[k + 1:])
+        return dataclasses.replace(g, params=(src, dst)), k, g.targets[k]
+    return None
+
+
+@given(scenario_specs(), st.sampled_from(_BAD_NAMES))
+@settings(max_examples=80, deadline=None)
+def test_a_bad_word_used_as_a_label_is_unknown(spec, bad):
+    # the first INITIAL entry's first label, and a label of the first gate that has one
+    first, n = spec.initial[0], len(spec.factors)
+    initial = (first._replace(labels=(bad, *first.labels[1:])), *spec.initial[1:])
+    expected = {(n + 4, 3, f"unknown label {bad!r} for factor {spec.factors[0].name!r}")}
+    gates, replaced = list(spec.gates), None
+    for at, g in enumerate(gates):
+        if (replaced := _bad_gate_label(g, bad)) is not None:
+            gates[at], k, factor = replaced
+            break
+    text = dsl.render(dataclasses.replace(spec, initial=initial, gates=tuple(gates)))
+    if replaced is not None:
+        lines = text.splitlines()
+        line = lines.index("GATES") + 2 + at
+        expected.add((line, _label_column(lines[line - 1], k),
+                      f"unknown label {bad!r} for factor {factor!r}"))
+    with pytest.raises(dsl.ScenarioValidationError) as err:
+        dsl.parse(text)
+    assert {(d.line, d.column, d.message) for d in err.value.diagnostics} == expected
+
+
+@given(scenario_specs(), st.sampled_from(_BAD_NAMES))
+@settings(max_examples=40, deadline=None)
+def test_a_bad_word_declared_as_a_label_is_a_syntax_error(spec, bad):
+    f = spec.factors[0]
+    factors = (dataclasses.replace(f, labels=(bad, *f.labels[1:])), *spec.factors[1:])
+    with pytest.raises(dsl.ScenarioSyntaxError) as err:
+        dsl.parse(dsl.render(dataclasses.replace(spec, factors=factors)))
+    assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+        (2, len(f.name) + 5, f"invalid label token {bad!r}")]
 
 
 @given(st.text(max_size=300))
