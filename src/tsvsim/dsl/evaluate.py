@@ -31,8 +31,8 @@ from .. import tsvf
 from ..errors import TsvsimError
 from ..hilbert import Diagonal, Ket, Operator
 from ..scenarios import ScenarioResult
-from .parse import (Diagnostic, GateDecl, ScenarioSpec, ScenarioSyntaxError,
-                    ScenarioValidationError, parse, selection_record)
+from .parse import (NOT_SQUARE, Diagnostic, EpochSchedule, GateDecl, ScenarioSpec,
+                    ScenarioSyntaxError, ScenarioValidationError, parse, selection_record)
 
 # A custom_unitary passes the parser at 1e-8 and can move the norm that far, past
 # later norm checks; rounding alone moves it under 1e-14, which is left as it is.
@@ -69,7 +69,13 @@ def _apply_gate(sp: hb.Space, g: GateDecl, state: Ket) -> Ket:
         i1, i2, o1, o2 = g.params
         coupler = hb.mode_coupler(sp.factor(g.targets[0]), (i1, i2), (o1, o2))
         return hb.apply_to_factors(state, coupler, g.targets)
-    state = hb.apply_to_factors(state, np.array(g.params, dtype=complex), g.targets)
+    try:
+        matrix = np.array(g.params, dtype=complex)
+    except ValueError:
+        if len({np.size(row) for row in g.params}) > 1:  # ragged, in a spec built in code
+            raise ScenarioValidationError([Diagnostic(g.line, 1, NOT_SQUARE)]) from None
+        raise
+    state = hb.apply_to_factors(state, matrix, g.targets)
     return state.unit() if abs(state.norm() - 1.0) > UNITARY_DRIFT else state
 
 
@@ -92,8 +98,12 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
             raise MemoryError
         state = hb.from_amplitudes(sp, spec.initial).unit()
         states["t0"] = state
+        schedule = EpochSchedule()
         for g in spec.gates:
             line = g.line
+            broken = schedule.add(g.epoch)  # the parser's rules, for a spec built in code
+            if broken:
+                raise ScenarioValidationError([Diagnostic(line, 1, m) for m in broken])
             if g.kind == "projector_select":
                 labels, name = g.params
                 proj = Operator.projector(sp, {g.targets[0]: list(labels)})
@@ -101,7 +111,7 @@ def evaluate(spec: ScenarioSpec, scenario_id: str = "scn") -> ScenarioResult:
                 probabilities[selection_record(g.epoch, g.targets[0], labels, name)] = p
             else:
                 state = _apply_gate(sp, g, state)
-            states[g.epoch] = state  # epochs are never revisited: keys keep their order
+            states[g.epoch] = state  # the schedule holds: keys keep their order
 
         if post is not None or spec.observables:
             line = 1 if post is None else post.line

@@ -137,6 +137,39 @@ def selection_record(epoch: str, target: str, labels: Sequence[str], name: str |
     return name or f"{epoch}_{target}_{'_'.join(labels)}"
 
 
+NOT_SQUARE = "matrix must be square"
+
+
+class EpochSchedule:
+    """The epochs of the gates read so far, and the rules a next gate's epoch
+    must keep: 't0' is the initial state's, an epoch's gates are contiguous,
+    and the canonical epochs come in EPOCH_ORDER. The parser and
+    dsl.evaluate read every gate list through one."""
+
+    def __init__(self) -> None:
+        self.epochs: set[str] = set()
+        self.last: str | None = None
+        self.latest = 0  # EPOCH_ORDER index of the latest canonical epoch among them
+
+    def add(self, epoch: str) -> list[str]:
+        """Record a gate in epoch, and return the rules it breaks, each as
+        its diagnostic message."""
+        broken = []
+        if epoch == "t0":
+            broken.append("epoch 't0' is reserved for the initial state")
+        if epoch in self.epochs and epoch != self.last:
+            broken.append(f"epoch {epoch!r} revisited; epochs must be contiguous")
+        elif epoch in EPOCH_ORDER[1:] and epoch not in self.epochs:
+            rank = EPOCH_ORDER.index(epoch)
+            if rank < self.latest:
+                broken.append(f"epoch {epoch!r} after {EPOCH_ORDER[self.latest]!r}; "
+                              f"{', '.join(EPOCH_ORDER[1:])} must come in that order")
+            self.latest = max(self.latest, rank)
+        self.epochs.add(epoch)
+        self.last = epoch
+        return broken
+
+
 @dataclass(frozen=True)
 class PostselectDecl:
     name: str
@@ -516,8 +549,7 @@ class _Reader:
         self.entries: dict[str, tuple[dict[tuple[str, ...], complex], int]] = {}
         self.values: dict[str, complex] = {}  # amplitude text -> value, successes only
         self.gates: list[GateDecl] = []
-        self.epochs: set[str] = set()  # of the gates read so far
-        self.latest = 0  # EPOCH_ORDER index of the latest canonical epoch among them
+        self.schedule = EpochSchedule()  # of the gates read so far
         self.observables: dict[str, ObservableDecl] = {}
         # (line, column, name) of each record name
         self.records: list[tuple[int, int, str]] = []
@@ -714,19 +746,8 @@ class _Reader:
         params = read(self, head, tail, len(head) + 1, targets, known)
         if params is None:
             return
-        if epoch == "t0":
-            self.invalid(_column(head, 0, 0), "epoch 't0' is reserved for the initial state")
-        if epoch in self.epochs and epoch != self.gates[-1].epoch:
-            self.invalid(_column(head, 0, 0),
-                         f"epoch {epoch!r} revisited; epochs must be contiguous")
-        elif epoch in EPOCH_ORDER[1:] and epoch not in self.epochs:
-            rank = EPOCH_ORDER.index(epoch)
-            if rank < self.latest:
-                self.invalid(_column(head, 0, 0), f"epoch {epoch!r} after "
-                             f"{EPOCH_ORDER[self.latest]!r}; "
-                             f"{', '.join(EPOCH_ORDER[1:])} must come in that order")
-            self.latest = max(self.latest, rank)
-        self.epochs.add(epoch)
+        for message in self.schedule.add(epoch):
+            self.invalid(_column(head, 0, 0), message)
         self.gates.append(GateDecl(epoch, kind, tuple(targets), params, line=self.line))
 
     # One method per gate kind: (head, tail, column offset of tail, targets,
@@ -802,7 +823,7 @@ class _Reader:
             return None
         bracket = _column(tail, offset, 0)
         if any(len(r) != len(rows) for r in rows):
-            return self.error(bracket, "matrix must be square")
+            return self.error(bracket, NOT_SQUARE)
         if known:
             dim = prod(len(labels) for labels in known)
             if len(rows) != dim:

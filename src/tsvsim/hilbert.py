@@ -11,6 +11,10 @@ matrices are dense d x d arrays (Operator). Operators have no arithmetic: a
 sum of scaled projectors is built as one Diagonal from their diagonals.
 
 All values are immutable after construction and safe to share between threads.
+The public Ket, Operator and Diagonal constructors each hold a read-only
+C-order copy of their input; a ket the library computes (unit, from_amplitudes,
+apply, apply_to_factors, and tsvf's and pointer's results) keeps the array it
+just computed, frozen in place, and copies only one that is not C-order complex.
 """
 
 from __future__ import annotations
@@ -127,10 +131,12 @@ def space(*factors: tuple[str, Sequence[str]]) -> Space:
     return Space(Factor(name, tuple(labels)) for name, labels in factors)
 
 
-def _frozen(space: Space, values, dtype, what: str, ndim: int = 1) -> np.ndarray:
+def _frozen(space: Space, values, dtype, what: str, ndim: int = 1,
+            copy: bool = True) -> np.ndarray:
     """A read-only C-order copy of values as dtype (None keeps their own),
-    checked to be space.dim long on each of its ndim axes."""
-    arr = np.array(values, dtype, order="C")
+    checked to be space.dim long on each of its ndim axes. With copy=False
+    an array that already is C-order of that dtype is frozen in place."""
+    arr = (np.array if copy else np.asarray)(values, dtype, order="C")
     if arr.shape != (space.dim,) * ndim:
         raise DimensionMismatch(f"{what} shape {arr.shape} does not match space dim {space.dim}")
     arr.flags.writeable = False
@@ -197,6 +203,17 @@ class Ket:
         self.space = space
         self.amplitudes = _frozen(space, amplitudes, complex, "amplitude vector")
 
+    @classmethod
+    def _owning(cls, space: Space, amplitudes: np.ndarray) -> "Ket":
+        """A Ket that takes over amplitudes, an array its caller has just
+        computed and keeps no other reference to: frozen in place, copied
+        only when it is not C-order complex. hilbert, tsvf and pointer make
+        their results here; the constructor copies."""
+        k = cls.__new__(cls)
+        k.space = space
+        k.amplitudes = _frozen(space, amplitudes, complex, "amplitude vector", copy=False)
+        return k
+
     def norm(self) -> float:
         return norm(self.amplitudes)
 
@@ -205,7 +222,7 @@ class Ket:
         amplitudes: a zero, NaN or infinite squared norm raises
         ZeroProbabilityBranch before the norm can overflow."""
         amps = usable(self.amplitudes, "normalize")
-        return Ket(self.space, amps / norm(amps))
+        return Ket._owning(self.space, amps / norm(amps))
 
     def amplitude(self, labels: Sequence[str]) -> complex:
         return complex(self.amplitudes[self.space.index_of(labels)])
@@ -234,7 +251,7 @@ def from_amplitudes(sp: Space, entries: Mapping[Sequence[str], complex]
     amps = np.zeros(sp.dim, dtype=complex)
     for labels, amp in entries.items() if isinstance(entries, Mapping) else entries:
         amps[sp.index_of(labels)] = amp
-    return Ket(sp, amps)
+    return Ket._owning(sp, amps)
 
 
 def inner(bra: Ket, ket: Ket) -> complex:
@@ -377,7 +394,7 @@ def apply(op: OperatorForm, k: Ket) -> Ket:
     """op|k>. Spaces must match exactly."""
     if op.space != k.space:
         raise DimensionMismatch("operator and ket live on different spaces")
-    return Ket(k.space, op.act(k.amplitudes))
+    return Ket._owning(k.space, op.act(k.amplitudes))
 
 
 def _unfold(k: Ket, axes: list[int]) -> tuple[np.ndarray, list[int]]:
@@ -404,7 +421,7 @@ def apply_to_factors(k: Ket, matrix: np.ndarray, factor_names: Sequence[str]) ->
     if mat.shape != (len(t), len(t)):
         raise DimensionMismatch(f"matrix shape {mat.shape} does not match target dims {len(t)}")
     t = (mat @ t).reshape([sp.dims[a] for a in order])
-    return Ket(sp, np.transpose(t, np.argsort(order)).reshape(sp.dim))
+    return Ket._owning(sp, np.transpose(t, np.argsort(order)).reshape(sp.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,16 @@ def _draw_branch(owner: tuple[int, ...], amps: list[complex], n: int,
     return bisect_right(cw, draw * cw[-1])
 
 
+def _mask(projector: OperatorForm) -> np.ndarray | None:
+    """The diagonal of a label projector, a real Diagonal whose entries are
+    all exactly 0 or 1, or None for any other projector."""
+    if isinstance(projector, Diagonal):
+        d = projector.diagonal
+        if d.dtype.kind != "c" and ((d == 0) | (d == 1)).all():
+            return d
+    return None
+
+
 def _unique_pointer_name(sp: Space) -> str:
     taken = {f.name for f in sp.factors}
     if "pointer" not in taken:
@@ -322,7 +332,7 @@ def couple(system: Ket, observable: OperatorForm, ptr: PointerWavefunction, g: f
     joint += 0.0
     factor = ptr.factor(_unique_pointer_name(system.space))
     joined = Space(system.space.factors + (factor,))
-    return Ket(joined, joint.reshape(-1))
+    return Ket._owning(joined, joint.reshape(-1))
 
 
 def pointer_mean(joint: Ket, post_projector: OperatorForm) -> tuple[float, ...]:
@@ -332,6 +342,11 @@ def pointer_mean(joint: Ket, post_projector: OperatorForm) -> tuple[float, ...]:
     after them must be a pointer. The joint state is projected and squared
     once; the tuple holds one mean per pointer, in factor order. As g -> 0,
     each mean/g -> Re(weak value) of its observable with O(g^2) error.
+
+    A label projector (a real Diagonal of exact 0s and 1s, as
+    Operator.projector builds) is read as a mask: the squared moduli are
+    |t| * mask, squared, the bits of |P t|^2 on a finite joint, without the
+    projected complex copy. Any other projector acts on the joint.
     """
     k = len(post_projector.space.factors)
     if joint.space.factors[:k] != post_projector.space.factors:
@@ -344,8 +359,15 @@ def pointer_mean(joint: Ket, post_projector: OperatorForm) -> tuple[float, ...]:
     if not grids:
         raise DimensionMismatch("joint state has no pointer factor")
     sys_dim = post_projector.space.dim
-    t = post_projector.act(joint.amplitudes.reshape(sys_dim, -1))
-    prob = (np.abs(t) ** 2).reshape([sys_dim] + [len(xs) for xs in grids])
+    t = joint.amplitudes.reshape(sys_dim, -1)
+    mask = _mask(post_projector)
+    if mask is None:
+        prob = np.abs(post_projector.act(t)) ** 2
+    else:  # |P t| is mask * |t| bit for bit, with no projected complex copy
+        prob = np.abs(t)
+        prob *= mask[:, None]
+        prob **= 2
+    prob = prob.reshape([sys_dim] + [len(xs) for xs in grids])
     total = float(prob.sum())
     if not 1e-12 <= total < math.inf:  # NaN fails too
         raise ZeroProbabilityBranch(f"post-selection probability {total:.3e} < 1e-12")
@@ -372,7 +394,7 @@ def strong_measure(system: Ket, observable: OperatorForm,
     collapsed = (owner == idx) * psi
     collapsed += 0.0
     collapsed /= norm(collapsed)
-    return lams[idx], Ket(system.space, collapsed)
+    return lams[idx], Ket._owning(system.space, collapsed)
 
 
 def weak_sequence(system: Ket, observable: OperatorForm, g: float,
@@ -416,4 +438,5 @@ def weak_sequence(system: Ket, observable: OperatorForm, g: float,
         # hilbert.norm's arithmetic, inline on views made once per walk: a
         # call per step cost 5% of a walk
         psi /= math.sqrt(re.dot(re) + im.dot(im))
-    return Trajectory(readouts=ptr.positions[bins], final_state=Ket(system.space, psi))
+    return Trajectory(readouts=ptr.positions[bins],
+                      final_state=Ket._owning(system.space, psi))

@@ -98,7 +98,7 @@ def post_select(state: Ket, outcome_projector: OperatorForm) -> tuple[float, Ket
     v, p = _project(state, outcome_projector)
     if not EPS_BRANCH <= p < np.inf:  # NaN fails too
         raise ZeroProbabilityBranch(f"branch probability {p:.3e} < {EPS_BRANCH:.1e}")
-    return p, Ket(state.space, v / np.sqrt(p))
+    return p, Ket._owning(state.space, v / np.sqrt(p))
 
 
 def projector_weak_value_sum(tsv: TwoStateVector, projectors: list[Diagonal]) -> complex:

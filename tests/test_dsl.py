@@ -491,6 +491,38 @@ class TestEvaluateErrors:
         assert err.value.diagnostics == [Diagnostic(line, 1, message)]
         assert type(err.value.__cause__) is InvalidNames
 
+    @pytest.mark.parametrize("epochs,line,message", [
+        (("t2", "t1"), 7, "epoch 't1' after 't2'; t1, t2, final must come in that order"),
+        (("t1", "t2", "t1"), 8, "epoch 't1' revisited; epochs must be contiguous"),
+        (("t0",), 6, "epoch 't0' is reserved for the initial state"),
+    ], ids=["out-of-order", "revisited", "t0"])
+    def test_epoch_schedule_of_a_built_spec_is_the_parsers(self, epochs, line, message):
+        # the parser refuses each schedule; a spec built in code is refused at
+        # the offending gate's line with the same message, before it runs
+        gates = "".join(f"  {e} swap_map a : x -> y\n" for e in epochs)
+        text = f"FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n{gates}"
+        with pytest.raises(dsl.ScenarioValidationError) as parsed:
+            dsl.parse(text)
+        assert [d.message for d in parsed.value.diagnostics] == [message]
+        spec = dsl.parse("FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n"
+                         "  t1 swap_map a : x -> y\n")
+        built = tuple(dataclasses.replace(spec.gates[0], epoch=e, line=6 + k)
+                      for k, e in enumerate(epochs))
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.evaluate(dataclasses.replace(spec, gates=built))
+        assert err.value.diagnostics == [Diagnostic(line, 1, message)]
+
+    def test_ragged_custom_unitary_of_a_built_spec_is_not_square(self):
+        text = "FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n  t1 custom_unitary a : [ 0, 1 ; 1 ]\n"
+        with pytest.raises(dsl.ScenarioSyntaxError) as parsed:
+            dsl.parse(text)
+        assert [d.message for d in parsed.value.diagnostics] == ["matrix must be square"]
+        spec = dsl.parse(text.replace("[ 0, 1 ; 1 ]", "[ 0, 1 ; 1, 0 ]"))
+        ragged = dataclasses.replace(spec.gates[0], params=((0, 1), (1,)))
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.evaluate(dataclasses.replace(spec, gates=(ragged,)))
+        assert err.value.diagnostics == [Diagnostic(6, 1, "matrix must be square")]
+
     @pytest.mark.parametrize("n_factors", [62, 70])
     def test_oversized_state_space_is_positioned(self, n_factors):
         # 2^62 complex amplitudes overflow numpy's byte count, 2^70 its index type

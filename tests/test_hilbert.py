@@ -565,6 +565,49 @@ class TestKetValidation:
         for arr in (ket.amplitudes, diag.diagonal, op.matrix):
             assert not arr.flags.writeable and arr.flags.c_contiguous
 
+    def test_owning_freezes_a_computed_array_in_place(self):
+        # a C-order complex array is kept and frozen; any other is copied
+        sp = hb.space(("a", ["x", "y"]))
+        fresh = np.array([0.6, 0.8j])
+        assert hb.Ket._owning(sp, fresh).amplitudes is fresh and not fresh.flags.writeable
+        floats, strided = np.array([0.6, 0.8j]).real, np.array([0.6, 0, 0.8j])[::2]
+        for arr in (floats, strided):
+            amps = hb.Ket._owning(sp, arr).amplitudes
+            assert not np.shares_memory(amps, arr) and arr.flags.writeable
+            assert amps.tolist() == arr.tolist() and amps.dtype == complex
+            assert not amps.flags.writeable and amps.flags.c_contiguous
+        message = "amplitude vector shape (3,) does not match space dim 2"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            hb.Ket._owning(sp, np.zeros(3, dtype=complex))
+
+    @pytest.mark.parametrize("produce", [
+        lambda k, obs, proj: k.unit(),
+        lambda k, obs, proj: hb.from_amplitudes(k.space, {("1'", "2'"): 1.0}),
+        lambda k, obs, proj: hb.apply(obs, k),
+        lambda k, obs, proj: hb.apply(proj, k),
+        lambda k, obs, proj: hb.apply(hb.label_swap(k.space, ["electron"], ["1'"], ["1''"]), k),
+        lambda k, obs, proj: hb.apply(hb.Operator(k.space, np.eye(k.space.dim)), k),
+        lambda k, obs, proj: hb.apply_to_factors(k, hb.SPLIT_REAL, ["electron"]),
+        lambda k, obs, proj: hb.apply_to_factors(k, hb.SPLIT_REAL, ["positron"]),
+        lambda k, obs, proj: tsvf.post_select(k, proj)[1],
+        lambda k, obs, proj: pt.couple(k, obs, pt.PointerWavefunction(), 0.1),
+        lambda k, obs, proj: pt.strong_measure(k, obs, 3)[1],
+        lambda k, obs, proj: pt.weak_sequence(k, obs, 0.2, 3, 3).final_state,
+    ], ids=["unit", "from_amplitudes", "apply-diagonal", "apply-projector",
+            "apply-permutation", "apply-operator", "apply_to_factors-leading",
+            "apply_to_factors-trailing", "post_select", "couple", "strong_measure",
+            "weak_sequence"])
+    def test_library_kets_are_read_only_and_their_own(self, produce):
+        # each ket the library computes keeps a fresh array: frozen, C-order
+        # complex, and sharing no memory with the ket it was computed from
+        sp = pair_space()
+        ket = split_state(sp)
+        obs = hb.Diagonal(sp, [1.0, -1.0, 0.5, 2.0])
+        proj = hb.Operator.projector(sp, {"electron": "1'"})
+        amps = produce(ket, obs, proj).amplitudes
+        assert not amps.flags.writeable and amps.flags.c_contiguous and amps.dtype == complex
+        assert not np.shares_memory(amps, ket.amplitudes)
+
     def test_boolean_diagonal_is_a_label_projector(self):
         sp = pair_space()
         mask = hb.Diagonal(sp, [True, True, False, False])

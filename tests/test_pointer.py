@@ -481,6 +481,35 @@ class TestCouple:
             assert pt.pointer_mean(joint, post_proj) == pt.pointer_mean(ref, post_proj)
 
 
+class TestThreePathJointMemory:
+    # the joint is 3 x 41^3 amplitudes (3.3 MB); each ket keeps the array its
+    # producer computed, so building one allocates it about once
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_couple_and_apply_to_factors_allocate_the_joint_once(self):
+        pre, _ = sc.three_boxes_selections("path")
+        path = pre.space.factor("path")
+        projs = [hb.Operator.projector(pre.space, {"path": lab}) for lab in path.labels]
+        joint = pt.couple(pt.couple(pre, projs[0], sc.THREE_PATH_POINTER, 0.05),
+                          projs[1], sc.THREE_PATH_POINTER, 0.05)
+        joint, peak = self._peak(
+            lambda: pt.couple(joint, projs[2], sc.THREE_PATH_POINTER, 0.05))
+        assert joint.amplitudes.nbytes == 16 * 3 * 41 ** 3
+        assert peak <= 1.25 * joint.amplitudes.nbytes
+        merge = hb.mode_coupler(path, ("path2", "path3"), ("path2", "path3"),
+                                block=hb.SPLIT_REAL)
+        merged, peak = self._peak(lambda: hb.apply_to_factors(joint, merge, ["path"]))
+        assert peak <= 1.25 * merged.amplitudes.nbytes
+
+
 class TestPointerMean:
     def test_unconditioned_eigenstate_mean(self):
         sp = hb.space(("a", ["x", "y"]))
@@ -633,6 +662,50 @@ class TestPointerMean:
         joint = pt.couple(pre, p3, ptr, g)
         (mean,) = pt.pointer_mean(joint, hb.Operator.ket_projector(post))
         assert abs(mean / g - exact) <= 1e-12
+
+    @staticmethod
+    def _signed_zero_joint():
+        """A three-box joint on a 9-bin pointer with -0.0 real and imaginary
+        parts and an all-zero box1 row."""
+        ptr = pt.PointerWavefunction(n_bins=9, spacing=0.25)
+        system = hb.space(("box", ["box1", "box2", "box3"]))
+        sp = hb.Space(system.factors + (ptr.factor(),))
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
+        amps.real[::3] = -0.0
+        amps.imag[1::4] = -0.0
+        amps[:9] = complex(-0.0, -0.0)
+        return system, hb.Ket(sp, amps)
+
+    @pytest.mark.parametrize("diagonal", [[1.0, 0.0, 1.0], [0.0, 1.0, -0.0], [1, 1, 1]],
+                             ids=["zero-row", "signed-zero-rows", "int-ones"])
+    def test_label_projector_mask_keeps_the_projected_bits(self, monkeypatch, diagonal):
+        # mask * |t|, squared, against |P t|^2 with P acting on the joint
+        system, joint = self._signed_zero_joint()
+        proj = hb.Diagonal(system, np.array(diagonal))
+        assert pt._mask(proj) is proj.diagonal
+        masked = pt.pointer_mean(joint, proj)
+        monkeypatch.setattr(pt, "_mask", lambda projector: None)
+        assert np.array(masked).tobytes() == np.array(pt.pointer_mean(joint, proj)).tobytes()
+
+    @pytest.mark.parametrize("diagonal", [[1 + 1e-13, 0.0, 1.0],
+                                          np.array([1.0, 0.0, 1.0], dtype=complex)],
+                             ids=["near-one", "complex"])
+    def test_other_projectors_act_on_the_joint(self, monkeypatch, diagonal):
+        system, joint = self._signed_zero_joint()
+        proj = hb.Diagonal(system, np.array(diagonal))
+        assert proj.is_projector() and pt._mask(proj) is None
+        act, acted = hb.Diagonal.act, []
+        monkeypatch.setattr(hb.Diagonal, "act", lambda op, t: acted.append(op) or act(op, t))
+        pt.pointer_mean(joint, proj)
+        assert acted == [proj]
+
+    def test_masks_are_label_projectors_alone(self):
+        system, _ = self._signed_zero_joint()
+        assert pt._mask(hb.Operator.projector(system, {"box": ["box1", "box3"]})) is not None
+        assert pt._mask(hb.Operator.projector(system, {})) is not None
+        assert pt._mask(hb.Operator(system, np.eye(3))) is None
+        assert pt._mask(hb.Diagonal(system, np.array([1.0, 0.5, 0.0]))) is None
 
     def test_strong_limit_multimodal_weights_match_born(self):
         # separation 30 = 30 sigma: sample pointer readouts, classify by mode
