@@ -69,12 +69,16 @@ def _apply_gate(sp: hb.Space, g: GateDecl, state: Ket) -> Ket:
         i1, i2, o1, o2 = g.params
         coupler = hb.mode_coupler(sp.factor(g.targets[0]), (i1, i2), (o1, o2))
         return hb.apply_to_factors(state, coupler, g.targets)
+    # a spec built in code can hold a ragged literal or entries that are not
+    # numbers; None reads as nan
     try:
         matrix = np.array(g.params, dtype=complex)
-    except ValueError:
-        if len({np.size(row) for row in g.params}) > 1:  # ragged, in a spec built in code
-            raise ScenarioValidationError([Diagnostic(g.line, 1, NOT_SQUARE)]) from None
-        raise
+    except (ValueError, TypeError):
+        matrix = None
+    if matrix is None or not np.isfinite(matrix).all():
+        ragged = matrix is None and len({np.size(row) for row in g.params}) > 1
+        raise ScenarioValidationError([Diagnostic(
+            g.line, 1, NOT_SQUARE if ragged else "matrix entries must be finite numbers")])
     state = hb.apply_to_factors(state, matrix, g.targets)
     return state.unit() if abs(state.norm() - 1.0) > UNITARY_DRIFT else state
 

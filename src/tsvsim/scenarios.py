@@ -119,6 +119,9 @@ def run_four_mirror(trials: int = 10_000, rng_seed: int = 42) -> ScenarioResult:
     """
     if isinstance(trials, bool) or not isinstance(trials, Integral) or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    # None would seed from OS entropy, and the run would not be reproducible
+    if isinstance(rng_seed, bool) or not isinstance(rng_seed, Integral) or rng_seed < 0:
+        raise ValueError(f"rng_seed must be an int >= 0, got {rng_seed!r}")
     bs, flip_l, flip_r, silent_l, silent_r, click_l, t0 = _four_mirror_static()
     s = hb.apply(flip_l, t0)
     p_silent, t1 = tsvf.post_select(s, silent_l)
@@ -161,10 +164,25 @@ def _probe(rows: np.ndarray, of: np.ndarray, mode: int,
     READY/CLICK flag and projecting it (checked against the explicit detector
     pipeline in the tests); the photon is kept either way because the
     loosened mirror only registers the impact.
+
+    Certain silence: when every trial holds one state whose probability at
+    `mode` is exactly 0.0, no draw in [0, 1) can click. The trials' draws are
+    then taken and dropped, so later probes read the same stream; the state
+    is collapsed once as a silent child, and `of` comes back unchanged, with
+    no per-trial gather or scatter. A single state that some trial holds has
+    no copy to merge with and is not left unheld; several states take the
+    general path, which merges equal children and drops rows no trial holds.
     Returns the new (rows, of) and the boolean click mask over trials."""
     amps = rows[:, mode]
     mag = np.abs(amps)
     p = mag ** 2
+    if len(rows) == 1 and len(of) and not p[0]:
+        rng.random(len(of))
+        # as below for a silent child of p == 0.0: +0.0 at mode, and a division by
+        # sqrt(1 - 0) = 1.0, which can flip the sign of a zero part elsewhere
+        states = rows / 1.0
+        states[:, mode] = 0.0
+        return states, of, np.zeros(len(of), dtype=bool)
     clicked = rng.random(len(of)) < p[of]
     child = 2 * of + clicked  # row r's silent child is 2r, its clicked child 2r + 1
     taken = np.zeros(2 * len(rows), dtype=bool)

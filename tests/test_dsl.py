@@ -523,6 +523,22 @@ class TestEvaluateErrors:
             dsl.evaluate(dataclasses.replace(spec, gates=(ragged,)))
         assert err.value.diagnostics == [Diagnostic(6, 1, "matrix must be square")]
 
+    @pytest.mark.parametrize("params", [
+        (("a", "b"), ("c", "d")),  # numpy: "complex() arg is a malformed string"
+        ((1, {}), (0, 1)),  # numpy: a bare TypeError
+        ((1, None), (0, 1)),  # None reads as nan: "pre-selected ket is not normalized"
+        ((1, math.nan), (0, 1)),
+        ((math.inf, 0), (0, 1)),
+    ])
+    def test_non_numeric_custom_unitary_of_a_built_spec_is_positioned(self, params):
+        spec = dsl.parse("FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n"
+                         "  t1 custom_unitary a : [ 0, 1 ; 1, 0 ]\n")
+        gate = dataclasses.replace(spec.gates[0], params=params)
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.evaluate(dataclasses.replace(spec, gates=(gate,)))
+        assert err.value.diagnostics == [
+            Diagnostic(6, 1, "matrix entries must be finite numbers")]
+
     @pytest.mark.parametrize("n_factors", [62, 70])
     def test_oversized_state_space_is_positioned(self, n_factors):
         # 2^62 complex amplitudes overflow numpy's byte count, 2^70 its index type

@@ -296,6 +296,16 @@ class TestFourMirror:
             with pytest.raises(ValueError, match=f"^trials must be an int >= 1, got {trials!r}$"):
                 sc.run_four_mirror(trials=trials)
 
+    def test_rng_seed_validation(self, monkeypatch):
+        # None would seed from OS entropy; each is refused before any work is done
+        monkeypatch.setattr(sc, "_four_mirror_static", None)
+        for seed in (None, True, -1, 1.5, "42"):
+            with pytest.raises(ValueError, match=f"^rng_seed must be an int >= 0, got {seed!r}$"):
+                sc.run_four_mirror(trials=16, rng_seed=seed)
+        monkeypatch.undo()
+        assert (sc.run_four_mirror(trials=200, rng_seed=np.int64(42)).trial_stats
+                == sc.run_four_mirror(trials=200, rng_seed=42).trial_stats)
+
     @pytest.mark.parametrize("trials", [1, 3, 200, 10_000])
     @pytest.mark.parametrize("seed", [0, 1, 7, 9, 42, 2024, 31337])
     def test_probe_bit_identical_to_reference(self, monkeypatch, seed, trials):
@@ -311,6 +321,50 @@ class TestFourMirror:
             assert len({row.tobytes() for row in rows}) == len(rows)  # pairwise byte-distinct
             assert np.bincount(of, minlength=len(rows)).all()  # every row is some trial's
         assert max(len(rows) for rows, _, _ in returns) <= 64  # 24 and 30 measured
+
+    @pytest.mark.parametrize("rows, of", [
+        # -0.0 at the probed mode, and a -0.0 real part that dividing by 1.0 flips
+        ([[complex(-0.0, -0.0), complex(-0.0, 0.6), 0.8, 0]], [0, 0, 0, 0, 0]),
+        # p = 1e-340 underflows to 0.0: the mode is zeroed and nothing renormalized
+        ([[1e-170, 0.6, 0.8j, 0]], [0, 0, 0]),
+        # equal once the zero at the mode is +0.0, so they must merge
+        ([[complex(0.0, 0.0), 0.6, 0.8j, 0], [complex(-0.0, 0.0), 0.6, 0.8j, 0]], [0, 1, 1, 0]),
+        ([[0, 1, 0, 0]], []),
+    ])
+    def test_certain_silent_probe_matches_reference(self, rows, of):
+        rows, of = np.array(rows, dtype=complex), np.array(of, dtype=np.intp)
+        ref = rows[of]
+        ref_clicked = _reference_probe(ref, 0, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        new_rows, new_of, clicked = sc._probe(rows, of, 0, rng)
+        assert not ref_clicked.any()
+        assert clicked.tobytes() == ref_clicked.tobytes()
+        assert new_rows[new_of].tobytes() == ref.tobytes()
+        assert len({row.tobytes() for row in new_rows}) == len(new_rows)  # pairwise byte-distinct
+        assert np.bincount(new_of, minlength=len(new_rows)).all()  # every row is some trial's
+        # the trials' draws were taken: the stream goes on where the slow path's would
+        twin = np.random.default_rng(3)
+        twin.random(len(of))
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_lonely_probes_are_certain_silent(self, monkeypatch, seed):
+        # stage (b)'s round trip restores |L_d> exactly, so its probes 2-100 hold one
+        # state with p == 0.0 at L_u and take the certain path, which returns `of` as is
+        calls = []
+        probe = sc._probe
+
+        def recording(rows, of, mode, rng):
+            calls.append((rows, of, np.abs(rows[:, mode]) ** 2, probe(rows, of, mode, rng)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(sc, "_probe", recording)
+        sc._four_mirror_trials(10_000, seed)
+        assert len(calls) == 142
+        assert calls[1][2].any()  # probe 1 still holds stage (a)'s clicked row
+        for rows, of, p, (_, new_of, _) in calls[2:1 + sc.LONELY_TRIPS]:
+            assert len(rows) == 1 and len(of) and not p.any()
+            assert new_of is of
 
     def test_probe_mixed_batch_matches_reference(self):
         rng = np.random.default_rng(5)
