@@ -19,6 +19,7 @@ MemoryError anywhere in the run, is one at the first FACTORS line.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Sized
 from functools import reduce
 from importlib import resources
 from math import prod
@@ -31,8 +32,9 @@ from .. import tsvf
 from ..errors import TsvsimError
 from ..hilbert import Diagonal, Ket, Operator
 from ..scenarios import ScenarioResult
-from .parse import (NOT_SQUARE, Diagnostic, EpochSchedule, GateDecl, ScenarioSpec,
-                    ScenarioSyntaxError, ScenarioValidationError, parse, selection_record)
+from .parse import (NOT_SQUARE, NOT_UNITARY, UNITARY_TOL, Diagnostic, EpochSchedule,
+                    GateDecl, ScenarioSpec, ScenarioSyntaxError, ScenarioValidationError, parse,
+                    selection_record)
 
 # A custom_unitary passes the parser at 1e-8 and can move the norm that far, past
 # later norm checks; rounding alone moves it under 1e-14, which is left as it is.
@@ -76,10 +78,14 @@ def _apply_gate(sp: hb.Space, g: GateDecl, state: Ket) -> Ket:
     except (ValueError, TypeError):
         matrix = None
     if matrix is None or not np.isfinite(matrix).all():
-        ragged = matrix is None and len({np.size(row) for row in g.params}) > 1
+        # row lengths as the parser counts them (np.size raises on a nested entry)
+        ragged = matrix is None and len({len(row) if isinstance(row, Sized) else None
+                                         for row in g.params}) > 1
         raise ScenarioValidationError([Diagnostic(
             g.line, 1, NOT_SQUARE if ragged else "matrix entries must be finite numbers")])
-    state = hb.apply_to_factors(state, matrix, g.targets)
+    state = hb.apply_to_factors(state, matrix, g.targets)  # refuses a wrong shape first
+    if not hb.is_unitary(matrix, UNITARY_TOL):
+        raise ScenarioValidationError([Diagnostic(g.line, 1, NOT_UNITARY)])
     return state.unit() if abs(state.norm() - 1.0) > UNITARY_DRIFT else state
 
 

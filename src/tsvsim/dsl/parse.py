@@ -138,6 +138,7 @@ def selection_record(epoch: str, target: str, labels: Sequence[str], name: str |
 
 
 NOT_SQUARE = "matrix must be square"
+NOT_UNITARY = f"matrix is not unitary to {UNITARY_TOL:g}"
 
 
 class EpochSchedule:
@@ -830,7 +831,7 @@ class _Reader:
                 self.invalid(bracket,
                              f"matrix is {len(rows)}x{len(rows)} but targets span dim {dim}")
             elif not is_unitary(rows, UNITARY_TOL):
-                self.invalid(bracket, f"matrix is not unitary to {UNITARY_TOL:g}")
+                self.invalid(bracket, NOT_UNITARY)
         return rows
 
     def observable(self, content: str) -> None:

@@ -483,17 +483,22 @@ def mode_coupler(factor: Factor, in_pair: tuple[str, str], out_pair: tuple[str, 
         raise ValueError("block is not a 2x2 unitary to 1e-12")
     ins = [factor.index(x) for x in in_pair]
     outs = [factor.index(x) for x in out_pair]
-    u = np.eye(factor.dim, dtype=complex)
     if set(ins) == set(outs):
         if ins != outs:
             raise InvalidNames("in/out pairs overlap but are not identical")
-        u[np.ix_(outs, ins)] = b
-        return u
-    if set(ins) & set(outs):
+    elif set(ins) & set(outs):
         raise InvalidNames("in/out pairs must be identical or disjoint")
-    u[ins + outs, ins + outs] = 0.0
-    u[np.ix_(outs, ins)] = b
-    u[np.ix_(ins, outs)] = b.conj().T
+    disjoint = ins != outs
+    u = np.eye(factor.dim, dtype=complex)
+    if disjoint:
+        for m in ins + outs:
+            u[m, m] = 0.0
+    # scalar stores of Python complexes: np.ix_ assignments took longer than the whole build
+    for o, row in zip(outs, b.tolist()):
+        for i, x in zip(ins, row):
+            u[o, i] = x
+            if disjoint:  # B+ in the mirrored block
+                u[i, o] = x.conjugate()
     return u
 
 

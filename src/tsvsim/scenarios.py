@@ -166,9 +166,11 @@ def _probe(rows: np.ndarray, of: np.ndarray, mode: int,
     loosened mirror only registers the impact.
 
     Certain silence: when every trial holds one state whose probability at
-    `mode` is exactly 0.0, no draw in [0, 1) can click. The trials' draws are
-    then taken and dropped, so later probes read the same stream; the state
-    is collapsed once as a silent child, and `of` comes back unchanged, with
+    `mode` is exactly 0.0, no draw in [0, 1) can click. The generator is then
+    advanced past the trials' draws, so later probes read the same stream;
+    this relies on numpy's PCG64 filling each float64 from one 64-bit output
+    (test_advance_skips_as_many_draws_as_outputs pins it). The state is
+    collapsed once as a silent child, and `of` comes back unchanged, with
     no per-trial gather or scatter. A single state that some trial holds has
     no copy to merge with and is not left unheld; several states take the
     general path, which merges equal children and drops rows no trial holds.
@@ -177,7 +179,7 @@ def _probe(rows: np.ndarray, of: np.ndarray, mode: int,
     mag = np.abs(amps)
     p = mag ** 2
     if len(rows) == 1 and len(of) and not p[0]:
-        rng.random(len(of))
+        rng.bit_generator.advance(len(of))
         # as below for a silent child of p == 0.0: +0.0 at mode, and a division by
         # sqrt(1 - 0) = 1.0, which can flip the sign of a zero part elsewhere
         states = rows / 1.0
@@ -229,7 +231,7 @@ def _four_mirror_trials(trials: int, rng_seed: int) -> dict[str, float]:
     for _ in range(LONELY_TRIPS):
         lone_rows = lone_rows @ bs_t @ bs_t
         lone_rows, lone, clicked = _probe(lone_rows, lone, l_u, rng)
-        lonely_clicks += int(clicked.sum())
+        lonely_clicks += np.count_nonzero(clicked)
     stats["lonely_lu_clicks"] = float(lonely_clicks)
 
     # (c) R_u armed as well; keep the double-silence subset
@@ -243,7 +245,7 @@ def _four_mirror_trials(trials: int, rng_seed: int) -> dict[str, float]:
     for trip in range(1, ARMED_TRIPS + 1):
         armed_rows, armed, lu = _probe(armed_rows @ bs_t, armed, l_u, rng)
         exposures += n_armed
-        clicks_seen += int(lu.sum())
+        clicks_seen += np.count_nonzero(lu)
         fresh = lu & (first_click == np.iinfo(np.int64).max)
         first_click[fresh] = trip
         armed_rows, armed, _ = _probe(armed_rows @ bs_t, armed, r_u, rng)

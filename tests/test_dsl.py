@@ -529,6 +529,7 @@ class TestEvaluateErrors:
         ((1, None), (0, 1)),  # None reads as nan: "pre-selected ket is not normalized"
         ((1, math.nan), (0, 1)),
         ((math.inf, 0), (0, 1)),
+        ((0, (1, 2)), (1, 0)),  # numpy: "inhomogeneous shape", rows of two entries each
     ])
     def test_non_numeric_custom_unitary_of_a_built_spec_is_positioned(self, params):
         spec = dsl.parse("FACTORS\n  a: x y\nINITIAL\n  x : 1\nGATES\n"
@@ -538,6 +539,25 @@ class TestEvaluateErrors:
             dsl.evaluate(dataclasses.replace(spec, gates=(gate,)))
         assert err.value.diagnostics == [
             Diagnostic(6, 1, "matrix entries must be finite numbers")]
+
+    def test_non_unitary_custom_unitary_of_a_built_spec_is_refused(self):
+        text = ("FACTORS\n  a: x y\nINITIAL\n  x : 1\n  y : 1\nGATES\n"
+                "  t1 custom_unitary a : [ 1, 0 ; 0, 2 ]\n")
+        with pytest.raises(dsl.ScenarioValidationError) as parsed:
+            dsl.parse(text)
+        message = "matrix is not unitary to 1e-08"
+        assert [d.message for d in parsed.value.diagnostics] == [message]
+        spec = dsl.parse(text.replace("[ 1, 0 ; 0, 2 ]", "[ 0, 1 ; 1, 0 ]"))
+        built = dataclasses.replace(spec, gates=(
+            dataclasses.replace(spec.gates[0], params=((1, 0), (0, 2))),))
+        with pytest.raises(dsl.ScenarioValidationError) as err:
+            dsl.evaluate(built)  # not renormalised to (0.447, 0.894)
+        assert err.value.diagnostics == [Diagnostic(7, 1, message)]
+        # within the parser's tolerance the gate runs, and the drift is renormalised
+        near = dataclasses.replace(spec, gates=(
+            dataclasses.replace(spec.gates[0], params=((1, 0), (0, 1 + 1e-9))),))
+        amps = dsl.evaluate(near).states_by_epoch["t1"].amplitudes
+        assert abs(np.linalg.norm(amps) - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("n_factors", [62, 70])
     def test_oversized_state_space_is_positioned(self, n_factors):

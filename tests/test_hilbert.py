@@ -352,6 +352,27 @@ class TestGateBuilders:
         assert np.array_equal(u[np.ix_([0, 1], [2, 3])], bs.conj().T)
         assert u[4, 4] == 1 and np.count_nonzero(u[4]) == 1
 
+    @pytest.mark.parametrize("block", [
+        None, hb.SPLIT_REAL, np.array([[0.6, 0.8], [-0.8j, 0.6j]]),
+        np.array([[complex(0.0, -0.0), 1], [complex(-1.0, 0.0), complex(-0.0, 0.0)]]),
+    ], ids=["default", "real", "complex", "signed-zeros"])
+    @pytest.mark.parametrize("in_pair,out_pair", [
+        (("L_u", "L_d"), ("L_u", "L_d")), (("R_d", "L_u"), ("R_d", "L_u")),
+        (("L_u", "L_d"), ("R_u", "R_d")), (("R_u", "L_u"), ("L_d", "R_d")),
+    ], ids=["same", "same-unordered", "disjoint", "disjoint-crossed"])
+    def test_mode_coupler_matches_block_assignment_bytes(self, block, in_pair, out_pair):
+        # the reference embeds the block with np.ix_ block assignments
+        b = hb.BS_SYMMETRIC if block is None else block
+        ins = [self.FOUR.index(x) for x in in_pair]
+        outs = [self.FOUR.index(x) for x in out_pair]
+        want = np.eye(4, dtype=complex)
+        if ins != outs:
+            want[ins + outs, ins + outs] = 0.0
+            want[np.ix_(ins, outs)] = b.conj().T
+        want[np.ix_(outs, ins)] = b
+        got = hb.mode_coupler(self.FOUR, in_pair, out_pair, block=block)
+        assert got.tobytes() == want.tobytes()
+
     def test_mode_coupler_rejects_overlapping_pairs(self):
         with pytest.raises(ValueError, match="^in/out pairs overlap but are not identical$"):
             hb.mode_coupler(self.FOUR, ("L_u", "L_d"), ("L_d", "L_u"))

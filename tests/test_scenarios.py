@@ -342,10 +342,24 @@ class TestFourMirror:
         assert new_rows[new_of].tobytes() == ref.tobytes()
         assert len({row.tobytes() for row in new_rows}) == len(new_rows)  # pairwise byte-distinct
         assert np.bincount(new_of, minlength=len(new_rows)).all()  # every row is some trial's
-        # the trials' draws were taken: the stream goes on where the slow path's would
+        # the generator was moved past the trials' draws: the stream goes on where the
+        # slow path's would
         twin = np.random.default_rng(3)
         twin.random(len(of))
         assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("seed", [42, 7, 2024, 31337])
+    @pytest.mark.parametrize("n", [0, 1, 5, 4_985, 10_000, 100_000])
+    def test_advance_skips_as_many_draws_as_outputs(self, seed, n):
+        # the certain-silent probe advances the bit generator by len(of) in place of
+        # drawing len(of) doubles; that skips the same draws only while numpy's PCG64
+        # fills each float64 from exactly one 64-bit output
+        jumped, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        jumped.bit_generator.advance(n)
+        drawn.random(n)
+        assert jumped.random(3).tobytes() == drawn.random(3).tobytes(), (
+            "Generator.random no longer takes one 64-bit PCG64 output per double, so "
+            "bit_generator.advance(n) in scenarios._probe no longer skips n draws")
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_lonely_probes_are_certain_silent(self, monkeypatch, seed):
